@@ -501,11 +501,6 @@ def stabilizer(a: GroupSubset) -> Subgroup:
     return Subgroup(GroupSubset(g, bits))
 
 
-def is_periodic_with(a: GroupSubset, h: Subgroup) -> bool:
-    """True when A is a union of H-cosets."""
-    return h.carrier.is_subset_of(stabilizer(a).carrier)
-
-
 def subgroup_generated(s: GroupSubset) -> Subgroup:
     """Additive closure of S together with 0."""
     g = s.group
@@ -539,12 +534,6 @@ def verify_subgroup(g: GroupSpec, carrier: GroupSubset) -> Subgroup:
     return Subgroup(carrier)
 
 
-def group_params(g: GroupSpec) -> tuple[int, int]:
-    """(d*(G), exp(G)) where d*(G) = sum (mi - 1)."""
-    d_star = sum(m - 1 for m in g.invariant_factors)
-    return d_star, g.exponent
-
-
 # ---------------------------------------------------------------------------
 # black-box decomposition (quotients and subgroup re-specing)
 
@@ -553,28 +542,31 @@ def _blackbox_basis(n: int, add: Callable[[int, int], int]) -> list[tuple[int, i
     """Generators (element, order) of an abelian black-box group on [0, n).
 
     Orders come out non-increasing and form the invariant factors (largest
-    first).  Identity must be element 0.
+    first).  Identity must be element 0.  Costs O(n * rank) calls to add.
     """
     if n == 1:
         return []
 
-    def elem_order(x: int) -> int:
-        o, acc = 1, x
+    def multiples(x: int) -> list[int]:
+        out = [0]
+        acc = x
         while acc != 0:
+            out.append(acc)
             acc = add(acc, x)
-            o += 1
-        return o
+        return out
 
-    def mul(k: int, x: int) -> int:
-        acc = 0
-        for _ in range(k):
-            acc = add(acc, x)
-        return acc
-
-    orders = [elem_order(x) for x in range(n)]
+    # one walk per cyclic subgroup: ord(k*x) = ord(x) / gcd(k, ord(x))
+    orders = [0] * n
+    for x in range(n):
+        if not orders[x]:
+            walk = multiples(x)
+            o = len(walk)
+            for k, y in enumerate(walk):
+                orders[y] = o // math.gcd(k, o)
     m = max(orders)
     x = orders.index(m)
-    cyclic = set(mul(k, x) for k in range(m))
+    cyclic = multiples(x)
+    position = {e: k for k, e in enumerate(cyclic)}
     # label cosets of <x>
     coset_of = [-1] * n
     reps: list[int] = []
@@ -585,7 +577,8 @@ def _blackbox_basis(n: int, add: Callable[[int, int], int]) -> list[tuple[int, i
         reps.append(e)
         for c in cyclic:
             coset_of[add(e, c)] = label
-    assert coset_of[0] == 0 and reps[0] == 0
+    if coset_of[0] != 0:
+        raise GroupError("black-box identity is not element 0")
 
     def q_add(a: int, b: int) -> int:
         return coset_of[add(reps[a], reps[b])]
@@ -594,10 +587,13 @@ def _blackbox_basis(n: int, add: Callable[[int, int], int]) -> list[tuple[int, i
     for rep_label, o in _blackbox_basis(n // m, q_add):
         y = reps[rep_label]
         # adjust lift so its order matches the quotient order o
-        oy = mul(o, y)           # lies in <x>
-        t = next(k for k in range(m) if mul(k, x) == oy)
-        assert t % o == 0
-        y = add(y, mul(m - t // o, x))
+        oy = 0
+        for _ in range(o):
+            oy = add(oy, y)
+        t = position.get(oy, -1)    # oy = t*x must lie in <x>
+        if t < 0 or t % o:
+            raise GroupError("black-box lift has no element of the quotient order")
+        y = add(y, cyclic[(m - t // o) % m])
         basis.append((y, o))
     return basis
 
@@ -669,8 +665,28 @@ class QuotientStructure:
         return GroupSubset(self.parent, self.preimage_mask(qsubset.bits))
 
 
-def quotient_decompose(g: GroupSpec, h: Subgroup, validate: bool = True) -> QuotientStructure:
-    """Coset table plus invariant factors of G/H via black-box decomposition."""
+def _check_homomorphism(n: int, gens: Sequence[int], f: Sequence[int],
+                        add_src: Callable[[int, int], int],
+                        add_dst: Callable[[int, int], int]) -> None:
+    """Raise GroupError unless f(0) = 0 and f(a + b) = f(a) + f(b) for every
+    a in [0, n) and every b in gens.  For a bijection f and generators gens of
+    the source this proves f an isomorphism (see quotient_decompose)."""
+    if f[0] != 0 or any(add_dst(f[a], f[b]) != f[add_src(a, b)]
+                        for a in range(n) for b in gens):
+        raise GroupError("black-box map failed the homomorphism check")
+
+
+def quotient_decompose(g: GroupSpec, h: Subgroup) -> QuotientStructure:
+    """Coset table plus invariant factors of G/H via black-box decomposition.
+
+    The map iso from coset labels to quotient_spec is checked only on the
+    cosets b_j of G's standard generators: iso(0) = 0 and
+    iso(a + b_j) = iso(a) + iso(b_j) for every label a and every j.  iso is a
+    bijection by construction and the b_j generate G/H, so by induction on
+    the length of b as a sum of b_j's, iso(a + b) = iso(a) + iso(b) for all
+    a, b.  Decomposition and check together cost O(|G/H| * rank(G))
+    additions.
+    """
     _check_same_group(h.carrier, g)
     verify_subgroup(g, h.carrier)
     hbits = h.carrier.bits
@@ -690,16 +706,12 @@ def quotient_decompose(g: GroupSpec, h: Subgroup, validate: bool = True) -> Quot
 
     spec, to_elem, from_elem = _blackbox_spec(q, c_add)
     iso = [from_elem[c] for c in range(q)]
+    gens = [coset_of[s % g.order] for s in g.strides]
+    _check_homomorphism(q, gens, iso, c_add, spec.add)
     iso_inv = [0] * q
     for c, s in enumerate(iso):
         iso_inv[s] = c
-    structure = QuotientStructure(g, h, coset_of, reps, spec, iso, iso_inv)
-    if validate and g.order <= DEFAULT_ORDER_CAP:
-        for a in range(q):
-            for b in range(q):
-                if spec.add(iso[a], iso[b]) != iso[c_add(a, b)]:
-                    raise GroupError("quotient isomorphism failed table check")
-    return structure
+    return QuotientStructure(g, h, coset_of, reps, spec, iso, iso_inv)
 
 
 _quotient_cache: dict[tuple[GroupSpec, int], QuotientStructure] = {}
@@ -747,6 +759,8 @@ def subgroup_embedding(g: GroupSpec, k: Subgroup) -> SubgroupEmbedding:
 
     spec, to_elem, from_elem = _blackbox_spec(len(members), s_add)
     to_parent = [members[lbl] for lbl in to_elem]
+    _check_homomorphism(spec.order, [s % spec.order for s in spec.strides],
+                        to_parent, spec.add, g.add)
     from_parent = {members[lbl]: idx for lbl, idx in from_elem.items()}
     return SubgroupEmbedding(g, k, spec, to_parent, from_parent)
 

@@ -31,6 +31,7 @@ from .groups import (
 )
 from .sequences import (
     GSequence,
+    SequenceError,
     build_s_star,
     nterm_subsums,
     subsum_profile,
@@ -349,15 +350,18 @@ def _audit_worker(cfg: AuditConfig, worker: int, jobs: int) -> dict:
     needs_profile = bool({"subsum_kneser", "s_star", "lemma_extra"}
                          & set(cfg.checkers))
 
-    def handle(g: GroupSpec, s: GSequence, n: int, profile=None) -> None:
+    def handle(g: GroupSpec, s: GSequence, n: int, sigma=None) -> None:
         nonlocal instances, checks, skipped
         instances += 1
-        if profile is None and needs_profile:
-            profile = subsum_profile(s, n, s.length)
+        profile = None
         for name in cfg.checkers:
             try:
+                if profile is None and needs_profile:
+                    profile = subsum_profile(s, n, s.length, sigma=sigma)
                 status, detail = _check_instance(name, g, s, n, profile)
-            except InternalError as err:
+            except (InternalError, SequenceError) as err:
+                # the corpus holds only valid instances, so either is a
+                # library inconsistency: record it, keep auditing
                 status, detail = "fail", f"internal error: {err}"
             checks += 1
             counters[name][status] += 1
@@ -379,10 +383,7 @@ def _audit_worker(cfg: AuditConfig, worker: int, jobs: int) -> dict:
         if idx % jobs == worker:
             rows = subsum_table(s, s.length) if needs_profile else None
             for n in range(max(1, s.max_multiplicity()), s.length + 1):
-                profile = (subsum_profile(s, n, s.length,
-                                          sigma=GroupSubset(g, rows[n]))
-                           if needs_profile else None)
-                handle(g, s, n, profile)
+                handle(g, s, n, GroupSubset(g, rows[n]) if needs_profile else None)
         idx += 1
     if cfg.random_samples and not groups:
         raise SearchError("random sampling needs max_group_order >= 2")

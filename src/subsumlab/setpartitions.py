@@ -24,6 +24,7 @@ from .groups import (
     subgroup_embedding,
     subgroup_generated,
     sumset,
+    verify_subgroup,
 )
 from .sequences import GSequence, nterm_subsums, subsum_profile
 
@@ -1089,6 +1090,10 @@ def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
         return False, [f"unknown case tag {cert.case_tag!r}"]
     if cert.K is None or cert.alpha is None:
         return False, ["case (ii) certificate missing K or alpha"]
+    try:
+        verify_subgroup(g, cert.K.carrier)
+    except GroupError as err:
+        return False, [f"(ii): K is not a subgroup: {err}"]
     h = stabilizer(sigma_n)
     k_sub = cert.K
     alpha = cert.alpha

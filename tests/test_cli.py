@@ -102,6 +102,23 @@ def test_verify_flags_tampered_certificate(tmp_path, capsys):
     assert back["verified"] is False and back["violations"]
 
 
+def test_verify_rejects_non_subgroup_k(tmp_path, capsys):
+    seq = "(0,0,0,0)^2;(1,1,0,0)^2;(1,0,1,0)^3;(0,1,1,0)^4;(1,1,1,0)"
+    out = tmp_path / "cert.json"
+    code = run(["maincert", "-g", "2x2x2x2", "-s", seq, "--sprime", seq,
+                "-n", "4", "--format", "json", "--out", str(out)])
+    assert code == 0
+    env = json.loads(out.read_text())
+    env["result"]["certificate"].update(
+        K=["(1,0,0,0)", "(0,1,0,0)", "(0,0,1,0)", "(1,1,1,0)"],
+        alpha="(1,0,0,0)", e_K=1, k=3)
+    out.write_text(json.dumps(env))
+    code, back = run_json(capsys, ["verify", str(out)])
+    assert code == 1
+    assert back["verified"] is False
+    assert back["violations"] == ["(ii): K is not a subgroup: subgroup must contain 0"]
+
+
 # ---------------------------------------------------------------------------
 # other verbs and exit codes
 

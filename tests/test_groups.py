@@ -1,9 +1,13 @@
 """Group arithmetic, subsets, subgroups, quotients -- checked against the
 brute-force oracles in _oracles.py and by algebraic property tests."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subsumlab import groups
 from subsumlab.groups import (
     GroupError,
     GroupSpec,
@@ -18,6 +22,7 @@ from subsumlab.groups import (
     parse_element,
     parse_group,
     quotient_cached,
+    quotient_decompose,
     representation_count,
     representation_min,
     stabilizer,
@@ -220,7 +225,8 @@ def test_abelian_groups_of_order_counts():
     assert {g.spec_string() for g in abelian_groups_of_order(12)} == {"12", "2x6"}
 
 
-@pytest.mark.parametrize("spec", ["8", "2x4", "3x3", "12", "2x2x2"])
+@pytest.mark.parametrize("spec", [g.spec_string() for m in range(1, 17)
+                                  for g in abelian_groups_of_order(m)])
 def test_quotient_structure_is_homomorphism(spec):
     g = parse_group(spec)
     for h in enumerate_subgroups(g):
@@ -233,6 +239,86 @@ def test_quotient_structure_is_homomorphism(spec):
         # kernel is exactly H
         assert {a for a in range(g.order) if q.image(a) == 0} == \
             set(h.carrier.indices())
+
+
+def test_quotients_of_trivial_group():
+    g = parse_group("1")
+    for h in enumerate_subgroups(g):  # 1 = G, so G/1 and G/G coincide
+        q = quotient_decompose(g, h)
+        assert q.quotient_spec.order == 1
+        assert q.coset_of == [0] and q.iso == [0] and q.image(0) == 0
+
+
+@pytest.mark.parametrize("spec", ["4x4x4x4x4x4", "64x64"])
+def test_cold_quotient_of_large_group(spec):
+    g = parse_group(spec)
+    q = quotient_decompose(g, Subgroup(GroupSubset(g, 1)))
+    assert q.quotient_spec == g
+    rng = random.Random(spec)
+    for _ in range(2000):
+        a, b = rng.randrange(g.order), rng.randrange(g.order)
+        assert q.image(g.add(a, b)) == g.add(q.image(a), q.image(b))
+
+
+def _swap_labels(monkeypatch, pair):
+    """Make _blackbox_spec return its bijection with two labels swapped."""
+    original = groups._blackbox_spec
+
+    def swapped(n, add):
+        spec, to_elem, from_elem = original(n, add)
+        c1, c2 = pair
+        from_elem = dict(from_elem)
+        from_elem[c1], from_elem[c2] = from_elem[c2], from_elem[c1]
+        to_elem = list(to_elem)
+        to_elem[from_elem[c1]], to_elem[from_elem[c2]] = c1, c2
+        return spec, to_elem, from_elem
+
+    monkeypatch.setattr(groups, "_blackbox_spec", swapped)
+
+
+def _is_homomorphism(n, f, add_src, add_dst):
+    """All-pairs reference for the generator check."""
+    return all(add_dst(f[a], f[b]) == f[add_src(a, b)]
+               for a in range(n) for b in range(n))
+
+
+@pytest.mark.parametrize("spec", ["6", "8", "2x4", "2x2x2", "3x3"])
+def test_tampered_decomposition_rejected_iff_not_homomorphism(spec, monkeypatch):
+    g = parse_group(spec)
+    rejected = 0
+    for h in enumerate_subgroups(g):
+        honest = quotient_decompose(g, h)
+        emb = subgroup_embedding(g, h)
+        q, reps = honest.num_cosets, honest.representatives
+
+        def c_add(a, b):
+            return honest.coset_of[g.add(reps[a], reps[b])]
+
+        for pair in itertools.combinations(range(q), 2):
+            iso = list(honest.iso)
+            iso[pair[0]], iso[pair[1]] = iso[pair[1]], iso[pair[0]]
+            with monkeypatch.context() as mp:
+                _swap_labels(mp, pair)
+                if _is_homomorphism(q, iso, c_add, honest.quotient_spec.add):
+                    assert quotient_decompose(g, h).iso == iso
+                else:
+                    rejected += 1
+                    with pytest.raises(GroupError):
+                        quotient_decompose(g, h)
+        members = list(h.carrier.indices())
+        for pair in itertools.combinations(range(h.order), 2):
+            to_parent = list(emb.to_parent)
+            i1, i2 = (emb.from_parent[members[c]] for c in pair)
+            to_parent[i1], to_parent[i2] = to_parent[i2], to_parent[i1]
+            with monkeypatch.context() as mp:
+                _swap_labels(mp, pair)
+                if _is_homomorphism(h.order, to_parent, emb.spec.add, g.add):
+                    assert subgroup_embedding(g, h).to_parent == to_parent
+                else:
+                    rejected += 1
+                    with pytest.raises(GroupError):
+                        subgroup_embedding(g, h)
+    assert rejected
 
 
 def test_quotient_c8_mod_04():

@@ -11,7 +11,8 @@ from subsumlab.groups import (
     stabilizer,
     subgroup_generated,
 )
-from subsumlab.sequences import nterm_subsums, parse_sequence
+from subsumlab import search
+from subsumlab.sequences import SequenceError, nterm_subsums, parse_sequence
 from subsumlab.search import (
     AuditConfig,
     SearchError,
@@ -146,6 +147,23 @@ def test_audit_aggregate_excludes_worker_count():
     assert json.dumps(r1.to_dict(), sort_keys=True) == \
         json.dumps(r4.to_dict(), sort_keys=True)
     assert "jobs" not in r1.config.to_dict()
+
+
+@pytest.mark.parametrize("target", ["subsum_profile", "build_s_star"])
+def test_audit_records_sequence_error_as_failure(target, monkeypatch):
+    def broken(*args, **kwargs):
+        raise SequenceError("subsum bound forms disagree (internal inconsistency)")
+
+    monkeypatch.setattr(search, target, broken)
+    cfg = _small_cfg(random_samples=20)
+    report = run_audit(cfg)
+    assert not report.holds
+    assert report.counters["s_star"]["fail"] == report.instances
+    assert len(report.violations) == \
+        sum(c["fail"] for c in report.counters.values())
+    for v in report.violations:
+        assert "internal inconsistency" in v["detail"]
+        assert v["replay"].startswith(f"subsumlab subsums -g {v['group']} ")
 
 
 def test_audit_rejects_oversized_caps():

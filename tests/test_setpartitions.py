@@ -299,3 +299,16 @@ def test_main_verify_rejects_wrong_alpha():
     bad = Certificate.from_dict(g, data)
     ok, violations = main_verify(bad, g, s, s_prime, 5, bad.mode)
     assert not ok and violations
+
+
+def test_main_verify_rejects_non_subgroup_k():
+    # K does not contain 0, yet every other clause of (ii) holds for it
+    g = parse_group("2x2x2x2")
+    s = parse_sequence(g, "(0,0,0,0)^2;(1,1,0,0)^2;(1,0,1,0)^3;(0,1,1,0)^4;(1,1,1,0)")
+    data = main_pipeline(g, s, s, 4).to_dict()
+    data.update(K=["(1,0,0,0)", "(0,1,0,0)", "(0,0,1,0)", "(1,1,1,0)"],
+                alpha="(1,0,0,0)", e_K=1, k=3)
+    bad = Certificate.from_dict(g, data)
+    ok, violations = main_verify(bad, g, s, s, 4, bad.mode)
+    assert not ok
+    assert violations == ["(ii): K is not a subgroup: subgroup must contain 0"]
