@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 import time
@@ -23,7 +24,6 @@ from .groups import (
     GroupError,
     GroupSpec,
     GroupSubset,
-    Subgroup,
     iterated_sumset,
     normalize_factors,
     parse_element,
@@ -295,6 +295,9 @@ def _cmd_example(args) -> int:
 
 def _cmd_audit(args) -> int:
     t0 = time.perf_counter()
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise SearchError(f"--jobs must lie in [1, {cpus}], got {args.jobs}")
     kwargs = dict(
         max_group_order=args.max_order,
         seed=args.seed,

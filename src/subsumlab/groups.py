@@ -333,16 +333,26 @@ def _check_same_group(a, b) -> None:
 # construction / parsing
 
 
-def _prime_power_split(m: int) -> dict[int, int]:
-    out: dict[int, int] = {}
+def smallest_prime_divisor(m: int) -> int:
+    """Least prime dividing m; m itself when m is prime or m < 2."""
     d = 2
     while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
+        if m % d == 0:
+            return d
         d += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
+    return m
+
+
+def is_prime(p: int) -> bool:
+    return p > 1 and smallest_prime_divisor(p) == p
+
+
+def _prime_power_split(m: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    while m > 1:
+        p = smallest_prime_divisor(m)
+        out[p] = out.get(p, 0) + 1
+        m //= p
     return out
 
 

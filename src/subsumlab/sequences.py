@@ -8,6 +8,7 @@ rows, one row per chosen-count.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -38,11 +39,11 @@ class GSequence:
     def __init__(self, group: GroupSpec, mult: Sequence[int]):
         if len(mult) != group.order:
             raise SequenceError("multiplicity vector length must equal |G|")
-        if any(m < 0 for m in mult):
+        self.mult = tuple(mult)
+        if min(self.mult, default=0) < 0:
             raise SequenceError("negative multiplicity")
         self.group = group
-        self.mult = tuple(mult)
-        self.length = sum(mult)
+        self.length = sum(self.mult)
 
     @classmethod
     def empty(cls, group: GroupSpec) -> "GSequence":
@@ -103,15 +104,15 @@ class GSequence:
         return total
 
     def is_subsequence_of(self, other: "GSequence") -> bool:
-        if other.group != self.group:
+        if other.group is not self.group and other.group != self.group:
             raise SequenceError("mixed groups")
-        return all(a <= b for a, b in zip(self.mult, other.mult))
+        return all(map(operator.le, self.mult, other.mult))
 
     def remove(self, other: "GSequence") -> "GSequence":
         """self with the terms of other removed; other | self required."""
         if not other.is_subsequence_of(self):
             raise SequenceError("removal of a non-subsequence")
-        return GSequence(self.group, [a - b for a, b in zip(self.mult, other.mult)])
+        return GSequence(self.group, list(map(operator.sub, self.mult, other.mult)))
 
     def concat(self, other: "GSequence") -> "GSequence":
         if other.group != self.group:

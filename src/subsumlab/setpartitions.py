@@ -4,12 +4,19 @@ partition_solve realizes the two-case partition dichotomy for n-term subsums
 (large part-sum, or all parts concentrated on the high-multiplicity cosets);
 main_pipeline realizes the strengthened conclusion under the exponent-style
 hypotheses, recursing into subgroups exactly as the inductive argument does.
-Every certificate is re-verified from scratch before being returned.
+
+Each public solver verifies the certificate it returns exactly once, with the
+independent verifier for its theorem (partition_verify, main_verify), which
+recomputes Sigma_n(S) from scratch and never sees solver state; a failed
+check raises InternalError.  Callers read cert.verified instead of verifying
+again.  Inside the solver, Sigma_n(S) is computed once per (S, n) and carried
+through translations and span reductions.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -18,8 +25,11 @@ from .groups import (
     GroupSpec,
     GroupSubset,
     Subgroup,
+    is_prime,
     iter_bits,
+    parse_element,
     quotient_cached,
+    smallest_prime_divisor,
     stabilizer,
     subgroup_embedding,
     subgroup_generated,
@@ -82,9 +92,6 @@ class SetPartition:
                 mult[i] += 1
         return GSequence(self.group, mult)
 
-    def total_size(self) -> int:
-        return sum(p.size for p in self.parts)
-
     def translate(self, b: int) -> "SetPartition":
         return SetPartition(self.group, [p.translate(b) for p in self.parts])
 
@@ -138,18 +145,46 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, group: GroupSpec, data: dict) -> "Certificate":
-        from .groups import parse_element
+        """Parse a to_dict() record; PartitionError on any malformed field.
 
-        def subset(elems):
-            return GroupSubset.from_indices(group, [parse_element(group, e) for e in elems])
+        Element literals must be in the canonical form to_dict writes, so an
+        out-of-range coordinate such as "5" over C4 is rejected, not reduced.
+        """
+        def check(ok: bool, what: str) -> None:
+            if not ok:
+                raise PartitionError(f"malformed certificate: {what}")
 
-        parts = SetPartition(group, [subset(p) for p in data["parts"]])
+        def element(text) -> int:
+            check(isinstance(text, str), f"element {text!r} is not a string")
+            try:
+                idx = parse_element(group, text)
+            except GroupError as err:
+                raise PartitionError(f"malformed certificate: {err}") from None
+            check(group.format_element(idx) == "".join(text.split()),
+                  f"{text!r} is not a canonical element of {group.spec_string()}")
+            return idx
+
+        def subset(elems, name: str) -> GroupSubset:
+            check(isinstance(elems, list), f"{name} is not a list")
+            return GroupSubset.from_indices(group, [element(e) for e in elems])
+
+        check(isinstance(data, dict), f"expected an object, got {type(data).__name__}")
+        check("parts" in data, "missing 'parts'")
+        check(isinstance(data["parts"], list), "parts is not a list")
+        check(data.get("case") in ("I", "II"), f"case {data.get('case')!r} is not I or II")
+        check(data.get("theorem", "main") in ("partition", "main"), "unknown theorem")
+        check(data.get("mode", "standard") in ("standard", "full-group"), "unknown mode")
+        check(isinstance(data.get("bounds", {}), dict), "bounds is not an object")
+        for name in ("e_H", "e_K", "k"):
+            check(type(data.get(name, 0)) is int, f"{name} is not an integer")
+        parts = SetPartition(group, [subset(p, f"part {i + 1}")
+                                     for i, p in enumerate(data["parts"])])
         return cls(
             case_tag=data["case"],
             partition=parts,
-            H=Subgroup(subset(data["H"])) if data.get("H") else None,
-            K=Subgroup(subset(data["K"])) if data.get("K") else None,
-            alpha=(parse_element(group, data["alpha"])
+            H=Subgroup(subset(data["H"], "H")) if data.get("H") else None,
+            K=Subgroup(subset(data["K"], "K")) if data.get("K") else None,
+            alpha=(element(data["alpha"])
                    if data.get("alpha") is not None else None),
             e_H=data.get("e_H", 0),
             e_K=data.get("e_K", 0),
@@ -183,26 +218,23 @@ def make_setpartition(s: GSequence, n: int) -> SetPartition:
     return SetPartition(s.group, [GroupSubset(s.group, b) for b in bits])
 
 
+def _greedy_mult(mult: Sequence[int], per_elem_cap: int, room: int) -> list[int]:
+    """Take min(v_g, per_elem_cap) of each element ascending, room terms at most."""
+    out = [0] * len(mult)
+    for g, m in enumerate(mult):
+        if room <= 0:
+            break
+        take = min(m, per_elem_cap, room)
+        if take > 0:
+            out[g] = take
+            room -= take
+    return out
+
+
 def _greedy_capped(s: GSequence, per_elem_cap: int, total_cap: int | None = None) -> GSequence:
     """Take min(v_g, per_elem_cap) of each element ascending, stopping at total_cap."""
-    mult = [0] * s.group.order
-    total = 0
-    for g, m in enumerate(s.mult):
-        take = min(m, per_elem_cap)
-        if total_cap is not None:
-            take = min(take, total_cap - total)
-        if take > 0:
-            mult[g] = take
-            total += take
-        if total_cap is not None and total >= total_cap:
-            break
-    return GSequence(s.group, mult)
-
-
-def _first_terms(s: GSequence, count: int) -> GSequence:
-    if count == 0:
-        return GSequence.empty(s.group)
-    return _greedy_capped(s, per_elem_cap=count, total_cap=count)
+    room = s.length if total_cap is None else total_cap
+    return GSequence(s.group, _greedy_mult(s.mult, per_elem_cap, room))
 
 
 def _complete_counterpart(s: GSequence, s_prime_len: int, n: int, k: int,
@@ -210,20 +242,17 @@ def _complete_counterpart(s: GSequence, s_prime_len: int, n: int, k: int,
     """T' | T^{[-1]}S with |T|+|T'| = |S'| and h(T') <= n-k <= |T'|.
 
     t must have maximal length among subsequences with h <= k and
-    length <= |S'| - (n-k).
+    length <= |S'| - (n-k).  T' is the first |S'| - |T| terms of
+    T^{[-1]}S taken at most n-k per element (when |T| is at that cap, the
+    first n-k terms).
     """
-    cap = s_prime_len - (n - k)
-    rem = s.remove(t)
-    if t.length == cap:
-        t_prime = _first_terms(rem, n - k)
-        if t_prime.length != n - k:
-            raise InternalError("not enough remaining terms for the counterpart")
-    else:
-        r = _greedy_capped(rem, per_elem_cap=n - k)
-        need = s_prime_len - t.length
-        if r.length < need:
-            raise InternalError("maximal counterpart shorter than required")
-        t_prime = _first_terms(r, need)
+    if not t.is_subsequence_of(s):
+        raise InternalError("T is not a subsequence of S")
+    need = s_prime_len - t.length
+    rem = list(map(operator.sub, s.mult, t.mult))
+    t_prime = GSequence(s.group, _greedy_mult(rem, n - k, need))
+    if t_prime.length < need:
+        raise InternalError("not enough remaining terms for the counterpart")
     if t.length + t_prime.length != s_prime_len:
         raise InternalError("counterpart length mismatch")
     if t_prime.max_multiplicity() > n - k or t_prime.length < n - k:
@@ -266,8 +295,15 @@ def _validate_instance(s: GSequence, s_prime: GSequence, n: int) -> None:
         raise PartitionError("n must be >= 1")
 
 
-def _unused_terms(s: GSequence, partition: SetPartition) -> GSequence:
-    return s.remove(partition.underlying_sequence())
+def _sum_of_parts(g: GroupSpec, parts_bits: Sequence[int]) -> int:
+    """Bitmask of the sum of the given parts (bitmasks); {0} for no parts."""
+    acc = 1
+    for b in parts_bits:
+        nb = 0
+        for i in iter_bits(b):
+            nb |= g.translate_mask(acc, i)
+        acc = nb
+    return acc
 
 
 def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int,
@@ -281,15 +317,6 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int,
     g = s.group
     parts = [p.bits for p in make_setpartition(s_prime, n).parts]
 
-    def total_sum(bits_list: list[int]) -> int:
-        acc = 1  # {0}
-        for b in bits_list:
-            nb = 0
-            for i in iter_bits(b):
-                nb |= g.translate_mask(acc, i)
-            acc = nb
-        return acc
-
     def unused_counts(bits_list: list[int]) -> list[int]:
         used = [0] * g.order
         for b in bits_list:
@@ -297,8 +324,7 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int,
                 used[i] += 1
         return [m - u for m, u in zip(s.mult, used)]
 
-    best_mask = total_sum(parts)
-    best = best_mask.bit_count()
+    best = _sum_of_parts(g, parts).bit_count()
     moves = 0
     improved = True
     while improved and best < target and moves < max_moves:
@@ -306,13 +332,7 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int,
         spare = unused_counts(parts)
         for i in range(n):
             # partial product excluding part i
-            others = parts[:i] + parts[i + 1:]
-            rest = 1
-            for b in others:
-                nb = 0
-                for t in iter_bits(b):
-                    nb |= g.translate_mask(rest, t)
-                rest = nb
+            rest = _sum_of_parts(g, parts[:i] + parts[i + 1:])
 
             def size_with(newbits: int) -> int:
                 acc = 0
@@ -345,7 +365,7 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int,
                         cand_j = parts[j] | (1 << e)
                         trial = parts[:]
                         trial[i], trial[j] = cand_i, cand_j
-                        if total_sum(trial).bit_count() > best:
+                        if _sum_of_parts(g, trial).bit_count() > best:
                             parts[i], parts[j] = cand_i, cand_j
                             improved = True
                             break
@@ -357,7 +377,7 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int,
                         cand_j = (parts[j] & ~(1 << f)) | (1 << e)
                         trial = parts[:]
                         trial[i], trial[j] = cand_i, cand_j
-                        if total_sum(trial).bit_count() > best:
+                        if _sum_of_parts(g, trial).bit_count() > best:
                             parts[i], parts[j] = cand_i, cand_j
                             improved = True
                             break
@@ -369,7 +389,7 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int,
                 break
         if improved:
             moves += 1
-            best = total_sum(parts).bit_count()
+            best = _sum_of_parts(g, parts).bit_count()
     return parts, best
 
 
@@ -426,9 +446,9 @@ def iter_setpartitions(s: GSequence, total: int, n: int) -> Iterator[list[int]]:
 
 
 def _partition_case2_construct(s: GSequence, s_prime: GSequence, n: int,
-                               profile) -> Optional[SetPartition]:
-    """Direct witness for the concentrated case: outside terms spread one per
-    part, every part covering each high-multiplicity coset."""
+                               profile) -> Optional[list[int]]:
+    """Direct witness (part bitmasks) for the concentrated case: outside terms
+    spread one per part, every part covering each high-multiplicity coset."""
     g = s.group
     z = profile.Z_mask
     big_n = profile.N
@@ -478,7 +498,7 @@ def _partition_case2_construct(s: GSequence, s_prime: GSequence, n: int,
         return None
     for j, idx in enumerate(outside):
         parts[n - e + j] |= 1 << idx
-    return SetPartition(g, [GroupSubset(g, b) for b in parts])
+    return parts
 
 
 def _case2_conditions(parts_bits: list[int], s: GSequence, s_prime_len: int,
@@ -504,12 +524,7 @@ def _case2_conditions(parts_bits: list[int], s: GSequence, s_prime_len: int,
         if m - used[idx] > 0 and not (z >> idx) & 1:
             return False
     # exact sum equality and bound
-    acc = 1
-    for b in parts_bits:
-        nb = 0
-        for i in iter_bits(b):
-            nb |= g.translate_mask(acc, i)
-        acc = nb
+    acc = _sum_of_parts(g, parts_bits)
     if acc != sigma_n_bits:
         return False
     order_h = profile.H.order
@@ -522,8 +537,25 @@ def partition_solve(s: GSequence, s_prime: GSequence, n: int,
                     fallback_cap: int = FALLBACK_CAP) -> Certificate:
     """Find a setpartition witnessing one of the two partition-theorem cases."""
     _validate_instance(s, s_prime, n)
+    cert = _solve(s, s_prime, n, nterm_subsums(s, n), fallback_cap)
+    if cert.case_tag == "I":
+        ok, violations = partition_verify(cert, s, s_prime, n)
+        if not ok:
+            raise InternalError("case-1 certificate failed verification",
+                                {"violations": violations})
+    cert.verified = True
+    return cert
+
+
+def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset,
+           fallback_cap: int = FALLBACK_CAP) -> Certificate:
+    """partition_solve on a valid instance, given sigma_n = Sigma_n(S).
+
+    A case-II certificate has passed partition_verify, which picks it among
+    the candidates; a case-I certificate is returned unverified, because
+    each caller verifies its own final certificate.
+    """
     g = s.group
-    sigma_n = nterm_subsums(s, n)
     target1 = s_prime.length - n + 1
     # sums of parts always land inside Sigma_n(S), so case 1 needs
     # |Sigma_n(S)| >= |S'| - n + 1; otherwise climb toward Sigma_n itself
@@ -534,60 +566,39 @@ def partition_solve(s: GSequence, s_prime: GSequence, n: int,
             parts_bits, best = found, target1
     if best >= target1:
         partition = SetPartition(g, [GroupSubset(g, b) for b in parts_bits])
-        cert = Certificate("I", partition, theorem="partition",
+        return Certificate("I", partition, theorem="partition",
                            bounds={"sum_size": partition.sum_subset().size,
                                    "case1_bound": target1})
-        ok, violations = partition_verify(cert, s, s_prime, n)
-        if not ok:
-            raise InternalError("case-1 certificate failed verification",
-                                {"violations": violations})
-        cert.verified = True
-        return cert
 
-    profile = subsum_profile(s, n, s_prime.length)
-    cert = None
-    if _case2_conditions(parts_bits, s, s_prime.length, n, profile, sigma_n.bits):
-        partition = SetPartition(g, [GroupSubset(g, b) for b in parts_bits])
+    profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n)
+
+    def case2_candidates() -> Iterator[list[int]]:
+        if _case2_conditions(parts_bits, s, s_prime.length, n, profile, sigma_n.bits):
+            yield parts_bits
+        built = _partition_case2_construct(s, s_prime, n, profile)
+        if built is not None:
+            yield built
+        if s_prime.length <= fallback_cap:
+            for bits in iter_setpartitions(s, s_prime.length, n):
+                if _case2_conditions(bits, s, s_prime.length, n, profile, sigma_n.bits):
+                    yield bits
+
+    for bits in case2_candidates():
+        partition = SetPartition(g, [GroupSubset(g, b) for b in bits])
         cert = _case2_certificate(partition, s, s_prime, n, profile)
-        ok, _ = partition_verify(cert, s, s_prime, n)
-        if not ok:
-            cert = None
-    if cert is None:
-        partition = _partition_case2_construct(s, s_prime, n, profile)
-    if cert is None and partition is not None:
-        cert = _case2_certificate(partition, s, s_prime, n, profile)
-        ok, _ = partition_verify(cert, s, s_prime, n)
-        if not ok:
-            cert = None
-    if cert is None and s_prime.length <= fallback_cap:
-        for bits in iter_setpartitions(s, s_prime.length, n):
-            if _case2_conditions(bits, s, s_prime.length, n, profile, sigma_n.bits):
-                partition = SetPartition(g, [GroupSubset(g, b) for b in bits])
-                cert = _case2_certificate(partition, s, s_prime, n, profile)
-                ok, _ = partition_verify(cert, s, s_prime, n)
-                if ok:
-                    break
-                cert = None
-    if cert is None:
-        raise InternalError(
-            "partition theorem: neither case could be witnessed",
-            {"group": g.spec_string(), "S": s.format(),
-             "S_prime": s_prime.format(), "n": n})
-    cert.verified = True
-    return cert
+        if partition_verify(cert, s, s_prime, n)[0]:
+            return cert
+    raise InternalError(
+        "partition theorem: neither case could be witnessed",
+        {"group": g.spec_string(), "S": s.format(),
+         "S_prime": s_prime.format(), "n": n})
 
 
 def _exhaustive_case1(s: GSequence, total: int, n: int, target: int
                       ) -> Optional[list[int]]:
     g = s.group
     for bits in iter_setpartitions(s, total, n):
-        acc = 1
-        for b in bits:
-            nb = 0
-            for i in iter_bits(b):
-                nb |= g.translate_mask(acc, i)
-            acc = nb
-        if acc.bit_count() >= target:
+        if _sum_of_parts(g, bits).bit_count() >= target:
             return bits
     return None
 
@@ -663,26 +674,6 @@ def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
 # hypothesis checking
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _smallest_prime_divisor(m: int) -> int:
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return d
-        d += 1
-    return m
-
-
 @dataclass
 class HypothesisReport:
     H: Subgroup
@@ -712,7 +703,7 @@ def _quotient_items(n: int, q: GroupSpec, order_h: int, mode: str) -> str:
     # full-group variant
     if n >= exp_q:
         return "item1"
-    if n >= exp_q - 1 and (cyclic or _is_prime(exp_q)):
+    if n >= exp_q - 1 and (cyclic or is_prime(exp_q)):
         return "item2"
     if n >= 1 and (exp_q <= 3 or q.invariant_factors == (4,)):
         return "item3"
@@ -731,18 +722,18 @@ def _global_items(n: int, g: GroupSpec, mode: str) -> str:
             if p is None or g.order < exp_g * exp_g * p:
                 return "g2"
         if n >= exp_g - 1 and len(g.invariant_factors) == 2 \
-                and _is_prime(g.invariant_factors[0]):
+                and is_prime(g.invariant_factors[0]):
             return "g3"
-        if cyclic and n >= g.order // _smallest_prime_divisor(g.order) - 1:
+        if cyclic and n >= g.order // smallest_prime_divisor(g.order) - 1:
             return "g4"
         return "none"
     if n >= exp_g:
         return "g1"
     if n >= exp_g - 1:
         k_order = g.order // exp_g
-        if _is_prime(exp_g) or _is_prime(k_order):
+        if is_prime(exp_g) or is_prime(k_order):
             return "g2"
-    if cyclic and n >= g.order // _smallest_prime_divisor(g.order) - 1:
+    if cyclic and n >= g.order // smallest_prime_divisor(g.order) - 1:
         return "g3"
     if n >= 1 and (exp_g <= 3 or g.order < 10):
         return "g4"
@@ -808,13 +799,14 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
         raise PartitionError(
             f"full-group mode needs |S'| >= n + |G| - 1 = {n + g.order - 1}, "
             f"got {s_prime.length}")
-    h_top = stabilizer(nterm_subsums(s, n))
+    sigma_n = nterm_subsums(s, n)
+    h_top = stabilizer(sigma_n)
     report = hypothesis_check(g, h_top, n, mode)
     if not report.satisfied:
         raise HypothesesUnmetError(
             f"no hypothesis item holds for H of order {h_top.order}, n={n}, "
             f"G={g.spec_string()} (mode {mode})")
-    cert = _pipeline_rec(g, s, s_prime, n, mode, depth=0)
+    cert = _pipeline_rec(g, s, s_prime, n, mode, 0, sigma_n)
     cert.mode = mode
     ok, violations = main_verify(cert, g, s, s_prime, n, mode)
     if not ok:
@@ -827,7 +819,8 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
 
 
 def _pipeline_rec(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
-                  mode: str, depth: int) -> Certificate:
+                  mode: str, depth: int, sigma_n: GroupSubset) -> Certificate:
+    """sigma_n = Sigma_n(S), carried along every translation and embedding."""
     if depth > 2 * g.order.bit_length() + 4:
         raise InternalError("recursion depth exceeded subgroup chain bound")
 
@@ -838,16 +831,28 @@ def _pipeline_rec(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
         offset = s0
         s = s.translate(g.neg(s0))
         s_prime = s_prime.translate(g.neg(s0))
+        # every n-term sum moves by -n*s0
+        sigma_n = GroupSubset(g, g.translate_mask(sigma_n.bits, g.neg(g.scale(n, s0))))
     span = subgroup_generated(s.support())
     if not span.is_full:
-        cert = _reduce_to_span(g, s, s_prime, n, mode, depth, span)
+        cert = _reduce_to_span(g, s, s_prime, n, mode, depth, span, sigma_n)
         return _untranslate_cert(cert, offset)
-    cert = _pipeline_core(g, s, s_prime, n, mode, depth)
+    cert = _pipeline_core(g, s, s_prime, n, mode, depth, sigma_n)
     return _untranslate_cert(cert, offset)
 
 
+def _into_span(seq: GSequence, emb) -> GSequence:
+    """A sequence whose terms all lie in emb's subgroup, over emb.spec."""
+    mult = [0] * emb.spec.order
+    for idx, m in enumerate(seq.mult):
+        if m:
+            mult[emb.from_parent[idx]] = m
+    return GSequence(emb.spec, mult)
+
+
 def _reduce_to_span(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
-                    mode: str, depth: int, span: Subgroup) -> Certificate:
+                    mode: str, depth: int, span: Subgroup,
+                    sigma_n: GroupSubset) -> Certificate:
     if span.is_trivial:
         # supp(S) = {0}: every part is {0}
         partition = make_setpartition(s_prime, n)
@@ -855,16 +860,9 @@ def _reduce_to_span(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
                            bounds={"sum_size": 1,
                                    "case1_bound": min(g.order, s_prime.length - n + 1)})
     emb = subgroup_embedding(g, span)
-    sub_mult = [0] * emb.spec.order
-    sub_mult_prime = [0] * emb.spec.order
-    for idx, m in enumerate(s.mult):
-        if m:
-            sub_mult[emb.from_parent[idx]] = m
-    for idx, m in enumerate(s_prime.mult):
-        if m:
-            sub_mult_prime[emb.from_parent[idx]] = m
-    sub_cert = _pipeline_rec(emb.spec, GSequence(emb.spec, sub_mult),
-                             GSequence(emb.spec, sub_mult_prime), n, mode, depth + 1)
+    sub_sigma = GroupSubset(emb.spec, emb.map_mask_from_parent(sigma_n.bits))
+    sub_cert = _pipeline_rec(emb.spec, _into_span(s, emb), _into_span(s_prime, emb),
+                             n, mode, depth + 1, sub_sigma)
     cert = _map_cert_to_parent(sub_cert, emb)
     if cert.case_tag == "II":
         return cert
@@ -882,19 +880,18 @@ def _reduce_to_span(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
 
 
 def _pipeline_core(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
-                   mode: str, depth: int) -> Certificate:
+                   mode: str, depth: int, sigma_n: GroupSubset) -> Certificate:
     """Main argument under <supp(S)>_* = G."""
     dump = {"group": g.spec_string(), "S": s.format(),
             "S_prime": s_prime.format(), "n": n, "mode": mode}
-    psol = partition_solve(s, s_prime, n)
-    partition = psol.partition
+    partition = _solve(s, s_prime, n, sigma_n).partition
     sum_a = partition.sum_subset()
     if sum_a.size >= min(g.order, s_prime.length - n + 1):
         return Certificate("I", partition, theorem="main",
                            bounds={"sum_size": sum_a.size,
                                    "case1_bound": min(g.order, s_prime.length - n + 1)})
 
-    profile = subsum_profile(s, n, s_prime.length)
+    profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n)
     h = profile.H
     if h.is_trivial or h.is_full:
         raise InternalError("concentrated case with degenerate stabilizer", dump)
@@ -1024,24 +1021,15 @@ def _inner_partition(g: GroupSpec, s_h: GSequence, t: GSequence, k: int, n: int,
                 f"split size k={k} <= |H/H'|+2 = {h.order // h_inner.order + 2} (Step E)",
                 dump)
 
+    # the recursion is on (S_H, k), whose Sigma_k is sigma_k
     emb = subgroup_embedding(g, g_span)
-    sub_s = [0] * emb.spec.order
-    sub_t = [0] * emb.spec.order
-    for idx, m in enumerate(s_h.mult):
-        if m:
-            sub_s[emb.from_parent[idx]] = m
-    for idx, m in enumerate(t.mult):
-        if m:
-            sub_t[emb.from_parent[idx]] = m
-    sub_cert = _pipeline_rec(emb.spec, GSequence(emb.spec, sub_s),
-                             GSequence(emb.spec, sub_t), k, "standard", depth + 1)
+    sub_cert = _pipeline_rec(emb.spec, _into_span(s_h, emb), _into_span(t, emb), k,
+                             "standard", depth + 1,
+                             GroupSubset(emb.spec, emb.map_mask_from_parent(sigma_k.bits)))
     cert = _map_cert_to_parent(sub_cert, emb)
     parts = list(cert.partition.parts)
     if cert.case_tag == "I":
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = sumset(acc, p)
-        if acc.bits != g_span.carrier.bits:
+        if cert.partition.sum_subset().bits != g_span.carrier.bits:
             raise InternalError(
                 "inner recursion case I did not cover the inside span (Step D)", dump)
         return parts, g_span, 0, 0
@@ -1150,7 +1138,4 @@ def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
             violations.append("(ii)(d): prefix sum != (n-e_K)alpha + K")
     else:
         violations.append("(ii)(d): n - e_K < 1")
-    if mode == "full-group" and sigma_n.bits != g.full_mask:
-        # full-group mode allows case (ii) only as the alternative branch
-        pass
     return not violations, violations

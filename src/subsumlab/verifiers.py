@@ -22,11 +22,12 @@ from .groups import (
     iter_bits,
     iterated_sumset,
     representation_min,
+    smallest_prime_divisor,
     stabilizer,
     subgroup_generated,
     sumset,
 )
-from .sequences import GSequence, nterm_subsums, subsum_profile
+from .sequences import GSequence, subsum_profile
 
 
 class CheckError(ValueError):
@@ -240,15 +241,6 @@ def _chain_decompositions(g: GroupSpec):
                 yield h0, list(xs), span
 
 
-def _smallest_prime(m: int) -> int:
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return d
-        d += 1
-    return m
-
-
 def _match_case2b(g: GroupSpec, a: GroupSubset, n: int, na: GroupSubset,
                   k: Subgroup) -> Optional[dict]:
     """Chain template: z+A+K = union over j of (K + H_0+..+H_{j-1} + x_{j+1}+..+x_r)."""
@@ -262,7 +254,7 @@ def _match_case2b(g: GroupSpec, a: GroupSubset, n: int, na: GroupSubset,
         bound = g.order - h0.order + (exp - 1) * k.order
         if a.size * n > bound:
             continue
-        p = _smallest_prime(_subgroup_exponent(g, h0))
+        p = smallest_prime_divisor(_subgroup_exponent(g, h0))
         r = len(xs)
         # bound <= ((p exp^r + exp - p - 1) / (p exp^r)) |G|, kept exact in integers
         if bound * p * exp ** r > (p * exp ** r + exp - p - 1) * g.order:
@@ -381,12 +373,12 @@ def check_cor2(a: GroupSubset, n: int) -> CheckReport:
     if na.bits == g.full_mask:
         return CheckReport("cor2", True, na.size, g.order, detail="nA = G")
     exp = g.exponent
-    structural_ok = (exp >= 2 and _smallest_prime(exp) != exp
-                     and g.rank >= 2)
+    exp_composite = smallest_prime_divisor(exp) != exp
+    structural_ok = exp >= 2 and exp_composite and g.rank >= 2
     k = stabilizer(na)
     match = _match_case2b(g, a, n, na, k)
     holds = structural_ok and match is not None
-    witnesses = {"K_order": k.order, "exp_composite": _smallest_prime(exp) != exp,
+    witnesses = {"K_order": k.order, "exp_composite": exp_composite,
                  "noncyclic": g.rank >= 2}
     if match:
         witnesses.update({"template": match["case"], "r": match["r"],

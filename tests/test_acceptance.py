@@ -3,7 +3,7 @@ pass/fail line in the terminal summary (see conftest.py).
 
 Time budgets are pinned as constants and asserted with wall-clock checks.
 Criterion 7's corpus is reduced from the nominal caps; the reduction and its
-justification are recorded in the project decision log.
+justification are recorded in CHANGES.md.
 """
 
 import json
@@ -222,7 +222,7 @@ def test_c06_greedy_split_postconditions_exhaustive():
 
 
 def test_c07_subsum_dp_matches_oracle():
-    # reduced corpus (see decision log): exhaustive at |S| <= 7, |G| <= 7
+    # reduced corpus (see CHANGES.md): exhaustive at |S| <= 7, |G| <= 7
     # plus 20000 seeded random instances up to the nominal |S| <= 12,
     # |G| <= 12 caps -- the full exhaustive corpus at the nominal caps is
     # computationally out of reach for a test suite.
@@ -241,7 +241,7 @@ def test_c07_subsum_dp_matches_oracle():
         assert set(nterm_subsums(s, n).indices()) == nterm_subsums_oracle(s, n)
         checked += 1
     record_acceptance(7, "subsum DP vs combinatorial oracle",
-                      f"{checked} instances (reduced corpus, see decision log)")
+                      f"{checked} instances (reduced corpus, see CHANGES.md)")
 
 
 def test_c08_pipeline_zero_internal_errors(pipeline_audit):

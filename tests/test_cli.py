@@ -1,6 +1,7 @@
 """Command-line interface: envelopes, exit codes, round-trips."""
 
 import json
+import os
 
 import pytest
 
@@ -119,6 +120,24 @@ def test_verify_rejects_non_subgroup_k(tmp_path, capsys):
     assert back["violations"] == ["(ii): K is not a subgroup: subgroup must contain 0"]
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda env: env["result"].update(certificate=None),
+    lambda env: env["result"]["certificate"].pop("parts"),
+    lambda env: env["result"]["certificate"].update(parts=[["0", "2"], "0"]),
+    lambda env: env["result"]["certificate"].update(K=["0", "6"]),   # "6" over C4
+    lambda env: env["result"]["certificate"].update(e_H=None),
+])
+def test_verify_malformed_certificate_exit_2(mutate, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    run(["maincert", "-g", "4", "-s", "0^6;2^6", "--sprime", "0^5;2^5",
+         "-n", "5", "--format", "json", "--out", str(out)])
+    env = json.loads(out.read_text())
+    mutate(env)
+    out.write_text(json.dumps(env))
+    assert run(["verify", str(out)]) == 2
+    assert "malformed certificate" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # other verbs and exit codes
 
@@ -165,6 +184,13 @@ def test_usage_error_exit_2(capsys):
     assert run(["subsums", "-g", "8", "-s", "bogus", "-n", "2"]) == 2
     assert run(["group", "info", "abc"]) == 2
     assert run(["nonsense-verb"]) == 2
+
+
+def test_audit_jobs_out_of_range_exit_2(capsys):
+    # each value is rejected before any worker pool starts
+    for jobs in (0, -1, (os.cpu_count() or 1) + 1):
+        assert run(["audit", "--samples", "1", "--jobs", str(jobs)]) == 2
+        assert "--jobs must lie in" in capsys.readouterr().err
 
 
 def test_hypotheses_unmet_exit_1(capsys):

@@ -11,7 +11,7 @@ from subsumlab.groups import (
     stabilizer,
     subgroup_generated,
 )
-from subsumlab import search
+from subsumlab import search, setpartitions
 from subsumlab.sequences import SequenceError, nterm_subsums, parse_sequence
 from subsumlab.search import (
     AuditConfig,
@@ -163,6 +163,32 @@ def test_audit_records_sequence_error_as_failure(target, monkeypatch):
         sum(c["fail"] for c in report.counters.values())
     for v in report.violations:
         assert "internal inconsistency" in v["detail"]
+        assert v["replay"].startswith(f"subsumlab subsums -g {v['group']} ")
+
+
+@pytest.mark.parametrize("verifier, all_fail, none_fail", [
+    # the pipeline also uses partition_verify to pick case-II candidates
+    ("partition_verify", {"partition"}, set()),
+    ("main_verify", {"pipeline", "fullgroup"}, {"partition"}),
+])
+def test_audit_reports_certificates_its_verifier_rejects(verifier, all_fail, none_fail,
+                                                         monkeypatch):
+    # the audit does not verify again: it relies on the solvers' own
+    # verifier run, so a rejecting verifier must still surface as failures
+    monkeypatch.setattr(setpartitions, verifier,
+                        lambda *args: (False, ["rejected by test"]))
+    checkers = ("partition", "pipeline", "fullgroup")
+    report = run_audit(_small_cfg(checkers=checkers, random_samples=0))
+    assert not report.holds
+    for name in all_fail:
+        c = report.counters[name]
+        assert c["pass"] == 0 and c["fail"] > 0, (name, c)
+    for name in none_fail:
+        assert report.counters[name]["fail"] == 0
+    assert len(report.violations) == \
+        sum(c["fail"] for c in report.counters.values())
+    for v in report.violations:
+        assert v["detail"].startswith("internal error: ")
         assert v["replay"].startswith(f"subsumlab subsums -g {v['group']} ")
 
 

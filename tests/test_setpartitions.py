@@ -4,10 +4,12 @@ items, and the main certificate pipeline."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subsumlab import setpartitions
 from subsumlab.groups import (
     GroupSubset,
     Subgroup,
     enumerate_subgroups,
+    parse_element,
     parse_group,
     stabilizer,
     subgroup_generated,
@@ -312,3 +314,116 @@ def test_main_verify_rejects_non_subgroup_k():
     ok, violations = main_verify(bad, g, s, s, 4, bad.mode)
     assert not ok
     assert violations == ["(ii): K is not a subgroup: subgroup must contain 0"]
+
+
+# ---------------------------------------------------------------------------
+# compute once, verify once
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    orig = getattr(setpartitions, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(setpartitions, name, wrapper)
+    return calls
+
+
+def test_pipeline_verifies_case1_certificate_once(monkeypatch):
+    g = parse_group("7")
+    s = parse_sequence(g, "0;1;2;3")
+    main_calls = _counting(monkeypatch, "main_verify")
+    part_calls = _counting(monkeypatch, "partition_verify")
+    cert = main_pipeline(g, s, s, 2)
+    assert cert.case_tag == "I" and cert.verified
+    assert len(main_calls) == 1 and len(part_calls) == 0
+
+    main_calls.clear()
+    cert = partition_solve(s, s, 2)
+    assert cert.case_tag == "I" and cert.verified
+    assert len(part_calls) == 1 and len(main_calls) == 0
+
+
+def _recording_solver(monkeypatch):
+    """Wrap the pipeline's solver; record (S, n) and check the Sigma_n(S)
+    it is handed against a fresh DP."""
+    seen = []
+    orig = setpartitions._solve
+
+    def wrapper(s, s_prime, n, sigma_n, *rest):
+        assert sigma_n == nterm_subsums(s, n), (s, n)
+        seen.append((s, n))
+        return orig(s, s_prime, n, sigma_n, *rest)
+    monkeypatch.setattr(setpartitions, "_solve", wrapper)
+    return seen
+
+
+@pytest.mark.parametrize("spec, seq, solved_in, solved_seq", [
+    ("7", "1;2;3;4", "7", "0;1;2;3"),                # translated by -1
+    ("8", "2;4^2;6", "4", "0;1^2;2"),                # translated, then into <2>
+    ("2x4", "(0,1);(0,3)^2;(0,2)", "4", "0;1;2^2"),  # into a cyclic span
+])
+def test_threaded_sigma_matches_fresh_dp(monkeypatch, spec, seq, solved_in, solved_seq):
+    g = parse_group(spec)
+    s = parse_sequence(g, seq)
+    seen = _recording_solver(monkeypatch)
+    cert = main_pipeline(g, s, s, 2)
+    assert cert.verified
+    assert [(t.group.spec_string(), t.format()) for t, _ in seen] == \
+        [(solved_in, solved_seq)]
+
+
+@given(solver_instance())
+@settings(deadline=None, max_examples=60)
+def test_threaded_sigma_matches_fresh_dp_everywhere(inst):
+    g, s, s_prime, n = inst
+    with pytest.MonkeyPatch.context() as mp:
+        _recording_solver(mp)
+        try:
+            main_pipeline(g, s, s_prime, n)
+        except HypothesesUnmetError:
+            pass
+
+
+# ---------------------------------------------------------------------------
+# certificate parsing
+
+
+def _valid_record():
+    g = parse_group("4")
+    s = parse_sequence(g, "0^6;2^6")
+    return g, main_pipeline(g, s, parse_sequence(g, "0^5;2^5"), 5).to_dict()
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: None, "expected an object"),
+    (lambda d: {k: v for k, v in d.items() if k != "parts"}, "missing 'parts'"),
+    (lambda d: {**d, "parts": "0;2"}, "parts is not a list"),
+    (lambda d: {**d, "parts": [["0", "2"], "2"]}, "part 2 is not a list"),
+    (lambda d: {**d, "parts": [["0", 2]]}, "is not a string"),
+    (lambda d: {**d, "case": "III"}, "is not I or II"),
+    (lambda d: {**d, "e_K": "0"}, "e_K is not an integer"),
+    (lambda d: {**d, "k": 2.0}, "k is not an integer"),
+    (lambda d: {**d, "K": ["0", "6"]}, "'6' is not a canonical element of 4"),
+    (lambda d: {**d, "alpha": "-2"}, "'-2' is not a canonical element"),
+    (lambda d: {**d, "alpha": "x"}, "bad element literal"),
+    (lambda d: {**d, "mode": "loose"}, "unknown mode"),
+    (lambda d: {**d, "bounds": [1]}, "bounds is not an object"),
+])
+def test_certificate_from_dict_rejects_malformed(mutate, message):
+    g, data = _valid_record()
+    with pytest.raises(PartitionError, match=message):
+        Certificate.from_dict(g, mutate(data))
+
+
+def test_certificate_from_dict_range_checks_coordinates():
+    g = parse_group("2x4")
+    record = {"case": "I", "parts": [["(1,3)", "(0,0)"]]}
+    assert Certificate.from_dict(g, record).partition.parts[0].size == 2
+    for literal in ("(2,0)", "(0,4)", "(0,-1)", "(1,3,0)", "1"):
+        with pytest.raises(PartitionError):
+            Certificate.from_dict(g, {"case": "I", "parts": [[literal]]})
+    # input sequences keep their modular reading
+    assert parse_element(parse_group("8"), "-1") == 7
