@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""One sha256 over the certify path's outputs on a fixed 63,976-instance corpus.
+
+For each instance (G, S, S', n) the digest takes, in order, the to_dict()
+JSON of partition_solve(S, S', n), main_pipeline(G, S, S', n) and the
+full-group main_pipeline, or the error text where a call raises.  Two trees
+that print the same digest produce byte-identical certificates and errors on
+the whole corpus, so a refactor of the solver or the verifiers can be checked
+for unchanged behaviour by running this script in both checkouts:
+
+    python3 scripts/cert_fingerprint.py
+
+The corpus (fixed, seeded):
+  - the criterion 8-9 audit corpus, 56,974 instances: every |S| <= 6 over
+    |G| <= 8 with every admissible n, plus 10,000 random instances over
+    |G| <= 16 (S' = S);
+  - 4,000 random instances with S' a proper subsequence of S;
+  - 3,000 concentrated instances: most terms in one proper subgroup, a few
+    terms outside it, n from 7 to 14;
+  - the two pinned partition-solver failures of the benchmark.
+
+It always imports subsumlab from the src/ directory next to this script.
+"""
+
+import hashlib
+import json
+import random
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from subsumlab.groups import enumerate_subgroups, parse_group  # noqa: E402
+from subsumlab.search import (  # noqa: E402
+    AuditConfig,
+    exhaustive_instances,
+    groups_up_to,
+    random_instance,
+)
+from subsumlab.sequences import GSequence, parse_sequence  # noqa: E402
+from subsumlab.setpartitions import main_pipeline, partition_solve  # noqa: E402
+
+# the criterion 8-9 audit configuration (tests/test_acceptance.py)
+C89 = AuditConfig(max_group_order=16, exhaustive_group_cap=8,
+                  exhaustive_len_cap=6, random_samples=10_000,
+                  random_len_cap=12, seed=0, jobs=1,
+                  checkers=("partition", "pipeline", "fullgroup"))
+PROPER_SUBSEQUENCE = 4_000
+CONCENTRATED = 3_000
+PINNED = (
+    ("2x8", "(0,0)^16;(1,0);(0,1);(1,4)^22;(1,7)", 23),
+    ("4x4", "(0,0)^14;(3,1);(1,2);(2,2)^16;(2,3)", 17),
+)
+
+
+def criterion_89():
+    yield from ((g, s, s, n) for g, s, n in exhaustive_instances(C89))
+    groups = [g for g in groups_up_to(C89.max_group_order) if g.order >= 2]
+    for i in range(C89.random_samples):
+        g, s, n = random_instance(C89, i, groups)
+        yield g, s, s, n
+
+
+def proper_subsequence():
+    cfg = AuditConfig(max_group_order=16, random_len_cap=12, seed=7)
+    groups = [g for g in groups_up_to(16) if g.order >= 2]
+    i = made = 0
+    while made < PROPER_SUBSEQUENCE:
+        g, s, _ = random_instance(cfg, i, groups)
+        i += 1
+        if s.length < 2:
+            continue
+        rng = random.Random(f"sub:{i}")
+        prime = list(s.mult)
+        for _ in range(rng.randint(1, s.length - 1)):
+            prime[rng.choice([x for x, m in enumerate(prime) if m])] -= 1
+        s_prime = GSequence(g, prime)
+        made += 1
+        yield g, s, s_prime, rng.randint(s_prime.max_multiplicity(), s_prime.length)
+
+
+def concentrated():
+    rng = random.Random("concentrated")
+    choices = [(g, k) for g in groups_up_to(16)
+               for k in enumerate_subgroups(g) if not (k.is_trivial or k.is_full)]
+    for _ in range(CONCENTRATED):
+        g, k = rng.choice(choices)
+        inside = list(k.carrier.indices())
+        outside = [x for x in range(g.order) if not (k.carrier.bits >> x) & 1]
+        n = rng.randint(7, 14)
+        mult = [0] * g.order
+        for _ in range(rng.randint(n, n + 6)):
+            mult[rng.choice(inside)] += 1
+        for _ in range(rng.randint(0, 2)):
+            mult[rng.choice(outside)] += 1
+        s = GSequence(g, mult)
+        yield g, s, s, max(n, s.max_multiplicity())
+
+
+def pinned():
+    for spec, seq, n in PINNED:
+        g = parse_group(spec)
+        s = parse_sequence(g, seq)
+        yield g, s, s, n
+
+
+def outcome(call) -> str:
+    try:
+        return json.dumps(call().to_dict(), sort_keys=True)
+    except Exception as err:  # the error text is part of the fingerprint
+        return f"{type(err).__name__}: {err}"
+
+
+def main() -> int:
+    digest = hashlib.sha256()
+    t0 = time.perf_counter()
+    for name, corpus in (("criterion 8-9", criterion_89),
+                         ("S' proper", proper_subsequence),
+                         ("concentrated", concentrated),
+                         ("pinned", pinned)):
+        count = 0
+        raised = [0, 0, 0]
+        for g, s, s_prime, n in corpus():
+            for j, call in enumerate((
+                    lambda: partition_solve(s, s_prime, n),
+                    lambda: main_pipeline(g, s, s_prime, n),
+                    lambda: main_pipeline(g, s, s_prime, n, "full-group"))):
+                text = outcome(call)
+                raised[j] += not text.startswith("{")
+                digest.update(text.encode() + b"\n")
+            count += 1
+        print(f"# {name}: {count} instances; raised: partition {raised[0]}, "
+              f"pipeline {raised[1]}, full-group {raised[2]} "
+              f"({time.perf_counter() - t0:.0f}s)", file=sys.stderr)
+    print(digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,7 +3,6 @@ abelian groups, with certificate checkers and exhaustive audit search."""
 
 from .groups import (
     GroupError,
-    GroupElement,
     GroupSpec,
     GroupSubset,
     QuotientStructure,
@@ -16,7 +15,6 @@ from .groups import (
     parse_element,
     parse_group,
     quotient_cached,
-    representation_count,
     representation_min,
     stabilizer,
     subgroup_generated,
@@ -32,7 +30,6 @@ from .sequences import (
     nterm_subsums,
     parse_sequence,
     push_forward,
-    seq_stats,
     subsum_profile,
     subsum_table,
 )

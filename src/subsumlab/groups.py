@@ -184,27 +184,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group: GroupSpec
-    index: int
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return self.group.coords(self.index)
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        if other.group != self.group:
-            raise GroupError("elements from different groups")
-        return GroupElement(self.group, self.group.add(self.index, other.index))
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(self.group, self.group.neg(self.index))
-
-    def __str__(self) -> str:
-        return self.group.format_element(self.index)
-
-
 class GroupSubset:
     """Dense subset of a GroupSpec, stored as a bitmask over element indices."""
 
@@ -261,10 +240,6 @@ class GroupSubset:
 
     def indices(self) -> Iterator[int]:
         return iter_bits(self.bits)
-
-    def elements(self) -> Iterator[GroupElement]:
-        for i in self.indices():
-            yield GroupElement(self.group, i)
 
     def translate(self, b: int) -> "GroupSubset":
         return GroupSubset(self.group, self.group.translate_mask(self.bits, b))
@@ -422,18 +397,25 @@ def parse_element(group: GroupSpec, text: str) -> int:
 # subset operations
 
 
+def sum_masks(g: GroupSpec, a: int, b: int) -> int:
+    """Bitmask of A + B for bitmasks a, b over g (0 when either is empty).
+
+    Translates the operand with more elements by each element of the other.
+    """
+    if a.bit_count() < b.bit_count():
+        a, b = b, a
+    out = 0
+    for i in iter_bits(b):
+        out |= g.translate_mask(a, i)
+    return out
+
+
 def sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:
     """A + B = {x + y : x in A, y in B}."""
     _check_same_group(a, b)
     if a.bits == 0 or b.bits == 0:
         raise GroupError("sumset of empty set")
-    if a.size < b.size:
-        a, b = b, a
-    g = a.group
-    out = 0
-    for i in iter_bits(b.bits):
-        out |= g.translate_mask(a.bits, i)
-    return GroupSubset(g, out)
+    return GroupSubset(a.group, sum_masks(a.group, a.bits, b.bits))
 
 
 def iterated_sumset(a: GroupSubset, n: int) -> GroupSubset:
@@ -457,8 +439,8 @@ def iterated_sumset(a: GroupSubset, n: int) -> GroupSubset:
     return result
 
 
-def representation_count(summands: Sequence[GroupSubset], x: int) -> int:
-    """Number of tuples (a1,..,an) in A1 x ... x An with sum x."""
+def representation_table(summands: Sequence[GroupSubset]) -> list[int]:
+    """r(x) for every x: the number of tuples in A1 x ... x An with sum x."""
     if not summands:
         raise GroupError("no summands")
     g = summands[0].group
@@ -473,24 +455,14 @@ def representation_count(summands: Sequence[GroupSubset], x: int) -> int:
                 if c:
                     nxt[g.add(i, a)] += c
         counts = nxt
-    return counts[x]
+    return counts
 
 
 def representation_min(summands: Sequence[GroupSubset]) -> tuple[int, int]:
     """(min over x in the sumset of r(x), argmin index)."""
-    g = summands[0].group
-    counts = [0] * g.order
-    counts[0] = 1
-    for subset in summands:
-        nxt = [0] * g.order
-        for a in iter_bits(subset.bits):
-            for i, c in enumerate(counts):
-                if c:
-                    nxt[g.add(i, a)] += c
-        counts = nxt
     best = None
     best_x = -1
-    for x, c in enumerate(counts):
+    for x, c in enumerate(representation_table(summands)):
         if c and (best is None or c < best):
             best, best_x = c, x
     return best, best_x

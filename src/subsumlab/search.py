@@ -245,14 +245,14 @@ def groups_up_to(cap: int) -> list[GroupSpec]:
     return out
 
 
-def _mult_vectors(order: int, len_cap: int) -> Iterator[list[int]]:
+def _mult_vectors(order: int, len_cap: int) -> Iterator[tuple[int, ...]]:
     """All multiplicity vectors with 1 <= total <= len_cap."""
     mult = [0] * order
 
-    def rec(pos: int, remaining: int) -> Iterator[list[int]]:
+    def rec(pos: int, remaining: int) -> Iterator[tuple[int, ...]]:
         if pos == order:
             if remaining < len_cap:  # total >= 1
-                yield mult
+                yield tuple(mult)
             return
         for c in range(remaining + 1):
             mult[pos] = c

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .groups import (
-    GroupElement,
     GroupError,
     GroupSpec,
     GroupSubset,
@@ -164,11 +163,6 @@ def parse_sequence(group: GroupSpec, text: str) -> GSequence:
             elem_text, count = term, 1
         pairs.append((parse_element(group, elem_text), count))
     return GSequence.from_pairs(group, pairs)
-
-
-def seq_stats(s: GSequence) -> tuple[GroupElement, int, GroupSubset]:
-    """(sigma(S), h(S), supp(S)); (0, 0, empty) for the empty sequence."""
-    return (GroupElement(s.group, s.sum_index()), s.max_multiplicity(), s.support())
 
 
 # ---------------------------------------------------------------------------

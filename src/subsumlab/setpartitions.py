@@ -10,7 +10,13 @@ independent verifier for its theorem (partition_verify, main_verify), which
 recomputes Sigma_n(S) from scratch and never sees solver state; a failed
 check raises InternalError.  Callers read cert.verified instead of verifying
 again.  Inside the solver, Sigma_n(S) is computed once per (S, n) and carried
-through translations and span reductions.
+through translations and span reductions, and the case-II profile is computed
+once per solve and handed to the pipeline.
+
+Each clause is coded once: both verifiers share _common_violations (part
+count, S(A) | S, |S(A)| = |S'|, sum inside Sigma_n(S), the recorded H), and
+the solver picks its case-II candidate with the same _case2_violations that
+partition_verify runs.
 """
 
 from __future__ import annotations
@@ -33,10 +39,11 @@ from .groups import (
     stabilizer,
     subgroup_embedding,
     subgroup_generated,
+    sum_masks,
     sumset,
     verify_subgroup,
 )
-from .sequences import GSequence, nterm_subsums, subsum_profile
+from .sequences import GSequence, SubsumProfile, nterm_subsums, subsum_profile
 
 
 class PartitionError(ValueError):
@@ -96,14 +103,9 @@ class SetPartition:
         return SetPartition(self.group, [p.translate(b) for p in self.parts])
 
     def sum_subset(self, upto: int | None = None) -> GroupSubset:
-        """Sum of the first `upto` parts (all parts by default)."""
+        """Sum of the first `upto` parts (all parts by default); {0} for none."""
         parts = self.parts if upto is None else self.parts[:upto]
-        if not parts:
-            return GroupSubset(self.group, 1)
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = sumset(acc, p)
-        return acc
+        return GroupSubset(self.group, _sum_of_parts(self.group, [p.bits for p in parts]))
 
 
 @dataclass
@@ -299,10 +301,7 @@ def _sum_of_parts(g: GroupSpec, parts_bits: Sequence[int]) -> int:
     """Bitmask of the sum of the given parts (bitmasks); {0} for no parts."""
     acc = 1
     for b in parts_bits:
-        nb = 0
-        for i in iter_bits(b):
-            nb |= g.translate_mask(acc, i)
-        acc = nb
+        acc = sum_masks(g, acc, b)
     return acc
 
 
@@ -333,20 +332,13 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int,
         for i in range(n):
             # partial product excluding part i
             rest = _sum_of_parts(g, parts[:i] + parts[i + 1:])
-
-            def size_with(newbits: int) -> int:
-                acc = 0
-                for t in iter_bits(newbits):
-                    acc |= g.translate_mask(rest, t)
-                return acc.bit_count()
-
             # replace an element by an unused term
             for e in iter_bits(parts[i]):
                 for u, cnt in enumerate(spare):
                     if cnt <= 0 or (parts[i] >> u) & 1:
                         continue
                     cand = (parts[i] & ~(1 << e)) | (1 << u)
-                    if size_with(cand) > best:
+                    if sum_masks(g, rest, cand).bit_count() > best:
                         parts[i] = cand
                         improved = True
                         break
@@ -501,66 +493,31 @@ def _partition_case2_construct(s: GSequence, s_prime: GSequence, n: int,
     return parts
 
 
-def _case2_conditions(parts_bits: list[int], s: GSequence, s_prime_len: int,
-                      n: int, profile, sigma_n_bits: int) -> bool:
-    g = s.group
-    z = profile.Z_mask
-    h_bits = profile.H.carrier.bits
-    # every part nonempty, |A_i \ Z| <= 1, Z subset of A_i + H
-    for b in parts_bits:
-        if b == 0 or (b & ~z).bit_count() > 1:
-            return False
-        cover = 0
-        for i in iter_bits(b):
-            cover |= g.translate_mask(h_bits, i)
-        if z & ~cover:
-            return False
-    # leftovers inside Z
-    used = [0] * g.order
-    for b in parts_bits:
-        for i in iter_bits(b):
-            used[i] += 1
-    for idx, m in enumerate(s.mult):
-        if m - used[idx] > 0 and not (z >> idx) & 1:
-            return False
-    # exact sum equality and bound
-    acc = _sum_of_parts(g, parts_bits)
-    if acc != sigma_n_bits:
-        return False
-    order_h = profile.H.order
-    bound = (s_prime_len - (n - 1) * order_h
-             + profile.e * (order_h - 1) + profile.rho)
-    return profile.rho >= 0 and acc.bit_count() >= bound
-
-
-def partition_solve(s: GSequence, s_prime: GSequence, n: int,
-                    fallback_cap: int = FALLBACK_CAP) -> Certificate:
+def partition_solve(s: GSequence, s_prime: GSequence, n: int) -> Certificate:
     """Find a setpartition witnessing one of the two partition-theorem cases."""
     _validate_instance(s, s_prime, n)
-    cert = _solve(s, s_prime, n, nterm_subsums(s, n), fallback_cap)
-    if cert.case_tag == "I":
-        ok, violations = partition_verify(cert, s, s_prime, n)
-        if not ok:
-            raise InternalError("case-1 certificate failed verification",
-                                {"violations": violations})
+    cert, _ = _solve(s, s_prime, n, nterm_subsums(s, n))
+    ok, violations = partition_verify(cert, s, s_prime, n)
+    if not ok:
+        raise InternalError("partition certificate failed verification",
+                            {"case": cert.case_tag, "violations": violations})
     cert.verified = True
     return cert
 
 
-def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset,
-           fallback_cap: int = FALLBACK_CAP) -> Certificate:
+def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset
+           ) -> tuple[Certificate, Optional[SubsumProfile]]:
     """partition_solve on a valid instance, given sigma_n = Sigma_n(S).
 
-    A case-II certificate has passed partition_verify, which picks it among
-    the candidates; a case-I certificate is returned unverified, because
-    each caller verifies its own final certificate.
+    Returns the unverified certificate, and in case II the profile
+    subsum_profile(S, n, |S'|) it was chosen with (None in case I).
     """
     g = s.group
     target1 = s_prime.length - n + 1
     # sums of parts always land inside Sigma_n(S), so case 1 needs
     # |Sigma_n(S)| >= |S'| - n + 1; otherwise climb toward Sigma_n itself
     parts_bits, best = _hill_climb(s, s_prime, n, min(target1, sigma_n.size))
-    if best < target1 <= sigma_n.size and s_prime.length <= fallback_cap:
+    if best < target1 <= sigma_n.size and s_prime.length <= FALLBACK_CAP:
         found = _exhaustive_case1(s, s_prime.length, n, target1)
         if found is not None:
             parts_bits, best = found, target1
@@ -568,26 +525,29 @@ def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset,
         partition = SetPartition(g, [GroupSubset(g, b) for b in parts_bits])
         return Certificate("I", partition, theorem="partition",
                            bounds={"sum_size": partition.sum_subset().size,
-                                   "case1_bound": target1})
+                                   "case1_bound": target1}), None
 
     profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n)
 
     def case2_candidates() -> Iterator[list[int]]:
-        if _case2_conditions(parts_bits, s, s_prime.length, n, profile, sigma_n.bits):
-            yield parts_bits
+        yield parts_bits
         built = _partition_case2_construct(s, s_prime, n, profile)
         if built is not None:
             yield built
-        if s_prime.length <= fallback_cap:
-            for bits in iter_setpartitions(s, s_prime.length, n):
-                if _case2_conditions(bits, s, s_prime.length, n, profile, sigma_n.bits):
-                    yield bits
+        if s_prime.length <= FALLBACK_CAP:
+            yield from iter_setpartitions(s, s_prime.length, n)
 
     for bits in case2_candidates():
         partition = SetPartition(g, [GroupSubset(g, b) for b in bits])
-        cert = _case2_certificate(partition, s, s_prime, n, profile)
-        if partition_verify(cert, s, s_prime, n)[0]:
-            return cert
+        sum_a = partition.sum_subset()
+        cert = Certificate(
+            "II", partition, H=profile.H, theorem="partition",
+            e_H=profile.e, k=n - profile.e,
+            bounds={"sum_size": sum_a.size,
+                    "case2_bound": _case2_bound(s_prime.length, n, profile),
+                    "rho": profile.rho, "N": profile.N, "e": profile.e})
+        if not _case2_violations(cert, sum_a, s, s_prime.length, n, profile):
+            return cert, profile
     raise InternalError(
         "partition theorem: neither case could be witnessed",
         {"group": g.spec_string(), "S": s.format(),
@@ -603,68 +563,99 @@ def _exhaustive_case1(s: GSequence, total: int, n: int, target: int
     return None
 
 
-def _case2_certificate(partition: SetPartition, s: GSequence,
-                       s_prime: GSequence, n: int, profile) -> Certificate:
+def _case2_bound(s_prime_len: int, n: int, profile: SubsumProfile) -> int:
+    """|S'| - (n-1)|H| + e(|H|-1) + rho, the case-II lower bound on |sum A_i|."""
     order_h = profile.H.order
-    bound = (s_prime.length - (n - 1) * order_h
-             + profile.e * (order_h - 1) + profile.rho)
-    return Certificate(
-        "II", partition, H=profile.H, theorem="partition",
-        e_H=profile.e, k=n - profile.e,
-        bounds={"sum_size": partition.sum_subset().size,
-                "case2_bound": bound, "rho": profile.rho,
-                "N": profile.N, "e": profile.e})
+    return (s_prime_len - (n - 1) * order_h
+            + profile.e * (order_h - 1) + profile.rho)
 
 
-def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
-                     n: int) -> tuple[bool, list[str]]:
-    """Re-check a partition-theorem certificate from scratch."""
+def _case2_violations(cert: Certificate, sum_a: GroupSubset, s: GSequence,
+                      s_prime_len: int, n: int, profile: SubsumProfile) -> list[str]:
+    """The case-II clauses of the partition theorem that cert breaks.
+
+    profile = subsum_profile(S, n, |S'|) and sum_a = the sum of cert's parts:
+    the solver passes the ones it holds to pick a candidate, partition_verify
+    freshly computed ones.  The recorded H is checked by _common_violations.
+    """
     violations: list[str] = []
-    g = s.group
+    z = profile.Z_mask
+    h_bits = profile.H.carrier.bits
+    if cert.e_H != profile.e:
+        violations.append(f"recorded e_H={cert.e_H} != e={profile.e}")
+    if cert.k != n - profile.e:
+        violations.append(f"recorded k={cert.k} != n - e = {n - profile.e}")
+    if profile.rho < 0:
+        violations.append(f"rho={profile.rho} < 0")
+    if sum_a != profile.sigma_n:
+        violations.append("case 2 requires sum of parts == Sigma_n(S)")
+    bound = _case2_bound(s_prime_len, n, profile)
+    if sum_a.size < bound:
+        violations.append(f"case 2 bound: |sum|={sum_a.size} < {bound}")
+    used = cert.partition.underlying_sequence().mult
+    if any(m > u and not (z >> i) & 1 for i, (m, u) in enumerate(zip(s.mult, used))):
+        violations.append("leftover terms outside phi^-1(X)")
+    for i, p in enumerate(cert.partition.parts):
+        if (p.bits & ~z).bit_count() > 1:
+            violations.append(f"part {i + 1} has more than one element outside phi^-1(X)")
+        if z & ~sum_masks(s.group, h_bits, p.bits):
+            violations.append(f"phi^-1(X) not contained in part {i + 1} + H")
+    return violations
+
+
+def _common_violations(cert: Certificate, g: GroupSpec, s: GSequence,
+                       s_prime: GSequence, n: int
+                       ) -> tuple[list[str], Optional[GroupSubset],
+                                  Optional[GroupSubset], Optional[Subgroup]]:
+    """The clauses both verifiers check, recomputed from scratch.
+
+    The part count, S(A) | S and |S(A)| = |S'| come first; when one fails,
+    nothing else is checked and the other three values are None.  Then the
+    sum of parts must lie in Sigma_n(S), and a recorded H (required in case
+    II) must equal H(Sigma_n(S)).  Returns (violations, Sigma_n(S), sum of
+    parts, H(Sigma_n(S)) or None when neither H nor case II asks for it).
+    """
     partition = cert.partition
+    if partition.group != g or s.group != g:
+        return ["certificate/instance group mismatch"], None, None, None
     if partition.n != n:
-        violations.append(f"expected {n} parts, found {partition.n}")
-        return False, violations
+        return [f"expected {n} parts, found {partition.n}"], None, None, None
+    violations: list[str] = []
     sa = partition.underlying_sequence()
     if not sa.is_subsequence_of(s):
         violations.append("S(A) is not a subsequence of S")
     if sa.length != s_prime.length:
         violations.append(f"|S(A)|={sa.length} != |S'|={s_prime.length}")
-    if any(p.bits == 0 for p in partition.parts):
-        violations.append("empty part")
-        return False, violations
-    sum_a = partition.sum_subset()
+    if violations:
+        return violations, None, None, None
     sigma_n = nterm_subsums(s, n)
+    sum_a = partition.sum_subset()
     if sum_a.bits & ~sigma_n.bits:
         violations.append("sum of parts escapes Sigma_n(S)")
+    h = None
+    if cert.case_tag == "II" or cert.H is not None:
+        h = stabilizer(sigma_n)
+        if cert.H is None:
+            violations.append("case II certificate does not record H")
+        elif cert.H.carrier.bits != h.carrier.bits:
+            violations.append(f"recorded H={{{cert.H.carrier.format()}}} "
+                              f"!= H(Sigma_n(S))={{{h.carrier.format()}}}")
+    return violations, sigma_n, sum_a, h
+
+
+def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
+                     n: int) -> tuple[bool, list[str]]:
+    """Re-check a partition-theorem certificate from scratch."""
+    violations, sigma_n, sum_a, _ = _common_violations(cert, s.group, s, s_prime, n)
+    if sigma_n is None:
+        return False, violations
     if cert.case_tag == "I":
         bound = s_prime.length - n + 1
         if sum_a.size < bound:
             violations.append(f"case 1 bound: |sum|={sum_a.size} < {bound}")
     elif cert.case_tag == "II":
-        profile = subsum_profile(s, n, s_prime.length)
-        z = profile.Z_mask
-        h_bits = profile.H.carrier.bits
-        order_h = profile.H.order
-        if profile.rho < 0:
-            violations.append(f"rho={profile.rho} < 0")
-        if sum_a != sigma_n:
-            violations.append("case 2 requires sum of parts == Sigma_n(S)")
-        bound = (s_prime.length - (n - 1) * order_h
-                 + profile.e * (order_h - 1) + profile.rho)
-        if sum_a.size < bound:
-            violations.append(f"case 2 bound: |sum|={sum_a.size} < {bound}")
-        leftover = s.remove(sa) if sa.is_subsequence_of(s) else None
-        if leftover is not None and any(not (z >> i) & 1 for i in leftover.support_indices()):
-            violations.append("leftover terms outside phi^-1(X)")
-        for i, p in enumerate(partition.parts):
-            if (p.bits & ~z).bit_count() > 1:
-                violations.append(f"part {i + 1} has more than one element outside phi^-1(X)")
-            cover = 0
-            for e in p.indices():
-                cover |= g.translate_mask(h_bits, e)
-            if z & ~cover:
-                violations.append(f"phi^-1(X) not contained in part {i + 1} + H")
+        profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n)
+        violations += _case2_violations(cert, sum_a, s, s_prime.length, n, profile)
     else:
         violations.append(f"unknown case tag {cert.case_tag!r}")
     return not violations, violations
@@ -884,14 +875,14 @@ def _pipeline_core(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
     """Main argument under <supp(S)>_* = G."""
     dump = {"group": g.spec_string(), "S": s.format(),
             "S_prime": s_prime.format(), "n": n, "mode": mode}
-    partition = _solve(s, s_prime, n, sigma_n).partition
-    sum_a = partition.sum_subset()
-    if sum_a.size >= min(g.order, s_prime.length - n + 1):
+    solved, profile = _solve(s, s_prime, n, sigma_n)
+    partition = solved.partition
+    sum_size = solved.bounds["sum_size"]
+    if sum_size >= min(g.order, s_prime.length - n + 1):
         return Certificate("I", partition, theorem="main",
-                           bounds={"sum_size": sum_a.size,
+                           bounds={"sum_size": sum_size,
                                    "case1_bound": min(g.order, s_prime.length - n + 1)})
 
-    profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n)
     h = profile.H
     if h.is_trivial or h.is_full:
         raise InternalError("concentrated case with degenerate stabilizer", dump)
@@ -919,10 +910,7 @@ def _pipeline_core(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
     if len(inside) != k or any((p.bits & ~h.carrier.bits).bit_count() != 1 for p in outside):
         raise InternalError("partition does not split into k inside / e_H boundary parts", dump)
 
-    acc = inside[0]
-    for p in inside[1:]:
-        acc = sumset(acc, p)
-    if acc.bits == h.carrier.bits:
+    if _sum_of_parts(g, [p.bits for p in inside]) == h.carrier.bits:
         cert = Certificate("II", SetPartition(g, inside + outside),
                            H=h, K=h, alpha=0, e_H=e_h, e_K=e_h, k=k,
                            theorem="main", bounds={"sum_size": profile.sigma_n.size})
@@ -1046,24 +1034,10 @@ def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
                 s_prime: GSequence, n: int, mode: str = "standard"
                 ) -> tuple[bool, list[str]]:
     """Re-check every clause of a main-pipeline certificate from scratch."""
-    violations: list[str] = []
-    partition = cert.partition
-    if partition.group != g or s.group != g:
-        return False, ["certificate/instance group mismatch"]
-    if partition.n != n:
-        return False, [f"expected {n} parts, found {partition.n}"]
-    sa = partition.underlying_sequence()
-    if not sa.is_subsequence_of(s):
-        violations.append("S(A) is not a subsequence of S")
-    if sa.length != s_prime.length:
-        violations.append(f"|S(A)|={sa.length} != |S'|={s_prime.length}")
-    if violations:
+    violations, sigma_n, sum_a, h = _common_violations(cert, g, s, s_prime, n)
+    if sigma_n is None:
         return False, violations
-    sigma_n = nterm_subsums(s, n)
-    sum_a = partition.sum_subset()
-    if sum_a.bits & ~sigma_n.bits:
-        violations.append("sum of parts escapes Sigma_n(S)")
-
+    partition = cert.partition
     if cert.case_tag == "I":
         bound = min(g.order, s_prime.length - n + 1)
         if sum_a.size < bound:
@@ -1082,7 +1056,6 @@ def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
         verify_subgroup(g, cert.K.carrier)
     except GroupError as err:
         return False, [f"(ii): K is not a subgroup: {err}"]
-    h = stabilizer(sigma_n)
     k_sub = cert.K
     alpha = cert.alpha
     if k_sub.is_trivial:
@@ -1095,7 +1068,7 @@ def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
     if sum_a != sigma_n:
         violations.append("(ii)(a): sum of parts != Sigma_n(S)")
     coset_k = g.translate_mask(k_sub.carrier.bits, alpha)
-    leftover = s.remove(sa)
+    leftover = s.remove(partition.underlying_sequence())
     if any(not (coset_k >> i) & 1 for i in leftover.support_indices()):
         violations.append("(ii)(a): leftover terms outside alpha+K")
     # (b)

@@ -25,6 +25,7 @@ from .groups import (
     smallest_prime_divisor,
     stabilizer,
     subgroup_generated,
+    sum_masks,
     sumset,
 )
 from .sequences import GSequence, subsum_profile
@@ -68,7 +69,7 @@ def check_kneser(parts: list[GroupSubset]) -> CheckReport:
         total = sumset(total, p)
     h = stabilizer(total)
     n = len(parts)
-    filled = [GroupSubset(g, _saturate(g, p.bits, h)) for p in parts]
+    filled = [GroupSubset(g, sum_masks(g, p.bits, h.carrier.bits)) for p in parts]
     rho = sum(f.size - p.size for f, p in zip(filled, parts))
     bound_filled = sum(f.size for f in filled) - (n - 1) * h.order
     bound_holes = sum(p.size for p in parts) - (n - 1) * h.order + rho
@@ -78,13 +79,6 @@ def check_kneser(parts: list[GroupSubset]) -> CheckReport:
         witnesses={"H_order": h.order, "rho": rho,
                    "H": [g.format_element(i) for i in h.carrier.indices()]},
         detail="" if holds else "bound forms disagree or bound violated")
-
-
-def _saturate(g: GroupSpec, bits: int, h: Subgroup) -> int:
-    out = 0
-    for i in iter_bits(bits):
-        out |= g.translate_mask(h.carrier.bits, i)
-    return out
 
 
 def check_subsum_kneser(s: GSequence, n: int, profile=None) -> CheckReport:
@@ -178,7 +172,7 @@ def _match_case1(g: GroupSpec, a: GroupSubset, n: int, na: GroupSubset,
         return None
     if g.order - k.order != na.size:
         return None
-    a_plus_k = GroupSubset(g, _saturate(g, a.bits, k))
+    a_plus_k = GroupSubset(g, sum_masks(g, a.bits, k.carrier.bits))
     if na.size < a_plus_k.size * n - k.order:
         return None
     for h in enumerate_subgroups(g):
@@ -245,7 +239,7 @@ def _match_case2b(g: GroupSpec, a: GroupSubset, n: int, na: GroupSubset,
                   k: Subgroup) -> Optional[dict]:
     """Chain template: z+A+K = union over j of (K + H_0+..+H_{j-1} + x_{j+1}+..+x_r)."""
     exp = g.exponent
-    a_plus_k = GroupSubset(g, _saturate(g, a.bits, k))
+    a_plus_k = GroupSubset(g, sum_masks(g, a.bits, k.carrier.bits))
     for h0, xs, span in _chain_decompositions(g):
         if not (k.order < h0.order and k.carrier.bits & ~h0.carrier.bits == 0):
             continue
@@ -265,7 +259,7 @@ def _match_case2b(g: GroupSpec, a: GroupSubset, n: int, na: GroupSubset,
         for j in range(r + 1):
             piece = k.carrier.bits
             for i in range(j):
-                piece = _sum_masks(g, piece, blocks[i])
+                piece = sum_masks(g, piece, blocks[i])
             for i in range(j + 1, r + 1):
                 piece = g.translate_mask(piece, xs[i - 1])
             union |= piece
@@ -273,13 +267,6 @@ def _match_case2b(g: GroupSpec, a: GroupSubset, n: int, na: GroupSubset,
         if z is not None:
             return {"case": "2(b)", "H0": h0, "xs": xs, "z": z, "r": r}
     return None
-
-
-def _sum_masks(g: GroupSpec, a_bits: int, b_bits: int) -> int:
-    out = 0
-    for i in iter_bits(b_bits):
-        out |= g.translate_mask(a_bits, i)
-    return out
 
 
 def _subgroup_exponent(g: GroupSpec, h: Subgroup) -> int:
@@ -302,13 +289,13 @@ def _match_case2a(g: GroupSpec, a: GroupSubset, n: int, na: GroupSubset,
             a0 = az & ~h.carrier.bits
             if a0 == 0:
                 continue
-            target = h.carrier.bits | _saturate(g, a0, k)
-            if _saturate(g, az, k) != target:
+            target = h.carrier.bits | sum_masks(g, a0, k.carrier.bits)
+            if sum_masks(g, az, k.carrier.bits) != target:
                 continue
             phi_classes = {_coset_id(g, h, x) for x in iter_bits(az)}
             if len(phi_classes) != 2:
                 continue
-            na0k = iterated_sumset(GroupSubset(g, _saturate(g, a0, k)), n)
+            na0k = iterated_sumset(GroupSubset(g, sum_masks(g, a0, k.carrier.bits)), n)
             if na.size == g.order - h.order + na0k.size:
                 return {"case": "2(a)", "H": h, "z": z}
     return None

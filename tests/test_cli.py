@@ -120,6 +120,19 @@ def test_verify_rejects_non_subgroup_k(tmp_path, capsys):
     assert back["violations"] == ["(ii): K is not a subgroup: subgroup must contain 0"]
 
 
+def test_verify_rejects_false_recorded_h(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    run(["maincert", "-g", "4", "-s", "0^6;2^6", "--sprime", "0^5;2^5",
+         "-n", "5", "--format", "json", "--out", str(out)])
+    env = json.loads(out.read_text())
+    env["result"]["certificate"]["H"] = ["1", "3"]
+    out.write_text(json.dumps(env))
+    code, back = run_json(capsys, ["verify", str(out)])
+    assert code == 1
+    assert back["verified"] is False
+    assert back["violations"] == ["recorded H={1,3} != H(Sigma_n(S))={0,2}"]
+
+
 @pytest.mark.parametrize("mutate", [
     lambda env: env["result"].update(certificate=None),
     lambda env: env["result"]["certificate"].pop("parts"),

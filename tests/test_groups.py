@@ -23,11 +23,12 @@ from subsumlab.groups import (
     parse_group,
     quotient_cached,
     quotient_decompose,
-    representation_count,
     representation_min,
+    representation_table,
     stabilizer,
     subgroup_embedding,
     subgroup_generated,
+    sum_masks,
     sumset,
     verify_subgroup,
 )
@@ -146,6 +147,7 @@ def test_sumset_matches_oracle(gs1, gs2):
     b = {x % g.order for x in b}
     out = sumset(subset(g, a), subset(g, b))
     assert set(out.indices()) == sumset_oracle(g, a, b)
+    assert sum_masks(g, subset(g, a).bits, subset(g, b).bits) == out.bits
 
 
 @given(group_and_subset(), st.integers(0, 5))
@@ -188,10 +190,9 @@ def test_subgroup_generated_is_closure(gs):
 def test_representation_count_matches_oracle(gs, data):
     g, a = gs
     b = data.draw(st.sets(st.integers(0, g.order - 1), min_size=1, max_size=4))
-    x = data.draw(st.integers(0, g.order - 1))
-    sets = [subset(g, a), subset(g, b)]
-    assert representation_count(sets, x) == \
-        representation_count_oracle(g, [set(a), set(b)], x)
+    table = representation_table([subset(g, a), subset(g, b)])
+    assert table == [representation_count_oracle(g, [set(a), set(b)], x)
+                     for x in range(g.order)]
 
 
 @given(group_and_subset())
@@ -200,7 +201,10 @@ def test_representation_min_is_minimum(gs):
     sets = [subset(g, a), subset(g, a)]
     rmin, argmin = representation_min(sets)
     total = sumset(sets[0], sets[1])
-    counts = {x: representation_count(sets, x) for x in total.indices()}
+    counts = {x: representation_count_oracle(g, [set(a), set(a)], x)
+              for x in total.indices()}
+    assert representation_table(sets) == \
+        [counts.get(x, 0) for x in range(g.order)]
     assert rmin == min(counts.values())
     assert counts[argmin] == rmin
 

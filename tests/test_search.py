@@ -121,6 +121,12 @@ def test_exhaustive_sequences_count_is_multiset_count():
         assert count == comb(cfg.exhaustive_len_cap + g.order, g.order) - 1
 
 
+def test_mult_vectors_are_distinct_values():
+    vectors = list(search._mult_vectors(3, 2))
+    assert len(vectors) == len(set(vectors)) == 9
+    assert all(1 <= sum(v) <= 2 for v in vectors)
+
+
 def test_random_instance_is_seed_deterministic():
     cfg = _small_cfg()
     groups = [parse_group("4"), parse_group("2x2")]
@@ -167,8 +173,7 @@ def test_audit_records_sequence_error_as_failure(target, monkeypatch):
 
 
 @pytest.mark.parametrize("verifier, all_fail, none_fail", [
-    # the pipeline also uses partition_verify to pick case-II candidates
-    ("partition_verify", {"partition"}, set()),
+    ("partition_verify", {"partition"}, {"pipeline", "fullgroup"}),
     ("main_verify", {"pipeline", "fullgroup"}, {"partition"}),
 ])
 def test_audit_reports_certificates_its_verifier_rejects(verifier, all_fail, none_fail,

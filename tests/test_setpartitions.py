@@ -316,6 +316,28 @@ def test_main_verify_rejects_non_subgroup_k():
     assert violations == ["(ii): K is not a subgroup: subgroup must contain 0"]
 
 
+def test_verifiers_check_recorded_fields():
+    g = parse_group("4")
+    s = parse_sequence(g, "0^6;2^6")
+    s_prime = parse_sequence(g, "0^5;2^5")
+    data = main_pipeline(g, s, s_prime, 5).to_dict()
+    for bad_h in (["1", "3"], None):
+        bad = Certificate.from_dict(g, {**data, "H": bad_h})
+        ok, violations = main_verify(bad, g, s, s_prime, 5, bad.mode)
+        assert not ok and violations, bad_h
+
+    g = parse_group("8")
+    s = parse_sequence(g, "0^2;4^2;1^2;5^2")
+    data = partition_solve(s, s, 2).to_dict()
+    assert (data["case"], data["H"], data["e_H"], data["k"]) == ("II", ["0", "4"], 0, 2)
+    for field, value in (("H", ["3"]), ("H", None), ("e_H", 5), ("k", 7)):
+        bad = Certificate.from_dict(g, {**data, field: value})
+        ok, violations = partition_verify(bad, s, s, 2)
+        assert not ok and violations, (field, value)
+    bad = Certificate.from_dict(g, {**data, "H": ["3"], "e_H": 5, "k": 7})
+    assert len(partition_verify(bad, s, s, 2)[1]) == 3
+
+
 # ---------------------------------------------------------------------------
 # compute once, verify once
 
@@ -343,6 +365,22 @@ def test_pipeline_verifies_case1_certificate_once(monkeypatch):
     main_calls.clear()
     cert = partition_solve(s, s, 2)
     assert cert.case_tag == "I" and cert.verified
+    assert len(part_calls) == 1 and len(main_calls) == 0
+
+    # case II: the pipeline reuses the solver's profile and never runs
+    # partition_verify; partition_solve still verifies exactly once
+    g = parse_group("8")
+    s = parse_sequence(g, "0^3;3;4^4")
+    profile_calls = _counting(monkeypatch, "subsum_profile")
+    part_calls.clear()
+    cert = main_pipeline(g, s, s, 4)
+    assert cert.case_tag == "II" and cert.verified
+    assert (len(part_calls), len(main_calls), len(profile_calls)) == (0, 1, 1)
+
+    main_calls.clear()
+    s = parse_sequence(g, "0^2;4^2;1^2;5^2")
+    cert = partition_solve(s, s, 2)
+    assert cert.case_tag == "II" and cert.verified
     assert len(part_calls) == 1 and len(main_calls) == 0
 
 
