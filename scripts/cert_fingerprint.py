@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One sha256 over the certify path's outputs on a fixed 63,976-instance corpus.
+"""One sha256 over the certify path's outputs on a fixed 63,977-instance corpus.
 
 For each instance (G, S, S', n) the digest takes, in order, the to_dict()
 JSON of partition_solve(S, S', n), main_pipeline(G, S, S', n) and the
@@ -17,7 +17,9 @@ The corpus (fixed, seeded):
   - 4,000 random instances with S' a proper subsequence of S;
   - 3,000 concentrated instances: most terms in one proper subgroup, a few
     terms outside it, n from 7 to 14;
-  - the two pinned partition-solver failures of the benchmark.
+  - the two pinned partition-solver failures of the benchmark, and one
+    instance whose case-II certificate only _partition_case2_construct
+    finds, so the digest covers every solver path.
 
 It always imports subsumlab from the src/ directory next to this script.
 """
@@ -51,6 +53,7 @@ CONCENTRATED = 3_000
 PINNED = (
     ("2x8", "(0,0)^16;(1,0);(0,1);(1,4)^22;(1,7)", 23),
     ("4x4", "(0,0)^14;(3,1);(1,2);(2,2)^16;(2,3)", 17),
+    ("4x8", "(1,1);(2,1)^4;(1,3)^3;(2,3);(0,5)^4;(3,7)^4", 4),
 )
 
 

@@ -7,7 +7,8 @@ violations, timing_ms}; the two carry identical numeric content.
 
 Exit codes: 0 success / property holds; 1 verified violation or negative
 verdict; 2 usage or parse error; 3 internal error (a step the theory
-guarantees failed -- an instance dump is written for reproduction).
+guarantees failed, or any other unexpected exception -- a dump is written
+for reproduction).
 """
 
 from __future__ import annotations
@@ -454,15 +455,23 @@ def run(argv: list[str]) -> int:
         print(f"no: {exc}", file=sys.stderr)
         return 1
     except InternalError as exc:
-        fd, path = tempfile.mkstemp(prefix="subsumlab-dump-", suffix=".json")
-        with open(fd, "w") as fh:
-            json.dump({"error": str(exc), "dump": exc.dump}, fh, indent=2)
-        print(f"internal error: {exc}\nreproduction dump: {path}",
-              file=sys.stderr)
-        return 3
+        return _internal_error(str(exc), exc.dump)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not a verdict: exit 3, never 1
+        import traceback  # only here, to keep it off the startup path
+        return _internal_error(f"{type(exc).__name__}: {exc}",
+                               {"argv": argv, "traceback": traceback.format_exc()})
+
+
+def _internal_error(message: str, dump: dict) -> int:
+    """Write a reproduction dump, report it on stderr and return exit code 3."""
+    fd, path = tempfile.mkstemp(prefix="subsumlab-dump-", suffix=".json")
+    with open(fd, "w") as fh:
+        json.dump({"error": message, "dump": dump}, fh, indent=2)
+    print(f"internal error: {message}\nreproduction dump: {path}", file=sys.stderr)
+    return 3
 
 
 def main() -> None:

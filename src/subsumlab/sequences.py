@@ -126,11 +126,6 @@ class GSequence:
                 mult[g.add(idx, b)] = m
         return GSequence(g, mult)
 
-    def restrict_to(self, mask: int) -> "GSequence":
-        """Subsequence of terms whose element lies in the bitmask."""
-        return GSequence(self.group,
-                         [m if (mask >> i) & 1 else 0 for i, m in enumerate(self.mult)])
-
     def count_outside(self, mask: int) -> int:
         return sum(m for i, m in enumerate(self.mult) if not (mask >> i) & 1)
 

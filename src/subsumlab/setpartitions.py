@@ -1,9 +1,17 @@
 """Setpartitions: constructive partition solver and main certificate pipeline.
 
 partition_solve realizes the two-case partition dichotomy for n-term subsums
-(large part-sum, or all parts concentrated on the high-multiplicity cosets);
+(large part-sum, or all parts concentrated on the high-multiplicity cosets).
+Its one case-I path is a hill climb on the sum of parts; in case II it tries
+two candidates, the hill climb's partition and then _partition_case2_construct.
+
 main_pipeline realizes the strengthened conclusion under the exponent-style
-hypotheses, recursing into subgroups exactly as the inductive argument does.
+hypotheses.  It has three exits: a trivial span (every term equal), a span
+reduction (recurse into the proper subgroup <supp(S) - s_0>), and
+_pipeline_core, which returns case I from the solver or case II at
+Step B (the inside parts sum to H, so K = H).  The inductive argument goes on
+past Step B (Steps C-E, recursing on the inside subsequence), but no instance
+has been found that needs it: reaching that point raises InternalError.
 
 Each public solver verifies the certificate it returns exactly once, with the
 independent verifier for its theorem (partition_verify, main_verify), which
@@ -21,7 +29,6 @@ partition_verify runs.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -40,7 +47,6 @@ from .groups import (
     subgroup_embedding,
     subgroup_generated,
     sum_masks,
-    sumset,
     verify_subgroup,
 )
 from .sequences import GSequence, SubsumProfile, nterm_subsums, subsum_profile
@@ -60,10 +66,6 @@ class InternalError(RuntimeError):
     def __init__(self, message: str, dump: dict | None = None):
         super().__init__(message)
         self.dump = dump or {}
-
-
-FALLBACK_CAP = 12          # exhaustive setpartition search threshold on |S'|
-_EXHAUSTIVE_STEP_CAP = 10_000_000
 
 
 class SetPartition:
@@ -110,7 +112,13 @@ class SetPartition:
 
 @dataclass
 class Certificate:
-    """Machine-checkable record of which conclusion holds; never trusted."""
+    """Machine-checkable record of which conclusion holds; never trusted.
+
+    The verifiers check every field a case uses and require the others
+    unset: K, alpha, e_H, e_K and k in case I, and K, alpha and e_K in a
+    partition-theorem case II.  bounds is solver output for the reader (sum
+    sizes and the bound they meet); no verifier reads it.
+    """
 
     case_tag: str                       # "I" or "II"
     partition: SetPartition
@@ -233,49 +241,35 @@ def _greedy_mult(mult: Sequence[int], per_elem_cap: int, room: int) -> list[int]
     return out
 
 
-def _greedy_capped(s: GSequence, per_elem_cap: int, total_cap: int | None = None) -> GSequence:
-    """Take min(v_g, per_elem_cap) of each element ascending, stopping at total_cap."""
-    room = s.length if total_cap is None else total_cap
-    return GSequence(s.group, _greedy_mult(s.mult, per_elem_cap, room))
-
-
-def _complete_counterpart(s: GSequence, s_prime_len: int, n: int, k: int,
-                          t: GSequence) -> GSequence:
-    """T' | T^{[-1]}S with |T|+|T'| = |S'| and h(T') <= n-k <= |T'|.
-
-    t must have maximal length among subsequences with h <= k and
-    length <= |S'| - (n-k).  T' is the first |S'| - |T| terms of
-    T^{[-1]}S taken at most n-k per element (when |T| is at that cap, the
-    first n-k terms).
-    """
-    if not t.is_subsequence_of(s):
-        raise InternalError("T is not a subsequence of S")
-    need = s_prime_len - t.length
-    rem = list(map(operator.sub, s.mult, t.mult))
-    t_prime = GSequence(s.group, _greedy_mult(rem, n - k, need))
-    if t_prime.length < need:
-        raise InternalError("not enough remaining terms for the counterpart")
-    if t.length + t_prime.length != s_prime_len:
-        raise InternalError("counterpart length mismatch")
-    if t_prime.max_multiplicity() > n - k or t_prime.length < n - k:
-        raise InternalError("counterpart multiplicity bounds violated")
-    return t_prime
-
-
 def lemma31_complete(s: GSequence, s_prime: GSequence, n: int, k: int
                      ) -> tuple[GSequence, GSequence]:
-    """Split-off pair (T, T'): h(T) <= k <= |T|, h(T') <= n-k <= |T'|, |T|+|T'|=|S'|."""
+    """Split-off pair (T, T'): h(T) <= k <= |T|, h(T') <= n-k <= |T'|, |T|+|T'|=|S'|.
+
+    T takes min(v_g, k) of each element of S ascending, stopping at length
+    |S'| - (n-k), so it has maximal length among such subsequences.  T' is
+    the first |S'| - |T| terms of T^{[-1]}S taken at most n-k per element
+    (when |T| is at that cap, the first n-k terms).
+    """
     if not s_prime.is_subsequence_of(s):
         raise PartitionError("S' must be a subsequence of S")
     if not (s_prime.max_multiplicity() <= n <= s_prime.length):
         raise PartitionError("need h(S') <= n <= |S'|")
     if not 1 <= k <= n:
         raise PartitionError("need 1 <= k <= n")
-    cap = s_prime.length - (n - k)
-    t = _greedy_capped(s, per_elem_cap=k, total_cap=cap)
+    t = GSequence(s.group, _greedy_mult(s.mult, k, s_prime.length - (n - k)))
     if t.length < k:
         raise InternalError("greedy maximal subsequence shorter than k")
-    t_prime = _complete_counterpart(s, s_prime.length, n, k, t)
+    if not t.is_subsequence_of(s):
+        raise InternalError("T is not a subsequence of S")
+    need = s_prime.length - t.length
+    rem = list(map(operator.sub, s.mult, t.mult))
+    t_prime = GSequence(s.group, _greedy_mult(rem, n - k, need))
+    if t_prime.length < need:
+        raise InternalError("not enough remaining terms for the counterpart")
+    if t.length + t_prime.length != s_prime.length:
+        raise InternalError("counterpart length mismatch")
+    if t_prime.max_multiplicity() > n - k or t_prime.length < n - k:
+        raise InternalError("counterpart multiplicity bounds violated")
     return t, t_prime
 
 
@@ -385,58 +379,6 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int,
     return parts, best
 
 
-def iter_setpartitions(s: GSequence, total: int, n: int) -> Iterator[list[int]]:
-    """All n-setpartitions (part bitmasks) with S(A) | S, |S(A)| = total.
-
-    Canonical up to part order: a new part may only be opened as the next
-    unused slot.  Intended for |S'| <= FALLBACK_CAP.
-    """
-    elems = [(g, m) for g, m in enumerate(s.mult) if m]
-    caps = [min(m, n) for _, m in elems]
-    suffix_cap = [0] * (len(elems) + 1)
-    for i in range(len(elems) - 1, -1, -1):
-        suffix_cap[i] = suffix_cap[i + 1] + caps[i]
-    steps = 0
-
-    def rec(pos: int, parts: list[int], used: int, remaining: int) -> Iterator[list[int]]:
-        nonlocal steps
-        steps += 1
-        if steps > _EXHAUSTIVE_STEP_CAP:
-            raise InternalError("exhaustive setpartition search exceeded step cap")
-        if remaining == 0:
-            if used == n:
-                yield list(parts)
-            return
-        if pos == len(elems) or remaining > suffix_cap[pos]:
-            return
-        g, m = elems[pos]
-        top = min(m, n, remaining)
-        for c in range(top, -1, -1):
-            if c == 0:
-                yield from rec(pos + 1, parts, used, remaining)
-                continue
-            max_new = min(c, n - used)
-            for new in range(max_new + 1):
-                old = c - new
-                if old > used:
-                    continue
-                for combo in itertools.combinations(range(used), old):
-                    chosen = list(combo) + list(range(used, used + new))
-                    for p in chosen:
-                        if p < len(parts):
-                            parts[p] |= 1 << g
-                        else:
-                            parts.append(1 << g)
-                    yield from rec(pos + 1, parts, used + new, remaining - c)
-                    for p in chosen:
-                        parts[p] &= ~(1 << g)
-                    while parts and parts[-1] == 0:
-                        parts.pop()
-        return
-
-    yield from rec(0, [], 0, total)
-
-
 def _partition_case2_construct(s: GSequence, s_prime: GSequence, n: int,
                                profile) -> Optional[list[int]]:
     """Direct witness (part bitmasks) for the concentrated case: outside terms
@@ -517,10 +459,6 @@ def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset
     # sums of parts always land inside Sigma_n(S), so case 1 needs
     # |Sigma_n(S)| >= |S'| - n + 1; otherwise climb toward Sigma_n itself
     parts_bits, best = _hill_climb(s, s_prime, n, min(target1, sigma_n.size))
-    if best < target1 <= sigma_n.size and s_prime.length <= FALLBACK_CAP:
-        found = _exhaustive_case1(s, s_prime.length, n, target1)
-        if found is not None:
-            parts_bits, best = found, target1
     if best >= target1:
         partition = SetPartition(g, [GroupSubset(g, b) for b in parts_bits])
         return Certificate("I", partition, theorem="partition",
@@ -534,8 +472,6 @@ def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset
         built = _partition_case2_construct(s, s_prime, n, profile)
         if built is not None:
             yield built
-        if s_prime.length <= FALLBACK_CAP:
-            yield from iter_setpartitions(s, s_prime.length, n)
 
     for bits in case2_candidates():
         partition = SetPartition(g, [GroupSubset(g, b) for b in bits])
@@ -552,15 +488,6 @@ def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset
         "partition theorem: neither case could be witnessed",
         {"group": g.spec_string(), "S": s.format(),
          "S_prime": s_prime.format(), "n": n})
-
-
-def _exhaustive_case1(s: GSequence, total: int, n: int, target: int
-                      ) -> Optional[list[int]]:
-    g = s.group
-    for bits in iter_setpartitions(s, total, n):
-        if _sum_of_parts(g, bits).bit_count() >= target:
-            return bits
-    return None
 
 
 def _case2_bound(s_prime_len: int, n: int, profile: SubsumProfile) -> int:
@@ -603,17 +530,22 @@ def _case2_violations(cert: Certificate, sum_a: GroupSubset, s: GSequence,
     return violations
 
 
+# the unset value of each Certificate field that only some cases use
+_UNSET = {"K": None, "alpha": None, "e_H": 0, "e_K": 0, "k": 0}
+
+
 def _common_violations(cert: Certificate, g: GroupSpec, s: GSequence,
-                       s_prime: GSequence, n: int
+                       s_prime: GSequence, n: int, theorem: str
                        ) -> tuple[list[str], Optional[GroupSubset],
                                   Optional[GroupSubset], Optional[Subgroup]]:
     """The clauses both verifiers check, recomputed from scratch.
 
     The part count, S(A) | S and |S(A)| = |S'| come first; when one fails,
     nothing else is checked and the other three values are None.  Then the
-    sum of parts must lie in Sigma_n(S), and a recorded H (required in case
-    II) must equal H(Sigma_n(S)).  Returns (violations, Sigma_n(S), sum of
-    parts, H(Sigma_n(S)) or None when neither H nor case II asks for it).
+    sum of parts must lie in Sigma_n(S), the fields the verifier's theorem
+    does not use in cert's case must be unset, and a recorded H (required in
+    case II) must equal H(Sigma_n(S)).  Returns (violations, Sigma_n(S), sum
+    of parts, H(Sigma_n(S)) or None when neither H nor case II asks for it).
     """
     partition = cert.partition
     if partition.group != g or s.group != g:
@@ -632,6 +564,11 @@ def _common_violations(cert: Certificate, g: GroupSpec, s: GSequence,
     sum_a = partition.sum_subset()
     if sum_a.bits & ~sigma_n.bits:
         violations.append("sum of parts escapes Sigma_n(S)")
+    unused = (("K", "alpha", "e_H", "e_K", "k") if cert.case_tag == "I"
+              else ("K", "alpha", "e_K") if theorem == "partition" else ())
+    for name in unused:
+        if getattr(cert, name) != _UNSET[name]:
+            violations.append(f"case {cert.case_tag} certificate must leave {name} unset")
     h = None
     if cert.case_tag == "II" or cert.H is not None:
         h = stabilizer(sigma_n)
@@ -646,7 +583,8 @@ def _common_violations(cert: Certificate, g: GroupSpec, s: GSequence,
 def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
                      n: int) -> tuple[bool, list[str]]:
     """Re-check a partition-theorem certificate from scratch."""
-    violations, sigma_n, sum_a, _ = _common_violations(cert, s.group, s, s_prime, n)
+    violations, sigma_n, sum_a, _ = _common_violations(cert, s.group, s, s_prime, n,
+                                                       "partition")
     if sigma_n is None:
         return False, violations
     if cert.case_tag == "I":
@@ -797,7 +735,7 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
         raise HypothesesUnmetError(
             f"no hypothesis item holds for H of order {h_top.order}, n={n}, "
             f"G={g.spec_string()} (mode {mode})")
-    cert = _pipeline_rec(g, s, s_prime, n, mode, 0, sigma_n)
+    cert = _pipeline_rec(g, s, s_prime, n, mode, sigma_n)
     cert.mode = mode
     ok, violations = main_verify(cert, g, s, s_prime, n, mode)
     if not ok:
@@ -810,11 +748,12 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
 
 
 def _pipeline_rec(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
-                  mode: str, depth: int, sigma_n: GroupSubset) -> Certificate:
-    """sigma_n = Sigma_n(S), carried along every translation and embedding."""
-    if depth > 2 * g.order.bit_length() + 4:
-        raise InternalError("recursion depth exceeded subgroup chain bound")
+                  mode: str, sigma_n: GroupSubset) -> Certificate:
+    """sigma_n = Sigma_n(S), carried along every translation and embedding.
 
+    Each span reduction recurses into a proper subgroup, so the recursion
+    ends within log2|G| levels.
+    """
     # translate so 0 is in the support, then reduce to the affine span
     offset = 0
     s0 = next(s.support_indices())
@@ -826,9 +765,9 @@ def _pipeline_rec(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
         sigma_n = GroupSubset(g, g.translate_mask(sigma_n.bits, g.neg(g.scale(n, s0))))
     span = subgroup_generated(s.support())
     if not span.is_full:
-        cert = _reduce_to_span(g, s, s_prime, n, mode, depth, span, sigma_n)
+        cert = _reduce_to_span(g, s, s_prime, n, mode, span, sigma_n)
         return _untranslate_cert(cert, offset)
-    cert = _pipeline_core(g, s, s_prime, n, mode, depth, sigma_n)
+    cert = _pipeline_core(g, s, s_prime, n, mode, sigma_n)
     return _untranslate_cert(cert, offset)
 
 
@@ -842,8 +781,7 @@ def _into_span(seq: GSequence, emb) -> GSequence:
 
 
 def _reduce_to_span(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
-                    mode: str, depth: int, span: Subgroup,
-                    sigma_n: GroupSubset) -> Certificate:
+                    mode: str, span: Subgroup, sigma_n: GroupSubset) -> Certificate:
     if span.is_trivial:
         # supp(S) = {0}: every part is {0}
         partition = make_setpartition(s_prime, n)
@@ -853,7 +791,7 @@ def _reduce_to_span(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
     emb = subgroup_embedding(g, span)
     sub_sigma = GroupSubset(emb.spec, emb.map_mask_from_parent(sigma_n.bits))
     sub_cert = _pipeline_rec(emb.spec, _into_span(s, emb), _into_span(s_prime, emb),
-                             n, mode, depth + 1, sub_sigma)
+                             n, mode, sub_sigma)
     cert = _map_cert_to_parent(sub_cert, emb)
     if cert.case_tag == "II":
         return cert
@@ -871,8 +809,16 @@ def _reduce_to_span(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
 
 
 def _pipeline_core(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
-                   mode: str, depth: int, sigma_n: GroupSubset) -> Certificate:
-    """Main argument under <supp(S)>_* = G."""
+                   mode: str, sigma_n: GroupSubset) -> Certificate:
+    """Main argument under <supp(S)>_* = G: case I or Step B, else InternalError.
+
+    Case I when the solver's sum of parts reaches min(|G|, |S'| - n + 1).
+    Otherwise the solver's case-II partition, normalized so the one
+    high-multiplicity H-coset is H itself (Step A), splits into k = n - e_H
+    parts inside H and e_H parts with one term outside; Step B returns case
+    II with K = H when the inside parts sum to H.  Anything past Step B (the
+    paper's Steps C-E) raises InternalError with the instance dump.
+    """
     dump = {"group": g.spec_string(), "S": s.format(),
             "S_prime": s_prime.format(), "n": n, "mode": mode}
     solved, profile = _solve(s, s_prime, n, sigma_n)
@@ -910,131 +856,20 @@ def _pipeline_core(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
     if len(inside) != k or any((p.bits & ~h.carrier.bits).bit_count() != 1 for p in outside):
         raise InternalError("partition does not split into k inside / e_H boundary parts", dump)
 
-    if _sum_of_parts(g, [p.bits for p in inside]) == h.carrier.bits:
-        cert = Certificate("II", SetPartition(g, inside + outside),
-                           H=h, K=h, alpha=0, e_H=e_h, e_K=e_h, k=k,
-                           theorem="main", bounds={"sum_size": profile.sigma_n.size})
-        return _untranslate_cert(cert, offset)
-
-    if e_h < 1 or k < 2:
-        raise InternalError(f"degenerate split e_H={e_h}, k={k} past Step B", dump)
-
-    s_h = s.restrict_to(h.carrier.bits)
-    s_prime_h = partition.underlying_sequence().restrict_to(h.carrier.bits)
-    if not (s_prime_h.max_multiplicity() <= n <= s_prime_h.length):
-        raise InternalError("inside subsequence lost the length/multiplicity window", dump)
-
-    # normalize 0 into supp(S_H)
-    g0 = next(s_h.support_indices())
-    if g0 != 0:
-        offset = g.add(offset, g0)
-        neg = g.neg(g0)
-        s = s.translate(neg)
-        s_prime = s_prime.translate(neg)
-        s_h = s_h.translate(neg)
-        s_prime_h = s_prime_h.translate(neg)
-
-    g_span = subgroup_generated(s_h.support())
-    cap = s_prime_h.length - (n - k)
-    t = _greedy_capped(s_h, per_elem_cap=k, total_cap=cap)
-    if t.length < k:
-        raise InternalError("inside pool too thin for the split length", dump)
-
-    b_parts, k_sub, e_k_inner, alpha_inner = _inner_partition(
-        g, s_h, t, k, n, h, g_span, depth, dump)
-    if alpha_inner != 0:
-        offset = g.add(offset, alpha_inner)
-        neg = g.neg(alpha_inner)
-        s = s.translate(neg)
-        s_prime = s_prime.translate(neg)
-        s_h = s_h.translate(neg)
-        s_prime_h = s_prime_h.translate(neg)
-        t = t.translate(neg)
-        b_parts = [p.translate(neg) for p in b_parts]
-
-    k_sub_carrier = k_sub.carrier.bits
-    e_k = e_h + e_k_inner
-    k_prime = n - e_k
-
-    # order the first k parts: subsets of K first, boundary parts after
-    b_in = [p for p in b_parts if p.bits & ~k_sub_carrier == 0]
-    b_out = [p for p in b_parts if p.bits & ~k_sub_carrier]
-    if len(b_in) != k - e_k_inner or any((p.bits & ~k_sub_carrier).bit_count() != 1
-                                         for p in b_out):
-        raise InternalError("inner partition violates the K-coset structure", dump)
-
-    r_seq = GSequence(g, [0] * g.order)
-    for p in b_parts:
-        r_seq = r_seq.concat(GSequence.from_pairs(g, [(i, 1) for i in p.indices()]))
-    t_prime = _complete_counterpart(s_h, s_prime_h.length, n, k, r_seq)
-    tail = make_setpartition(t_prime, n - k) if n - k else None
-
-    z_terms = [idx for idx, m in enumerate(s.mult)
-               if m and not (h.carrier.bits >> idx) & 1
-               for _ in range(m)]
-    if len(z_terms) != e_h:
-        raise InternalError("outside-term count drifted during translation", dump)
-    tail_parts = []
-    for j in range(n - k):
-        tail_parts.append(GroupSubset(g, tail.parts[j].bits | (1 << z_terms[j])))
-
-    parts = b_in + b_out + tail_parts
-    cert = Certificate("II", SetPartition(g, parts), H=h, K=k_sub, alpha=0,
-                       e_H=e_h, e_K=e_k, k=k_prime, theorem="main",
-                       bounds={"sum_size": profile.sigma_n.size})
+    # Step B: the k inside parts sum to H, so K = H and the certificate is done
+    if _sum_of_parts(g, [p.bits for p in inside]) != h.carrier.bits:
+        raise InternalError("inside parts do not sum to H; no path past Step B", dump)
+    cert = Certificate("II", SetPartition(g, inside + outside),
+                       H=h, K=h, alpha=0, e_H=e_h, e_K=e_h, k=k,
+                       theorem="main", bounds={"sum_size": profile.sigma_n.size})
     return _untranslate_cert(cert, offset)
-
-
-def _inner_partition(g: GroupSpec, s_h: GSequence, t: GSequence, k: int, n: int,
-                     h: Subgroup, g_span: Subgroup, depth: int, dump: dict
-                     ) -> tuple[list[GroupSubset], Subgroup, int, int]:
-    """k-setpartition of a length-|T| subsequence of S_H whose first parts sum
-    to a full subgroup K; returns (parts, K, e'_K, alpha')."""
-    # pigeonhole shortcut: two big parts already cover H
-    a_pr = sorted(make_setpartition(t, k).parts,
-                  key=lambda p: (-p.size, p.bits))
-    if k >= 2 and a_pr[0].size + a_pr[1].size >= h.order + 1:
-        two = sumset(a_pr[0], a_pr[1])
-        if two.bits == h.carrier.bits:
-            return list(a_pr), h, 0, 0
-
-    if not 5 <= k <= n - 2:
-        raise InternalError(f"split size k={k} outside [5, n-2] (Step C)", dump)
-
-    sigma_k = nterm_subsums(s_h, k)
-    if sigma_k.size < t.length - k + 1:
-        h_inner = stabilizer(sigma_k)
-        if not k > h.order // h_inner.order + 2:
-            raise InternalError(
-                f"split size k={k} <= |H/H'|+2 = {h.order // h_inner.order + 2} (Step E)",
-                dump)
-
-    # the recursion is on (S_H, k), whose Sigma_k is sigma_k
-    emb = subgroup_embedding(g, g_span)
-    sub_cert = _pipeline_rec(emb.spec, _into_span(s_h, emb), _into_span(t, emb), k,
-                             "standard", depth + 1,
-                             GroupSubset(emb.spec, emb.map_mask_from_parent(sigma_k.bits)))
-    cert = _map_cert_to_parent(sub_cert, emb)
-    parts = list(cert.partition.parts)
-    if cert.case_tag == "I":
-        if cert.partition.sum_subset().bits != g_span.carrier.bits:
-            raise InternalError(
-                "inner recursion case I did not cover the inside span (Step D)", dump)
-        return parts, g_span, 0, 0
-    k_sub = cert.K
-    alpha_p = cert.alpha
-    coset = g.translate_mask(k_sub.carrier.bits, alpha_p)
-    e_k_inner = s_h.count_outside(coset)
-    if e_k_inner != cert.e_K:
-        raise InternalError("inner e_K bookkeeping mismatch", dump)
-    return parts, k_sub, e_k_inner, alpha_p
 
 
 def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
                 s_prime: GSequence, n: int, mode: str = "standard"
                 ) -> tuple[bool, list[str]]:
     """Re-check every clause of a main-pipeline certificate from scratch."""
-    violations, sigma_n, sum_a, h = _common_violations(cert, g, s, s_prime, n)
+    violations, sigma_n, sum_a, h = _common_violations(cert, g, s, s_prime, n, "main")
     if sigma_n is None:
         return False, violations
     partition = cert.partition

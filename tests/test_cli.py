@@ -2,9 +2,11 @@
 
 import json
 import os
+import tempfile
 
 import pytest
 
+from subsumlab import cli, setpartitions
 from subsumlab.cli import run
 
 SEQ_A = "0^2;4^2;1^2;5^2"
@@ -133,6 +135,23 @@ def test_verify_rejects_false_recorded_h(tmp_path, capsys):
     assert back["violations"] == ["recorded H={1,3} != H(Sigma_n(S))={0,2}"]
 
 
+@pytest.mark.parametrize("argv, edits", [
+    (["maincert", "-g", "7", "-s", "0;1;2;3", "--sprime", "0;1;2;3", "-n", "2"],
+     {"K": ["1", "3"], "alpha": "5", "e_H": 9, "e_K": 4, "k": 11}),
+    (["partition", "-g", "8", "-s", SEQ_A, "-n", "2"],
+     {"K": ["1", "3"], "alpha": "5", "e_K": 4}),
+])
+def test_verify_rejects_unused_fields(argv, edits, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert run(argv + ["--format", "json", "--out", str(out)]) == 0
+    env = json.loads(out.read_text())
+    env["result"]["certificate"].update(edits)
+    out.write_text(json.dumps(env))
+    code, back = run_json(capsys, ["verify", str(out)])
+    assert code == 1
+    assert back["verified"] is False and len(back["violations"]) == len(edits)
+
+
 @pytest.mark.parametrize("mutate", [
     lambda env: env["result"].update(certificate=None),
     lambda env: env["result"]["certificate"].pop("parts"),
@@ -210,6 +229,23 @@ def test_hypotheses_unmet_exit_1(capsys):
     code = run(["maincert", "-g", "8", "-s", SEQ_A, "--sprime", SEQ_A,
                 "-n", "2"])
     assert code == 1
+
+
+@pytest.mark.parametrize("exc, message", [
+    (AttributeError("no such field"), "AttributeError: no such field"),
+    (setpartitions.InternalError("step failed", {"n": 2}), "step failed"),
+])
+def test_unexpected_and_internal_errors_exit_3(exc, message, monkeypatch, tmp_path, capsys):
+    def broken(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "subsum_profile", broken)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert run(["subsums", "-g", "8", "-s", SEQ_A, "-n", "2"]) == 3
+    err = capsys.readouterr().err
+    assert f"internal error: {message}" in err
+    (dump,) = tmp_path.glob("subsumlab-dump-*.json")
+    assert f"reproduction dump: {dump}" in err
+    assert json.loads(dump.read_text())["error"] == message
 
 
 def test_help_exits_zero(capsys):

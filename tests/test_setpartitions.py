@@ -18,6 +18,7 @@ from subsumlab.sequences import GSequence, nterm_subsums, parse_sequence
 from subsumlab.setpartitions import (
     Certificate,
     HypothesesUnmetError,
+    InternalError,
     PartitionError,
     hypothesis_check,
     lemma31_complete,
@@ -150,6 +151,20 @@ def test_partition_solver_output_always_verifies(inst):
     assert ok, violations
     assert cert.partition.underlying_sequence().length == s_prime.length
     assert cert.partition.underlying_sequence().is_subsequence_of(s)
+
+
+def test_partition_case2_constructor_witness(monkeypatch):
+    # the hill climb's partition fails case II here; the constructor's passes
+    g = parse_group("4x8")
+    s = parse_sequence(g, "(1,1);(2,1)^4;(1,3)^3;(2,3);(0,5)^4;(3,7)^4")
+    cert = partition_solve(s, s, 4)
+    assert cert.case_tag == "II" and cert.verified
+
+    monkeypatch.setattr(setpartitions, "_partition_case2_construct",
+                        lambda *args: None)
+    with pytest.raises(InternalError,
+                       match="^partition theorem: neither case could be witnessed$"):
+        partition_solve(s, s, 4)
 
 
 def test_partition_verify_rejects_tampering():
@@ -336,6 +351,32 @@ def test_verifiers_check_recorded_fields():
         assert not ok and violations, (field, value)
     bad = Certificate.from_dict(g, {**data, "H": ["3"], "e_H": 5, "k": 7})
     assert len(partition_verify(bad, s, s, 2)[1]) == 3
+
+
+# case I: C7 0;1;2;3, n = 2 (main); case II: C8 0^2;4^2;1^2;5^2, n = 2 (partition)
+UNUSED_FIELD_EDITS = [
+    ("7", "0;1;2;3", "main", {"K": ["1", "3"], "alpha": "5", "e_H": 9, "e_K": 4, "k": 11}),
+    ("8", "0^2;4^2;1^2;5^2", "partition", {"K": ["1", "3"], "alpha": "5", "e_K": 4}),
+]
+
+
+@pytest.mark.parametrize("spec, seq, theorem, edits", UNUSED_FIELD_EDITS)
+def test_verifiers_reject_unused_fields(spec, seq, theorem, edits):
+    g = parse_group(spec)
+    s = parse_sequence(g, seq)
+    cert = main_pipeline(g, s, s, 2) if theorem == "main" else partition_solve(s, s, 2)
+    data = cert.to_dict()
+    verify = ((lambda c: main_verify(c, g, s, s, 2)) if theorem == "main"
+              else (lambda c: partition_verify(c, s, s, 2)))
+    assert verify(Certificate.from_dict(g, data)) == (True, [])
+    for name, value in edits.items():
+        ok, violations = verify(Certificate.from_dict(g, {**data, name: value}))
+        assert not ok and violations == [
+            f"case {data['case']} certificate must leave {name} unset"], name
+    ok, violations = verify(Certificate.from_dict(g, {**data, **edits}))
+    assert not ok and len(violations) == len(edits)
+    # bounds is solver output: no verifier reads it
+    assert verify(Certificate.from_dict(g, {**data, "bounds": {"sum_size": -1}})) == (True, [])
 
 
 # ---------------------------------------------------------------------------
