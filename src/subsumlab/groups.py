@@ -29,7 +29,7 @@ class GroupSpec:
 
     __slots__ = (
         "invariant_factors", "order", "exponent", "rank", "strides",
-        "full_mask", "_rot_cache", "_neg_cache", "_order_cache",
+        "full_mask", "_rot_cache", "_plans", "_neg_cache", "_order_cache",
     )
 
     def __init__(self, invariant_factors: Sequence[int]):
@@ -51,6 +51,7 @@ class GroupSpec:
         self.strides = tuple(strides)
         self.full_mask = (1 << self.order) - 1
         self._rot_cache: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+        self._plans: list[tuple | None] = [None] * self.order
         self._neg_cache: list[int] | None = None
         self._order_cache: list[int] | None = None
 
@@ -151,17 +152,14 @@ class GroupSpec:
         return params
 
     def translate_mask(self, mask: int, b: int) -> int:
-        """Bitmask of {x + b : x in mask}."""
-        if self.rank == 1:
-            if not b:
-                return mask
-            low, high, shift, keep = self._rot_params(0, b)
-            return ((mask & low) << shift) | ((mask & high) >> keep)
-        for axis, (m, s) in enumerate(zip(self.invariant_factors, self.strides)):
-            d = (b // s) % m
-            if d:
-                low, high, shift, keep = self._rot_params(axis, d)
-                mask = ((mask & low) << shift) | ((mask & high) >> keep)
+        """Bitmask of {x + b : x in mask}: one masked rotation per nonzero
+        coordinate of b, from b's plan (its _rot_params), built on first use."""
+        plan = self._plans[b]
+        if plan is None:
+            plan = self._plans[b] = tuple(
+                self._rot_params(axis, c) for axis, c in enumerate(self.coords(b)) if c)
+        for low, high, shift, keep in plan:
+            mask = ((mask & low) << shift) | ((mask & high) >> keep)
         return mask
 
     def negate_mask(self, mask: int) -> int:
@@ -469,18 +467,50 @@ def representation_min(summands: Sequence[GroupSubset]) -> tuple[int, int]:
 
 
 def stabilizer(a: GroupSubset) -> Subgroup:
-    """H(A) = {x : x + A = A}, the maximal period of A."""
+    """H(A) = {x : x + A = A}, the maximal period of A.
+
+    Intersects C = (W - w_1) & (W - w_2) & ... over W, the smaller of A and
+    its complement (both have period H).  H <= W - w for every w in W, so
+    H <= C at every step, and C = {x : x + W <= W} = H once all of W is
+    used.  The scan stops early at C = {0}, or when an intersection leaves
+    C unchanged and _periods_cover holds: periods of W that generate a
+    subgroup containing C give C <= H.  Each C is tested at most once.
+    """
     if a.bits == 0:
         raise GroupError("stabilizer of empty set")
     g = a.group
-    a0 = next(iter_bits(a.bits))
-    # any stabilizing x satisfies x + a0 in A, so scan A - a0 only
-    candidates = g.translate_mask(a.bits, g.neg(a0))
-    bits = 0
-    for x in iter_bits(candidates):
-        if g.translate_mask(a.bits, x) == a.bits:
-            bits |= 1 << x
-    return Subgroup(GroupSubset(g, bits))
+    w = a.bits
+    if 2 * w.bit_count() > g.order:
+        w ^= g.full_mask
+        if not w:
+            return Subgroup(GroupSubset(g, g.full_mask))
+    c = tested = -1
+    for x in iter_bits(w):
+        nxt = c & g.translate_mask(w, g.neg(x))
+        if nxt == c != tested:
+            if _periods_cover(g, w, c):
+                break
+            tested = c
+        c = nxt
+        if c == 1:
+            break
+    return Subgroup(GroupSubset(g, c))
+
+
+def _periods_cover(g: GroupSpec, w: int, c: int) -> bool:
+    """Whether periods of W, each the least element of C outside the span
+    of the earlier ones, generate a subgroup containing C."""
+    span = 1
+    while c & ~span:
+        x = next(iter_bits(c & ~span))
+        if g.translate_mask(w, x) != w:
+            return False
+        # span + {0, ..., 2^t - 1}x stops growing only once it is span + <x>:
+        # fewer than ord(x) consecutive cosets never have period 2^t x
+        step = x
+        while (nxt := span | g.translate_mask(span, step)) != span:
+            span, step = nxt, g.add(step, step)
+    return True
 
 
 def subgroup_generated(s: GroupSubset) -> Subgroup:

@@ -113,11 +113,6 @@ class GSequence:
             raise SequenceError("removal of a non-subsequence")
         return GSequence(self.group, list(map(operator.sub, self.mult, other.mult)))
 
-    def concat(self, other: "GSequence") -> "GSequence":
-        if other.group != self.group:
-            raise SequenceError("mixed groups")
-        return GSequence(self.group, [a + b for a, b in zip(self.mult, other.mult)])
-
     def translate(self, b: int) -> "GSequence":
         g = self.group
         mult = [0] * g.order
@@ -165,34 +160,41 @@ def parse_sequence(group: GroupSpec, text: str) -> GSequence:
 
 
 def subsum_table(s: GSequence, cap: int) -> list[int]:
-    """Bitmasks of Sigma_j(S) for j = 0..cap (rows[0] = {0}).
-
-    Bounded-knapsack update per support element, ascending index, rows
-    descending; exact for every j simultaneously.
-    """
-    g = s.group
-    rows = [0] * (cap + 1)
-    rows[0] = 1
-    for idx, m in enumerate(s.mult):
-        if not m:
-            continue
-        m = min(m, cap)
-        shifts = [g.scale(t, idx) for t in range(1, m + 1)]
-        for j in range(cap, 0, -1):
-            acc = rows[j]
-            for t in range(1, min(m, j) + 1):
-                low = rows[j - t]
-                if low:
-                    acc |= g.translate_mask(low, shifts[t - 1])
-            rows[j] = acc
-    return rows
+    """Bitmasks of Sigma_j(S) for j = 0..cap (rows[0] = {0})."""
+    return _subsum_rows(s, cap, 0)
 
 
 def nterm_subsums(s: GSequence, n: int) -> GroupSubset:
     """Sigma_n(S): sums of all length-n subsequences."""
     if not 0 <= n <= s.length:
         raise SequenceError(f"n={n} outside [0, |S|={s.length}]")
-    return GroupSubset(s.group, subsum_table(s, n)[n])
+    return GroupSubset(s.group, _subsum_rows(s, n, n)[n])
+
+
+def _subsum_rows(s: GSequence, cap: int, target: int) -> list[int]:
+    """Bounded-knapsack DP, one support element at a time, rows descending.
+
+    Row j, the sums of j of the terms seen so far, is updated only while it
+    is reachable (j <= terms seen) and can still reach row target
+    (j >= target - terms left), so rows target..cap come out exact; an
+    update reads only rows that were exact one element earlier.
+    """
+    g = s.group
+    rows = [0] * (cap + 1)
+    rows[0] = 1
+    seen, left = 0, s.length
+    for idx, m in enumerate(s.mult):
+        if not m:
+            continue
+        left -= m
+        shifts = [g.scale(t, idx) for t in range(1, min(m, cap) + 1)]
+        for j in range(min(cap, seen + m), max(0, target - left - 1), -1):
+            acc = rows[j]
+            for t in range(max(1, j - seen), min(m, j) + 1):
+                acc |= g.translate_mask(rows[j - t], shifts[t - 1])
+            rows[j] = acc
+        seen += m
+    return rows
 
 
 def all_subsums(s: GSequence) -> GroupSubset:
@@ -240,17 +242,19 @@ class SubsumProfile:
 
 
 def subsum_profile(s: GSequence, n: int, ref_len: int,
-                   sigma: GroupSubset | None = None) -> SubsumProfile:
+                   sigma: GroupSubset | None = None,
+                   h: Subgroup | None = None) -> SubsumProfile:
     """H = H(Sigma_n(S)), X, e and rho = |X||H|n + e - ref_len.
 
     ref_len is |S| for the plain subsum bound and |S'| when profiling against
-    a distinguished subsequence.  sigma, when given, must equal Sigma_n(S)
-    (callers sharing one DP table across several n pass it to avoid recompute).
+    a distinguished subsequence.  sigma, when given, must equal Sigma_n(S),
+    and h, when given, must equal H(sigma): callers that already hold them
+    pass them to avoid recompute.
     """
     if not 1 <= n <= s.length:
         raise SequenceError(f"n={n} outside [1, |S|={s.length}]")
     sig = sigma if sigma is not None else nterm_subsums(s, n)
-    h = stabilizer(sig)
+    h = h if h is not None else stabilizer(sig)
     q = quotient_cached(s.group, h)
     phi_s = push_forward(s, q)
     x_bits = 0

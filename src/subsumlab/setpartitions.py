@@ -17,9 +17,10 @@ Each public solver verifies the certificate it returns exactly once, with the
 independent verifier for its theorem (partition_verify, main_verify), which
 recomputes Sigma_n(S) from scratch and never sees solver state; a failed
 check raises InternalError.  Callers read cert.verified instead of verifying
-again.  Inside the solver, Sigma_n(S) is computed once per (S, n) and carried
-through translations and span reductions, and the case-II profile is computed
-once per solve and handed to the pipeline.
+again.  Inside the solver, Sigma_n(S) and its stabilizer H are computed once
+per (S, n) and carried through translations and span reductions, and the
+case-II profile is computed once per solve, from that H, and handed to the
+pipeline.  partition_verify likewise profiles with the H it computed itself.
 
 Each clause is coded once: both verifiers share _common_violations (part
 count, S(A) | S, |S(A)| = |S'|, sum inside Sigma_n(S), the recorded H), and
@@ -447,9 +448,10 @@ def partition_solve(s: GSequence, s_prime: GSequence, n: int) -> Certificate:
     return cert
 
 
-def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset
-           ) -> tuple[Certificate, Optional[SubsumProfile]]:
-    """partition_solve on a valid instance, given sigma_n = Sigma_n(S).
+def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset,
+           h: Optional[Subgroup] = None) -> tuple[Certificate, Optional[SubsumProfile]]:
+    """partition_solve on a valid instance, given sigma_n = Sigma_n(S) and
+    h = H(sigma_n) when the caller holds it.
 
     Returns the unverified certificate, and in case II the profile
     subsum_profile(S, n, |S'|) it was chosen with (None in case I).
@@ -465,7 +467,7 @@ def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset
                            bounds={"sum_size": partition.sum_subset().size,
                                    "case1_bound": target1}), None
 
-    profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n)
+    profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n, h=h)
 
     def case2_candidates() -> Iterator[list[int]]:
         yield parts_bits
@@ -583,7 +585,7 @@ def _common_violations(cert: Certificate, g: GroupSpec, s: GSequence,
 def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
                      n: int) -> tuple[bool, list[str]]:
     """Re-check a partition-theorem certificate from scratch."""
-    violations, sigma_n, sum_a, _ = _common_violations(cert, s.group, s, s_prime, n,
+    violations, sigma_n, sum_a, h = _common_violations(cert, s.group, s, s_prime, n,
                                                        "partition")
     if sigma_n is None:
         return False, violations
@@ -592,7 +594,7 @@ def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
         if sum_a.size < bound:
             violations.append(f"case 1 bound: |sum|={sum_a.size} < {bound}")
     elif cert.case_tag == "II":
-        profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n)
+        profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n, h=h)
         violations += _case2_violations(cert, sum_a, s, s_prime.length, n, profile)
     else:
         violations.append(f"unknown case tag {cert.case_tag!r}")
@@ -735,7 +737,7 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
         raise HypothesesUnmetError(
             f"no hypothesis item holds for H of order {h_top.order}, n={n}, "
             f"G={g.spec_string()} (mode {mode})")
-    cert = _pipeline_rec(g, s, s_prime, n, mode, sigma_n)
+    cert = _pipeline_rec(g, s, s_prime, n, mode, sigma_n, h_top)
     cert.mode = mode
     ok, violations = main_verify(cert, g, s, s_prime, n, mode)
     if not ok:
@@ -748,8 +750,9 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
 
 
 def _pipeline_rec(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
-                  mode: str, sigma_n: GroupSubset) -> Certificate:
-    """sigma_n = Sigma_n(S), carried along every translation and embedding.
+                  mode: str, sigma_n: GroupSubset, h: Subgroup) -> Certificate:
+    """sigma_n = Sigma_n(S) and h = H(sigma_n), carried along every
+    translation (h stays) and embedding.
 
     Each span reduction recurses into a proper subgroup, so the recursion
     ends within log2|G| levels.
@@ -765,9 +768,9 @@ def _pipeline_rec(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
         sigma_n = GroupSubset(g, g.translate_mask(sigma_n.bits, g.neg(g.scale(n, s0))))
     span = subgroup_generated(s.support())
     if not span.is_full:
-        cert = _reduce_to_span(g, s, s_prime, n, mode, span, sigma_n)
+        cert = _reduce_to_span(g, s, s_prime, n, mode, span, sigma_n, h)
         return _untranslate_cert(cert, offset)
-    cert = _pipeline_core(g, s, s_prime, n, mode, sigma_n)
+    cert = _pipeline_core(g, s, s_prime, n, mode, sigma_n, h)
     return _untranslate_cert(cert, offset)
 
 
@@ -781,7 +784,8 @@ def _into_span(seq: GSequence, emb) -> GSequence:
 
 
 def _reduce_to_span(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
-                    mode: str, span: Subgroup, sigma_n: GroupSubset) -> Certificate:
+                    mode: str, span: Subgroup, sigma_n: GroupSubset,
+                    h: Subgroup) -> Certificate:
     if span.is_trivial:
         # supp(S) = {0}: every part is {0}
         partition = make_setpartition(s_prime, n)
@@ -790,8 +794,10 @@ def _reduce_to_span(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
                                    "case1_bound": min(g.order, s_prime.length - n + 1)})
     emb = subgroup_embedding(g, span)
     sub_sigma = GroupSubset(emb.spec, emb.map_mask_from_parent(sigma_n.bits))
+    # h <= sigma_n - sigma_n <= span, so h maps into the span like sigma_n
+    sub_h = Subgroup(GroupSubset(emb.spec, emb.map_mask_from_parent(h.carrier.bits)))
     sub_cert = _pipeline_rec(emb.spec, _into_span(s, emb), _into_span(s_prime, emb),
-                             n, mode, sub_sigma)
+                             n, mode, sub_sigma, sub_h)
     cert = _map_cert_to_parent(sub_cert, emb)
     if cert.case_tag == "II":
         return cert
@@ -809,7 +815,7 @@ def _reduce_to_span(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
 
 
 def _pipeline_core(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
-                   mode: str, sigma_n: GroupSubset) -> Certificate:
+                   mode: str, sigma_n: GroupSubset, h: Subgroup) -> Certificate:
     """Main argument under <supp(S)>_* = G: case I or Step B, else InternalError.
 
     Case I when the solver's sum of parts reaches min(|G|, |S'| - n + 1).
@@ -821,7 +827,7 @@ def _pipeline_core(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
     """
     dump = {"group": g.spec_string(), "S": s.format(),
             "S_prime": s_prime.format(), "n": n, "mode": mode}
-    solved, profile = _solve(s, s_prime, n, sigma_n)
+    solved, profile = _solve(s, s_prime, n, sigma_n, h)
     partition = solved.partition
     sum_size = solved.bounds["sum_size"]
     if sum_size >= min(g.order, s_prime.length - n + 1):
@@ -829,7 +835,6 @@ def _pipeline_core(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
                            bounds={"sum_size": sum_size,
                                    "case1_bound": min(g.order, s_prime.length - n + 1)})
 
-    h = profile.H
     if h.is_trivial or h.is_full:
         raise InternalError("concentrated case with degenerate stabilizer", dump)
     if profile.N != 1:

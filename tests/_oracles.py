@@ -33,6 +33,15 @@ def stabilizer_oracle(g: GroupSpec, a: set[int]) -> set[int]:
             if {g.add(x, y) for y in a} == a}
 
 
+def stabilizer_scan(g: GroupSpec, a: set[int]) -> set[int]:
+    """H(A) by a plain candidate scan: a period x has x + a0 in A for a
+    fixed a0 in A, so only the differences a - a0 are tried, each against
+    every element of A.  Fast enough for |G| = 1024 when |H| is small."""
+    a0 = min(a)
+    return {x for x in {g.sub(y, a0) for y in a}
+            if all(g.add(y, x) in a for y in a)}
+
+
 def affine_span_oracle(g: GroupSpec, a: set[int]) -> set[int]:
     """Subgroup generated by all pairwise differences of a."""
     elems = sorted(a)

@@ -38,6 +38,7 @@ from _oracles import (
     iterated_sumset_oracle,
     representation_count_oracle,
     stabilizer_oracle,
+    stabilizer_scan,
     subset,
     sumset_oracle,
 )
@@ -163,6 +164,65 @@ def test_stabilizer_matches_oracle(gs):
     h = stabilizer(subset(g, a))
     assert set(h.carrier.indices()) == stabilizer_oracle(g, a)
     verify_subgroup(g, h.carrier)
+
+
+def _coset_union(g, rng, h_bits, cosets):
+    """Union of `cosets` random cosets of the subgroup with carrier h_bits."""
+    bits = 0
+    for _ in range(cosets):
+        bits |= g.translate_mask(h_bits, rng.randrange(g.order))
+    return bits
+
+
+@pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.spec_string())
+def test_stabilizer_of_periodic_sets(g):
+    """Unions of H-cosets for every subgroup H, their complements and G:
+    the shapes where the scan stops early on a nontrivial stabilizer."""
+    rng = random.Random(g.order)
+    cases = [g.full_mask]
+    for h in enumerate_subgroups(g):
+        for cosets in (1, 2, 3):
+            bits = _coset_union(g, rng, h.carrier.bits, cosets)
+            cases += [bits, g.full_mask & ~bits]
+    for bits in cases:
+        if bits:
+            elems = set(iter_bits(bits))
+            assert set(stabilizer(subset(g, elems)).carrier.indices()) == \
+                stabilizer_oracle(g, elems), (g, bits)
+
+
+LARGE = [parse_group(s) for s in ["1024", "32x32", "2x2x2x2x2x2x2x2x2x2", "4x4x4x4x4"]]
+
+
+@pytest.mark.parametrize("g", LARGE, ids=lambda g: g.spec_string())
+def test_stabilizer_of_seeded_periodic_sets_large(g):
+    """12 subgroups H generated by two random elements (order <= 64 kept),
+    a union of 1-4 H-cosets with one element toggled 3 times in 10, and
+    its complement."""
+    rng = random.Random(1024 + g.rank)
+    kept = 0
+    while kept < 12:
+        gens = [rng.randrange(g.order) for _ in range(2)]
+        h_bits = subgroup_generated(subset(g, gens)).carrier.bits
+        if h_bits.bit_count() > 64:
+            continue
+        kept += 1
+        bits = _coset_union(g, rng, h_bits, rng.randint(1, 4))
+        if rng.random() < 0.3:
+            bits ^= 1 << rng.randrange(g.order)
+        for case in (bits, g.full_mask & ~bits):
+            elems = set(iter_bits(case))
+            assert set(stabilizer(subset(g, elems)).carrier.indices()) == \
+                stabilizer_scan(g, elems), (g, case)
+
+
+@pytest.mark.parametrize("g", LARGE, ids=lambda g: g.spec_string())
+def test_translate_mask_matches_elementwise_large(g):
+    rng = random.Random(g.order + g.rank)
+    for b in [0, 1, g.order - 1] + [rng.randrange(g.order) for _ in range(20)]:
+        elems = {rng.randrange(g.order) for _ in range(rng.randint(1, 200))}
+        translated = g.translate_mask(subset(g, elems).bits, b)
+        assert set(iter_bits(translated)) == {g.add(x, b) for x in elems}
 
 
 @given(group_and_subset())

@@ -1,5 +1,7 @@
 """Sequence parsing, n-term subsum DP, profile bookkeeping, Davenport."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,15 +66,16 @@ def test_parse_sequence_rejects_garbage():
 
 
 @given(group_and_sequence(), st.data())
-def test_concat_remove_roundtrip(gs, data):
+def test_remove_undoes_adding_terms(gs, data):
     g, s = gs
     terms = data.draw(st.lists(st.integers(0, g.order - 1), max_size=5))
     t = GSequence.from_terms(g, terms)
-    combined = s.concat(t)
+    combined = GSequence(g, [a + b for a, b in zip(s.mult, t.mult)])
     assert combined.remove(t) == s
     assert combined.length == s.length + t.length
+    too_many = GSequence(g, [combined.mult[0] + 1, *combined.mult[1:]])
     with pytest.raises(SequenceError):
-        s.remove(s.concat(t.concat(GSequence.from_terms(g, [0]))))
+        s.remove(too_many)
 
 
 @given(group_and_sequence(), st.data())
@@ -126,6 +129,34 @@ def test_subsum_table_rows_are_each_n(gs):
     rows = subsum_table(s, s.length)
     for n in range(s.length + 1):
         assert rows[n] == nterm_subsums(s, n).bits
+
+
+@pytest.mark.parametrize("spec, seq", [
+    ("8", "0^6;3;4^5"),                  # multiplicities above most n
+    ("2x4", "(0,0)^4;(1,1)^7;(0,2)"),
+    ("12", "5^9"),                       # one element, every n below 9
+    ("3x3", "(1,0)^3;(0,1)^3;(2,2)^3;(1,1)"),
+])
+def test_nterm_subsums_matches_table_rows_high_multiplicity(spec, seq):
+    g = parse_group(spec)
+    s = parse_sequence(g, seq)
+    rows = subsum_table(s, s.length)
+    for n in range(s.length + 1):
+        sig = nterm_subsums(s, n)
+        assert sig.bits == rows[n], n
+        assert set(sig.indices()) == nterm_subsums_oracle(s, n), n
+
+
+def test_nterm_subsums_matches_table_rows_seeded_1024():
+    g = parse_group("1024")
+    rng = random.Random(1024)
+    support = [rng.randrange(g.order) for _ in range(9)]
+    s = GSequence.from_pairs(g, [(x, rng.randint(1, 6)) for x in support])
+    rows = subsum_table(s, s.length)
+    assert [nterm_subsums(s, n).bits for n in range(s.length + 1)] == rows
+    # every row below the cap is exact, too
+    for cap in (0, 1, s.length // 2, s.length - 1):
+        assert subsum_table(s, cap) == rows[:cap + 1]
 
 
 def test_nterm_subsums_range_errors():

@@ -4,7 +4,7 @@ items, and the main certificate pipeline."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subsumlab import setpartitions
+from subsumlab import sequences, setpartitions
 from subsumlab.groups import (
     GroupSubset,
     Subgroup,
@@ -108,7 +108,7 @@ def test_lemma31_postconditions(inst, data):
     assert t.length + t_prime.length == s_prime.length
     assert t.max_multiplicity() <= k <= t.length
     assert t_prime.max_multiplicity() <= n - k <= t_prime.length or n == k
-    assert t.concat(t_prime).is_subsequence_of(s)
+    assert all(a + b <= m for a, b, m in zip(t.mult, t_prime.mult, s.mult))
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +383,17 @@ def test_verifiers_reject_unused_fields(spec, seq, theorem, edits):
 # compute once, verify once
 
 
-def _counting(monkeypatch, name):
-    calls = []
-    orig = getattr(setpartitions, name)
-
+def _recording(fn, calls):
     def wrapper(*args, **kwargs):
         calls.append(args)
-        return orig(*args, **kwargs)
-    monkeypatch.setattr(setpartitions, name, wrapper)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    monkeypatch.setattr(setpartitions, name,
+                        _recording(getattr(setpartitions, name), calls))
     return calls
 
 
@@ -409,20 +412,28 @@ def test_pipeline_verifies_case1_certificate_once(monkeypatch):
     assert len(part_calls) == 1 and len(main_calls) == 0
 
     # case II: the pipeline reuses the solver's profile and never runs
-    # partition_verify; partition_solve still verifies exactly once
+    # partition_verify; partition_solve still verifies exactly once.  H is
+    # computed once by the solver side (main_pipeline, or the solver's
+    # profile) and once by the verifier, which profiles with its own H
     g = parse_group("8")
     s = parse_sequence(g, "0^3;3;4^4")
     profile_calls = _counting(monkeypatch, "subsum_profile")
+    stab_calls = []
+    for mod in (setpartitions, sequences):
+        monkeypatch.setattr(mod, "stabilizer", _recording(stabilizer, stab_calls))
     part_calls.clear()
     cert = main_pipeline(g, s, s, 4)
     assert cert.case_tag == "II" and cert.verified
     assert (len(part_calls), len(main_calls), len(profile_calls)) == (0, 1, 1)
+    assert len(stab_calls) == 2
 
     main_calls.clear()
+    stab_calls.clear()
     s = parse_sequence(g, "0^2;4^2;1^2;5^2")
     cert = partition_solve(s, s, 2)
     assert cert.case_tag == "II" and cert.verified
     assert len(part_calls) == 1 and len(main_calls) == 0
+    assert len(stab_calls) == 2
 
 
 def _recording_solver(monkeypatch):
