@@ -1,25 +1,29 @@
 #!/usr/bin/env python3
-"""One sha256 over the certify path's outputs on a fixed 63,977-instance corpus.
+"""sha256 digests of the certify path's outputs on a fixed 63,977-instance corpus.
 
-For each instance (G, S, S', n) the digest takes, in order, the to_dict()
+For each instance (G, S, S', n) the digests take, in order, the to_dict()
 JSON of partition_solve(S, S', n), main_pipeline(G, S, S', n) and the
 full-group main_pipeline, or the error text where a call raises.  Two trees
-that print the same digest produce byte-identical certificates and errors on
+that print the same digests produce byte-identical certificates and errors on
 the whole corpus, so a refactor of the solver or the verifiers can be checked
 for unchanged behaviour by running this script in both checkouts:
 
     python3 scripts/cert_fingerprint.py
 
-The corpus (fixed, seeded):
-  - the criterion 8-9 audit corpus, 56,974 instances: every |S| <= 6 over
-    |G| <= 8 with every admissible n, plus 10,000 random instances over
-    |G| <= 16 (S' = S);
-  - 4,000 random instances with S' a proper subsequence of S;
-  - 3,000 concentrated instances: most terms in one proper subgroup, a few
-    terms outside it, n from 7 to 14;
-  - the two pinned partition-solver failures of the benchmark, and one
-    instance whose case-II certificate only _partition_case2_construct
-    finds, so the digest covers every solver path.
+It prints one digest per slice of the corpus, each followed by the slice's
+name, and then one overall digest over all slices in order, so a change meant
+to touch one slice can show that the others kept their digests.
+
+The corpus (fixed, seeded), one slice each:
+  - criterion 8-9: the criterion 8-9 audit corpus, 56,974 instances: every
+    |S| <= 6 over |G| <= 8 with every admissible n, plus 10,000 random
+    instances over |G| <= 16 (S' = S);
+  - S' proper: 4,000 random instances with S' a proper subsequence of S;
+  - concentrated: 3,000 instances with most terms in one proper subgroup, a
+    few terms outside it, n from 7 to 14;
+  - pinned: three instances whose hill-climb partition fails case II until
+    the solver's repair spreads its outside terms (two of them are the
+    benchmark's pinned requests), so the digest covers every solver path.
 
 It always imports subsumlab from the src/ directory next to this script.
 """
@@ -116,12 +120,13 @@ def outcome(call) -> str:
 
 
 def main() -> int:
-    digest = hashlib.sha256()
+    overall = hashlib.sha256()
     t0 = time.perf_counter()
     for name, corpus in (("criterion 8-9", criterion_89),
                          ("S' proper", proper_subsequence),
                          ("concentrated", concentrated),
                          ("pinned", pinned)):
+        digest = hashlib.sha256()
         count = 0
         raised = [0, 0, 0]
         for g, s, s_prime, n in corpus():
@@ -131,12 +136,15 @@ def main() -> int:
                     lambda: main_pipeline(g, s, s_prime, n, "full-group"))):
                 text = outcome(call)
                 raised[j] += not text.startswith("{")
-                digest.update(text.encode() + b"\n")
+                line = text.encode() + b"\n"
+                digest.update(line)
+                overall.update(line)
             count += 1
         print(f"# {name}: {count} instances; raised: partition {raised[0]}, "
               f"pipeline {raised[1]}, full-group {raised[2]} "
               f"({time.perf_counter() - t0:.0f}s)", file=sys.stderr)
-    print(digest.hexdigest())
+        print(f"{digest.hexdigest()}  {name}")
+    print(overall.hexdigest())
     return 0
 
 

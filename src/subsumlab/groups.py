@@ -127,9 +127,6 @@ class GroupSpec:
         cache[a] = o
         return o
 
-    def elements(self) -> range:
-        return range(self.order)
-
     # -- bitmask translation --------------------------------------------------
 
     def _rot_params(self, axis: int, d: int) -> tuple[int, int, int, int]:
@@ -207,10 +204,6 @@ class GroupSubset:
     def singleton(cls, group: GroupSpec, index: int) -> "GroupSubset":
         return cls.from_indices(group, [index])
 
-    @classmethod
-    def full(cls, group: GroupSpec) -> "GroupSubset":
-        return cls(group, group.full_mask)
-
     @property
     def size(self) -> int:
         if self._size < 0:
@@ -242,18 +235,6 @@ class GroupSubset:
     def translate(self, b: int) -> "GroupSubset":
         return GroupSubset(self.group, self.group.translate_mask(self.bits, b))
 
-    def union(self, other: "GroupSubset") -> "GroupSubset":
-        _check_same_group(self, other)
-        return GroupSubset(self.group, self.bits | other.bits)
-
-    def intersect(self, other: "GroupSubset") -> "GroupSubset":
-        _check_same_group(self, other)
-        return GroupSubset(self.group, self.bits & other.bits)
-
-    def difference(self, other: "GroupSubset") -> "GroupSubset":
-        _check_same_group(self, other)
-        return GroupSubset(self.group, self.bits & ~other.bits)
-
     def is_subset_of(self, other: "GroupSubset") -> bool:
         _check_same_group(self, other)
         return self.bits & ~other.bits == 0
@@ -275,10 +256,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return self.carrier.size
-
-    @property
-    def index_in_group(self) -> int:
-        return self.carrier.group.order // self.carrier.size
 
     @property
     def is_trivial(self) -> bool:
@@ -669,12 +646,6 @@ class QuotientStructure:
         for q in iter_bits(qmask):
             out |= self.parent.translate_mask(hbits, self.representatives[self.iso_inv[q]])
         return out
-
-    def image_subset(self, subset: GroupSubset) -> GroupSubset:
-        return GroupSubset(self.quotient_spec, self.image_mask(subset.bits))
-
-    def preimage_subset(self, qsubset: GroupSubset) -> GroupSubset:
-        return GroupSubset(self.parent, self.preimage_mask(qsubset.bits))
 
 
 def _check_homomorphism(n: int, gens: Sequence[int], f: Sequence[int],

@@ -2,8 +2,10 @@
 
 partition_solve realizes the two-case partition dichotomy for n-term subsums
 (large part-sum, or all parts concentrated on the high-multiplicity cosets).
-Its one case-I path is a hill climb on the sum of parts; in case II it tries
-two candidates, the hill climb's partition and then _partition_case2_construct.
+It has one path per case.  Case I is a hill climb on the sum of parts.  Case
+II takes the hill climb's partition and repairs it (_spread_outside_terms):
+while a part holds two terms outside the high-multiplicity cosets, one of them
+moves to a part that holds none, as long as the sum of parts stays Sigma_n(S).
 
 main_pipeline realizes the strengthened conclusion under the exponent-style
 hypotheses.  It has three exits: a trivial span (every term equal), a span
@@ -24,7 +26,7 @@ pipeline.  partition_verify likewise profiles with the H it computed itself.
 
 Each clause is coded once: both verifiers share _common_violations (part
 count, S(A) | S, |S(A)| = |S'|, sum inside Sigma_n(S), the recorded H), and
-the solver picks its case-II candidate with the same _case2_violations that
+the solver checks its case-II partition with the same _case2_violations that
 partition_verify runs.
 """
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .groups import (
     GroupError,
@@ -300,8 +302,12 @@ def _sum_of_parts(g: GroupSpec, parts_bits: Sequence[int]) -> int:
     return acc
 
 
-def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int,
-                max_moves: int = 2000) -> tuple[list[int], int]:
+# cap on the number of improving moves one hill climb makes
+_MAX_CLIMB_MOVES = 2000
+
+
+def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int
+                ) -> tuple[list[int], int]:
     """First-improvement local search maximizing |sum of parts|.
 
     Moves: replace an element of a part by an unused term of S; transfer an
@@ -321,7 +327,7 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int,
     best = _sum_of_parts(g, parts).bit_count()
     moves = 0
     improved = True
-    while improved and best < target and moves < max_moves:
+    while improved and best < target and moves < _MAX_CLIMB_MOVES:
         improved = False
         spare = unused_counts(parts)
         for i in range(n):
@@ -380,60 +386,37 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int,
     return parts, best
 
 
-def _partition_case2_construct(s: GSequence, s_prime: GSequence, n: int,
-                               profile) -> Optional[list[int]]:
-    """Direct witness (part bitmasks) for the concentrated case: outside terms
-    spread one per part, every part covering each high-multiplicity coset."""
-    g = s.group
-    z = profile.Z_mask
-    big_n = profile.N
-    if big_n == 0:
-        return None
-    e = profile.e
-    budget = s_prime.length - e - n * big_n
-    if e > n or budget < 0:
-        return None
-    parts = [0] * n
-    used = [0] * g.order
-    quot = profile.quotient
-    # one term of each X-coset into every part
-    for x in iter_bits(profile.X.bits):
-        coset_mask = quot.preimage_mask(1 << x)
-        terms = []
-        for idx in iter_bits(coset_mask):
-            terms.extend([idx] * s.mult[idx])
-        if len(terms) < n:
-            return None
-        for i in range(n):
-            parts[i] |= 1 << terms[i]
-            used[terms[i]] += 1
-    # spread remaining length over unused coset terms
-    for idx in iter_bits(z):
-        while budget > 0 and used[idx] < s.mult[idx]:
-            placed = False
-            for i in range(n):
-                if not (parts[i] >> idx) & 1:
-                    parts[i] |= 1 << idx
-                    used[idx] += 1
-                    budget -= 1
-                    placed = True
-                    break
-            if not placed:
+def _spread_outside_terms(g: GroupSpec, parts: list[int], z: int,
+                          target: int) -> Optional[list[int]]:
+    """Repair part bitmasks so that no part holds two terms outside z.
+
+    While some part holds more than one term outside z, move one of them into
+    a part that has none, by a transfer or by a swap with an inside term of
+    that part, taking the first move that keeps the sum of parts equal to
+    target.  Returns the repaired parts (parts itself when no part is
+    over-full), or None when no such move exists.
+    """
+    while True:
+        over = next((i for i, b in enumerate(parts) if (b & ~z).bit_count() > 1), None)
+        if over is None:
+            return parts
+        # (e, j, f): e leaves part `over` for part j; f = -1 is a transfer,
+        # otherwise the inside term f of part j goes the other way
+        moves = ((e, j, f) for e in iter_bits(parts[over] & ~z)
+                 for j, b in enumerate(parts) if not b & ~z
+                 for f in (-1, *iter_bits(b & ~parts[over])))
+        for e, j, f in moves:
+            trial = parts[:]
+            trial[over] &= ~(1 << e)
+            trial[j] |= 1 << e
+            if f >= 0:
+                trial[over] |= 1 << f
+                trial[j] &= ~(1 << f)
+            if _sum_of_parts(g, trial) == target:
+                parts = trial
                 break
-        if budget == 0:
-            break
-    if budget != 0:
-        return None
-    # outside terms one per distinct part, last e parts
-    outside = []
-    for idx, m in enumerate(s.mult):
-        if not (z >> idx) & 1 and m:
-            outside.extend([idx] * m)
-    if len(outside) != e:
-        return None
-    for j, idx in enumerate(outside):
-        parts[n - e + j] |= 1 << idx
-    return parts
+        else:
+            return None
 
 
 def partition_solve(s: GSequence, s_prime: GSequence, n: int) -> Certificate:
@@ -454,7 +437,7 @@ def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset,
     h = H(sigma_n) when the caller holds it.
 
     Returns the unverified certificate, and in case II the profile
-    subsum_profile(S, n, |S'|) it was chosen with (None in case I).
+    subsum_profile(S, n, |S'|) it was checked with (None in case I).
     """
     g = s.group
     target1 = s_prime.length - n + 1
@@ -468,14 +451,8 @@ def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset,
                                    "case1_bound": target1}), None
 
     profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n, h=h)
-
-    def case2_candidates() -> Iterator[list[int]]:
-        yield parts_bits
-        built = _partition_case2_construct(s, s_prime, n, profile)
-        if built is not None:
-            yield built
-
-    for bits in case2_candidates():
+    bits = _spread_outside_terms(g, parts_bits, profile.Z_mask, sigma_n.bits)
+    if bits is not None:
         partition = SetPartition(g, [GroupSubset(g, b) for b in bits])
         sum_a = partition.sum_subset()
         cert = Certificate(
@@ -504,8 +481,8 @@ def _case2_violations(cert: Certificate, sum_a: GroupSubset, s: GSequence,
     """The case-II clauses of the partition theorem that cert breaks.
 
     profile = subsum_profile(S, n, |S'|) and sum_a = the sum of cert's parts:
-    the solver passes the ones it holds to pick a candidate, partition_verify
-    freshly computed ones.  The recorded H is checked by _common_violations.
+    the solver passes the ones it holds, partition_verify freshly computed
+    ones.  The recorded H is checked by _common_violations.
     """
     violations: list[str] = []
     z = profile.Z_mask

@@ -93,6 +93,17 @@ def test_verify_roundtrip_partition(tmp_path, capsys):
     assert code == 0 and env["verified"] is True
 
 
+def test_verify_roundtrip_maincert_pinned_case2(tmp_path, capsys):
+    seq = "(0,0)^16;(1,0);(0,1);(1,4)^22;(1,7)"
+    out = tmp_path / "cert.json"
+    code = run(["maincert", "-g", "2x8", "-s", seq, "--sprime", seq, "-n", "23",
+                "--format", "json", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["result"]["certificate"]["case"] == "II"
+    code, env = run_json(capsys, ["verify", str(out)])
+    assert code == 0 and env["verified"] is True
+
+
 def test_verify_flags_tampered_certificate(tmp_path, capsys):
     out = tmp_path / "cert.json"
     run(["maincert", "-g", "4", "-s", "0^6;2^6", "--sprime", "0^5;2^5",

@@ -153,18 +153,51 @@ def test_partition_solver_output_always_verifies(inst):
     assert cert.partition.underlying_sequence().is_subsequence_of(s)
 
 
-def test_partition_case2_constructor_witness(monkeypatch):
-    # the hill climb's partition fails case II here; the constructor's passes
+def test_partition_case2_repair_witness(monkeypatch):
+    # the hill climb's partition fails case II here; the repaired one passes
     g = parse_group("4x8")
     s = parse_sequence(g, "(1,1);(2,1)^4;(1,3)^3;(2,3);(0,5)^4;(3,7)^4")
     cert = partition_solve(s, s, 4)
     assert cert.case_tag == "II" and cert.verified
 
-    monkeypatch.setattr(setpartitions, "_partition_case2_construct",
-                        lambda *args: None)
+    monkeypatch.setattr(setpartitions, "_spread_outside_terms",
+                        lambda g, parts, z, target: parts)
     with pytest.raises(InternalError,
                        match="^partition theorem: neither case could be witnessed$"):
         partition_solve(s, s, 4)
+
+
+# both outside terms land in one hill-climb part; the repair spreads them.
+# The 2x18 instance is too short for full-group mode.
+PINNED_CASE2 = [
+    ("2x8", "(0,0)^16;(1,0);(0,1);(1,4)^22;(1,7)", 23, ("standard", "full-group")),
+    ("4x4", "(0,0)^14;(3,1);(1,2);(2,2)^16;(2,3)", 17, ("standard", "full-group")),
+    ("2x18", "(1,0);(0,4)^10;(1,4)^10;(0,13)^13;(1,13)^11;(1,17)", 34, ("standard",)),
+]
+
+
+@pytest.mark.parametrize("spec, seq, n, modes", PINNED_CASE2)
+def test_pinned_case2_instances_verify(spec, seq, n, modes):
+    g = parse_group(spec)
+    s = parse_sequence(g, seq)
+    cert = partition_solve(s, s, n)
+    assert cert.case_tag == "II" and cert.verified
+    assert partition_verify(cert, s, s, n) == (True, [])
+    for mode in modes:
+        cert = main_pipeline(g, s, s, n, mode)
+        assert cert.case_tag == "II" and cert.verified and cert.mode == mode
+        assert cert.K.order == 4
+        assert main_verify(cert, g, s, s, n, mode) == (True, [])
+
+
+def test_partition_case2_repair_needs_swap():
+    # no transfer of an outside term keeps the sum at Sigma_n; a swap does
+    g = parse_group("10")
+    s = parse_sequence(g, "0;3;4^19;8;9^11")
+    cert = partition_solve(s, s, 24)
+    assert cert.case_tag == "II" and cert.verified
+    cert = main_pipeline(g, s, s, 24)
+    assert cert.case_tag == "II" and cert.verified
 
 
 def test_partition_verify_rejects_tampering():
