@@ -12,7 +12,10 @@ for unchanged behaviour by running this script in both checkouts:
 
 It prints one digest per slice of the corpus, each followed by the slice's
 name, and then one overall digest over all slices in order, so a change meant
-to touch one slice can show that the others kept their digests.
+to touch one slice can show that the others kept their digests.  On stderr it
+prints, per slice and call, how many outcomes were ok:I, ok:II or each raised
+error class, so a change that alters which certificate comes out, but not
+whether one does, shows as changed digests with unchanged counts.
 
 The corpus (fixed, seeded), one slice each:
   - criterion 8-9: the criterion 8-9 audit corpus, 56,974 instances: every
@@ -33,6 +36,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -54,6 +58,7 @@ C89 = AuditConfig(max_group_order=16, exhaustive_group_cap=8,
                   checkers=("partition", "pipeline", "fullgroup"))
 PROPER_SUBSEQUENCE = 4_000
 CONCENTRATED = 3_000
+CALLS = ("partition", "pipeline", "full-group")
 PINNED = (
     ("2x8", "(0,0)^16;(1,0);(0,1);(1,4)^22;(1,7)", 23),
     ("4x4", "(0,0)^14;(3,1);(1,2);(2,2)^16;(2,3)", 17),
@@ -112,11 +117,14 @@ def pinned():
         yield g, s, s, n
 
 
-def outcome(call) -> str:
+def outcome(call) -> tuple[str, str]:
+    """(class, text): ok:I or ok:II and the certificate's to_dict() JSON, or
+    the raised error's class name and its text."""
     try:
-        return json.dumps(call().to_dict(), sort_keys=True)
+        cert = call()
+        return f"ok:{cert.case_tag}", json.dumps(cert.to_dict(), sort_keys=True)
     except Exception as err:  # the error text is part of the fingerprint
-        return f"{type(err).__name__}: {err}"
+        return type(err).__name__, f"{type(err).__name__}: {err}"
 
 
 def main() -> int:
@@ -128,21 +136,26 @@ def main() -> int:
                          ("pinned", pinned)):
         digest = hashlib.sha256()
         count = 0
-        raised = [0, 0, 0]
+        classes = [Counter() for _ in CALLS]
         for g, s, s_prime, n in corpus():
             for j, call in enumerate((
                     lambda: partition_solve(s, s_prime, n),
                     lambda: main_pipeline(g, s, s_prime, n),
                     lambda: main_pipeline(g, s, s_prime, n, "full-group"))):
-                text = outcome(call)
-                raised[j] += not text.startswith("{")
+                cls, text = outcome(call)
+                classes[j][cls] += 1
                 line = text.encode() + b"\n"
                 digest.update(line)
                 overall.update(line)
             count += 1
+        raised = [sum(c for cls, c in counts.items() if not cls.startswith("ok:"))
+                  for counts in classes]
         print(f"# {name}: {count} instances; raised: partition {raised[0]}, "
               f"pipeline {raised[1]}, full-group {raised[2]} "
               f"({time.perf_counter() - t0:.0f}s)", file=sys.stderr)
+        for call, counts in zip(CALLS, classes):
+            print(f"#   {call}: " + ", ".join(f"{cls} {c}" for cls, c in sorted(counts.items())),
+                  file=sys.stderr)
         print(f"{digest.hexdigest()}  {name}")
     print(overall.hexdigest())
     return 0

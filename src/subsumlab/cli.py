@@ -63,7 +63,7 @@ from .verifiers import CheckError
 SCHEMA = "subsum-lab/1"
 
 _USAGE_ERRORS = (GroupError, SequenceError, PartitionError, SearchError,
-                 CheckError, ValueError, KeyError, OSError)
+                 CheckError, ValueError, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +131,6 @@ def _emit(args, command: str, group: Optional[str], inputs: dict,
 
 def _cmd_group(args) -> int:
     t0 = time.perf_counter()
-    if args.action != "info":
-        raise GroupError(f"unknown group action {args.action!r}")
     g = parse_group(args.spec)
     given = tuple(int(p) for p in args.spec.strip().split("x"))
     normalized = normalize_factors(given) != given
@@ -189,8 +187,6 @@ def _cmd_subsums(args) -> int:
     t0 = time.perf_counter()
     g = parse_group(args.group)
     s = parse_sequence(g, args.seq)
-    if args.n is None:
-        raise SequenceError("subsums requires -n")
     profile = subsum_profile(s, args.n, s.length)
     result = {
         "subsums": _format_subset(profile.sigma_n),
@@ -224,8 +220,6 @@ def _cmd_partition(args) -> int:
     g = parse_group(args.group)
     s = parse_sequence(g, args.seq)
     s_prime = parse_sequence(g, args.sprime) if args.sprime else s
-    if args.n is None:
-        raise SequenceError("partition requires -n")
     cert = partition_solve(s, s_prime, args.n)
     inputs, result = _cert_envelope(cert, s, s_prime, args.n)
     _emit(args, "partition", g.spec_string(), inputs, result,
@@ -240,14 +234,26 @@ def _cmd_maincert(args) -> int:
     if not args.sprime:
         raise SequenceError("maincert requires --sprime")
     s_prime = parse_sequence(g, args.sprime)
-    if args.n is None:
-        raise SequenceError("maincert requires -n")
     mode = "full-group" if args.mode == "fullgroup" else "standard"
     cert = main_pipeline(g, s, s_prime, args.n, mode)
     inputs, result = _cert_envelope(cert, s, s_prime, args.n)
     _emit(args, "maincert", g.spec_string(), inputs, result,
           cert.verified, [], t0)
     return 0 if cert.verified else 1
+
+
+def _report_field(envelope: dict, path: str, kind: type) -> Any:
+    """The value at a dotted path of a report envelope; ValueError naming the
+    field unless it is present with type exactly kind (a JSON true is no int)."""
+    value: Any = envelope
+    for name in path.split("."):
+        if not isinstance(value, dict) or name not in value:
+            raise ValueError(f"report has no field {path!r}")
+        value = value[name]
+    if type(value) is not kind:
+        raise ValueError(f"report field {path!r} must be of type {kind.__name__}, "
+                         f"got {value!r}")
+    return value
 
 
 def _cmd_verify(args) -> int:
@@ -257,22 +263,24 @@ def _cmd_verify(args) -> int:
     else:
         with open(args.report) as fh:
             envelope = json.load(fh)
+    if not isinstance(envelope, dict):
+        raise ValueError(f"report is a JSON {type(envelope).__name__}, not an object")
     if envelope.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema {envelope.get('schema')!r}")
-    g = parse_group(envelope["group"])
-    inputs = envelope["inputs"]
-    s = parse_sequence(g, inputs["S"])
-    s_prime = parse_sequence(g, inputs["S_prime"])
-    n = inputs["n"]
-    cert = Certificate.from_dict(g, envelope["result"]["certificate"])
+    g = parse_group(_report_field(envelope, "group", str))
+    s_text = _report_field(envelope, "inputs.S", str)
+    s_prime_text = _report_field(envelope, "inputs.S_prime", str)
+    n = _report_field(envelope, "inputs.n", int)
+    s = parse_sequence(g, s_text)
+    s_prime = parse_sequence(g, s_prime_text)
+    cert = Certificate.from_dict(g, _report_field(envelope, "result", dict).get("certificate"))
     if cert.theorem == "partition":
         ok, violations = partition_verify(cert, s, s_prime, n)
     else:
         ok, violations = main_verify(cert, g, s, s_prime, n, cert.mode)
     result = {"theorem": cert.theorem, "case": cert.case_tag, "holds": ok}
     _emit(args, "verify", g.spec_string(),
-          {"report": args.report, "S": inputs["S"],
-           "S_prime": inputs["S_prime"], "n": n},
+          {"report": args.report, "S": s_text, "S_prime": s_prime_text, "n": n},
           result, ok, violations, t0)
     return 0 if ok else 1
 
@@ -321,8 +329,6 @@ def _cmd_audit(args) -> int:
 def _cmd_hunt(args) -> int:
     t0 = time.perf_counter()
     g = parse_group(args.group)
-    if args.n is None:
-        raise SearchError("hunt requires -n")
     report = hunt_unique_expression(g, args.n,
                                     canonicalize=not args.no_canonicalize,
                                     budget=args.budget)

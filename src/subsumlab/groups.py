@@ -239,9 +239,6 @@ class GroupSubset:
         _check_same_group(self, other)
         return self.bits & ~other.bits == 0
 
-    def negate(self) -> "GroupSubset":
-        return GroupSubset(self.group, self.group.negate_mask(self.bits))
-
 
 @dataclass(frozen=True)
 class Subgroup:
@@ -524,7 +521,7 @@ def verify_subgroup(g: GroupSpec, carrier: GroupSubset) -> Subgroup:
 
 
 # ---------------------------------------------------------------------------
-# black-box decomposition (quotients and subgroup re-specing)
+# black-box decomposition (quotients)
 
 
 def _blackbox_basis(n: int, add: Callable[[int, int], int]) -> list[tuple[int, int]]:
@@ -587,18 +584,16 @@ def _blackbox_basis(n: int, add: Callable[[int, int], int]) -> list[tuple[int, i
     return basis
 
 
-def _blackbox_spec(n: int, add: Callable[[int, int], int]) -> tuple[GroupSpec, list[int], dict[int, int]]:
-    """Decompose a black-box abelian group into (spec, spec_idx->elem, elem->spec_idx)."""
+def _blackbox_spec(n: int, add: Callable[[int, int], int]) -> tuple[GroupSpec, dict[int, int]]:
+    """Decompose a black-box abelian group into (spec, elem->spec_idx)."""
     basis = _blackbox_basis(n, add)
     factors = tuple(o for _, o in reversed(basis)) or (1,)
     spec = _interned_spec(factors)
-    to_elem = [0] * n
     from_elem: dict[int, int] = {}
     gens = [g for g, _ in reversed(basis)]  # aligned with ascending factors
 
     def build(pos: int, elem: int, idx: int) -> None:
         if pos == len(gens):
-            to_elem[idx] = elem
             from_elem[elem] = idx
             return
         m = factors[pos]
@@ -611,7 +606,7 @@ def _blackbox_spec(n: int, add: Callable[[int, int], int]) -> tuple[GroupSpec, l
     build(0, 0, 0)
     if len(from_elem) != n:
         raise GroupError("black-box decomposition failed to cover the group")
-    return spec, to_elem, from_elem
+    return spec, from_elem
 
 
 @dataclass
@@ -648,17 +643,6 @@ class QuotientStructure:
         return out
 
 
-def _check_homomorphism(n: int, gens: Sequence[int], f: Sequence[int],
-                        add_src: Callable[[int, int], int],
-                        add_dst: Callable[[int, int], int]) -> None:
-    """Raise GroupError unless f(0) = 0 and f(a + b) = f(a) + f(b) for every
-    a in [0, n) and every b in gens.  For a bijection f and generators gens of
-    the source this proves f an isomorphism (see quotient_decompose)."""
-    if f[0] != 0 or any(add_dst(f[a], f[b]) != f[add_src(a, b)]
-                        for a in range(n) for b in gens):
-        raise GroupError("black-box map failed the homomorphism check")
-
-
 def quotient_decompose(g: GroupSpec, h: Subgroup) -> QuotientStructure:
     """Coset table plus invariant factors of G/H via black-box decomposition.
 
@@ -687,10 +671,12 @@ def quotient_decompose(g: GroupSpec, h: Subgroup) -> QuotientStructure:
     def c_add(a: int, b: int) -> int:
         return coset_of[g.add(reps[a], reps[b])]
 
-    spec, to_elem, from_elem = _blackbox_spec(q, c_add)
+    spec, from_elem = _blackbox_spec(q, c_add)
     iso = [from_elem[c] for c in range(q)]
     gens = [coset_of[s % g.order] for s in g.strides]
-    _check_homomorphism(q, gens, iso, c_add, spec.add)
+    if iso[0] != 0 or any(spec.add(iso[a], iso[b]) != iso[c_add(a, b)]
+                          for a in range(q) for b in gens):
+        raise GroupError("black-box map failed the homomorphism check")
     iso_inv = [0] * q
     for c, s in enumerate(iso):
         iso_inv[s] = c
@@ -707,45 +693,6 @@ def quotient_cached(g: GroupSpec, h: Subgroup) -> QuotientStructure:
         q = quotient_decompose(g, h)
         _quotient_cache[key] = q
     return q
-
-
-@dataclass
-class SubgroupEmbedding:
-    """A subgroup K <= G re-specified as its own GroupSpec with index maps."""
-
-    parent: GroupSpec
-    subgroup: Subgroup
-    spec: GroupSpec
-    to_parent: list[int]        # spec index -> parent element index
-    from_parent: dict[int, int]
-
-    def map_mask_to_parent(self, mask: int) -> int:
-        out = 0
-        for i in iter_bits(mask):
-            out |= 1 << self.to_parent[i]
-        return out
-
-    def map_mask_from_parent(self, mask: int) -> int:
-        out = 0
-        for i in iter_bits(mask):
-            out |= 1 << self.from_parent[i]
-        return out
-
-
-def subgroup_embedding(g: GroupSpec, k: Subgroup) -> SubgroupEmbedding:
-    _check_same_group(k.carrier, g)
-    members = list(k.carrier.indices())
-    label_of = {e: i for i, e in enumerate(members)}
-
-    def s_add(a: int, b: int) -> int:
-        return label_of[g.add(members[a], members[b])]
-
-    spec, to_elem, from_elem = _blackbox_spec(len(members), s_add)
-    to_parent = [members[lbl] for lbl in to_elem]
-    _check_homomorphism(spec.order, [s % spec.order for s in spec.strides],
-                        to_parent, spec.add, g.add)
-    from_parent = {members[lbl]: idx for lbl, idx in from_elem.items()}
-    return SubgroupEmbedding(g, k, spec, to_parent, from_parent)
 
 
 def enumerate_subgroups(g: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup]:

@@ -8,19 +8,22 @@ while a part holds two terms outside the high-multiplicity cosets, one of them
 moves to a part that holds none, as long as the sum of parts stays Sigma_n(S).
 
 main_pipeline realizes the strengthened conclusion under the exponent-style
-hypotheses.  It has three exits: a trivial span (every term equal), a span
-reduction (recurse into the proper subgroup <supp(S) - s_0>), and
-_pipeline_core, which returns case I from the solver or case II at
-Step B (the inside parts sum to H, so K = H).  The inductive argument goes on
-past Step B (Steps C-E, recursing on the inside subsequence), but no instance
-has been found that needs it: reaching that point raises InternalError.
+hypotheses.  It translates S so that 0 is in supp(S) and works on the span
+<supp(S)>, a subgroup of G kept as a mask in G's own coordinates (the paper's
+reduction to <supp(S)>_* = G).  It has three exits: a trivial span (every
+term equal); _pipeline_core, which returns case I from the solver or case II
+at Step B (the inside parts sum to H, so K = H); and a span reduction, where
+a case-I sum of parts that is the whole proper span becomes case II with
+H = K = span.  The inductive argument goes on past Step B (Steps C-E,
+recursing on the inside subsequence), but no instance has been found that
+needs it: reaching that point raises InternalError.
 
 Each public solver verifies the certificate it returns exactly once, with the
 independent verifier for its theorem (partition_verify, main_verify), which
 recomputes Sigma_n(S) from scratch and never sees solver state; a failed
 check raises InternalError.  Callers read cert.verified instead of verifying
 again.  Inside the solver, Sigma_n(S) and its stabilizer H are computed once
-per (S, n) and carried through translations and span reductions, and the
+per (S, n) and carried through the translation onto the span, and the
 case-II profile is computed once per solve, from that H, and handed to the
 pipeline.  partition_verify likewise profiles with the H it computed itself.
 
@@ -47,7 +50,6 @@ from .groups import (
     quotient_cached,
     smallest_prime_divisor,
     stabilizer,
-    subgroup_embedding,
     subgroup_generated,
     sum_masks,
     verify_subgroup,
@@ -667,21 +669,6 @@ def hypothesis_check(g: GroupSpec, h: Subgroup, n: int,
 # main pipeline
 
 
-def _map_cert_to_parent(cert: Certificate, emb) -> Certificate:
-    parent = emb.parent
-    parts = SetPartition(parent, [GroupSubset(parent, emb.map_mask_to_parent(p.bits))
-                                  for p in cert.partition.parts])
-    return Certificate(
-        cert.case_tag, parts,
-        H=Subgroup(GroupSubset(parent, emb.map_mask_to_parent(cert.H.carrier.bits)))
-        if cert.H else None,
-        K=Subgroup(GroupSubset(parent, emb.map_mask_to_parent(cert.K.carrier.bits)))
-        if cert.K else None,
-        alpha=emb.to_parent[cert.alpha] if cert.alpha is not None else None,
-        e_H=cert.e_H, e_K=cert.e_K, k=cert.k, bounds=dict(cert.bounds),
-        mode=cert.mode, theorem=cert.theorem)
-
-
 def _untranslate_cert(cert: Certificate, offset: int) -> Certificate:
     """Map a certificate built on S - offset back to the caller's coordinates."""
     if offset == 0:
@@ -714,7 +701,7 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
         raise HypothesesUnmetError(
             f"no hypothesis item holds for H of order {h_top.order}, n={n}, "
             f"G={g.spec_string()} (mode {mode})")
-    cert = _pipeline_rec(g, s, s_prime, n, mode, sigma_n, h_top)
+    cert = _pipeline_on_span(g, s, s_prime, n, mode, sigma_n, h_top)
     cert.mode = mode
     ok, violations = main_verify(cert, g, s, s_prime, n, mode)
     if not ok:
@@ -726,76 +713,50 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
     return cert
 
 
-def _pipeline_rec(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
-                  mode: str, sigma_n: GroupSubset, h: Subgroup) -> Certificate:
-    """sigma_n = Sigma_n(S) and h = H(sigma_n), carried along every
-    translation (h stays) and embedding.
+def _pipeline_on_span(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
+                      mode: str, sigma_n: GroupSubset, h: Subgroup) -> Certificate:
+    """Translate so 0 is in supp(S), then run the main argument on the span.
 
-    Each span reduction recurses into a proper subgroup, so the recursion
-    ends within log2|G| levels.
+    sigma_n = Sigma_n(S) moves with the translation; h = H(sigma_n) stays.
+    The span <supp(S)> is a subgroup of G and the argument runs inside G's
+    coordinates: a case-I certificate that misses min(|G|, |S'| - n + 1)
+    but whose sum of parts is the whole span becomes case II with
+    H = K = span.
     """
-    # translate so 0 is in the support, then reduce to the affine span
-    offset = 0
-    s0 = next(s.support_indices())
-    if s0 != 0:
-        offset = s0
-        s = s.translate(g.neg(s0))
-        s_prime = s_prime.translate(g.neg(s0))
-        # every n-term sum moves by -n*s0
-        sigma_n = GroupSubset(g, g.translate_mask(sigma_n.bits, g.neg(g.scale(n, s0))))
+    offset = next(s.support_indices())
+    if offset != 0:
+        s = s.translate(g.neg(offset))
+        s_prime = s_prime.translate(g.neg(offset))
+        # every n-term sum moves by -n*offset
+        sigma_n = GroupSubset(g, g.translate_mask(sigma_n.bits, g.neg(g.scale(n, offset))))
     span = subgroup_generated(s.support())
-    if not span.is_full:
-        cert = _reduce_to_span(g, s, s_prime, n, mode, span, sigma_n, h)
+    case1_bound = min(g.order, s_prime.length - n + 1)
+    if span.is_trivial:
+        # supp(S) = {0}: every part is {0}
+        cert = Certificate("I", make_setpartition(s_prime, n), H=span, theorem="main",
+                           bounds={"sum_size": 1, "case1_bound": case1_bound})
         return _untranslate_cert(cert, offset)
-    cert = _pipeline_core(g, s, s_prime, n, mode, sigma_n, h)
+    cert = _pipeline_core(g, s, s_prime, n, mode, sigma_n, h, span)
+    if cert.case_tag == "I" and cert.bounds["sum_size"] < case1_bound:
+        sum_a = cert.partition.sum_subset()
+        if sum_a.bits != span.carrier.bits:
+            raise InternalError(
+                "span reduction returned case I without covering the span",
+                {"group": g.spec_string(), "S": s.format(), "n": n})
+        # sum of parts is the whole (proper, nontrivial) span: case II
+        cert = Certificate("II", cert.partition, H=span, K=span, alpha=0,
+                           e_H=0, e_K=0, k=n, theorem="main",
+                           bounds={"sum_size": sum_a.size})
     return _untranslate_cert(cert, offset)
 
 
-def _into_span(seq: GSequence, emb) -> GSequence:
-    """A sequence whose terms all lie in emb's subgroup, over emb.spec."""
-    mult = [0] * emb.spec.order
-    for idx, m in enumerate(seq.mult):
-        if m:
-            mult[emb.from_parent[idx]] = m
-    return GSequence(emb.spec, mult)
-
-
-def _reduce_to_span(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
-                    mode: str, span: Subgroup, sigma_n: GroupSubset,
-                    h: Subgroup) -> Certificate:
-    if span.is_trivial:
-        # supp(S) = {0}: every part is {0}
-        partition = make_setpartition(s_prime, n)
-        return Certificate("I", partition, H=span, theorem="main",
-                           bounds={"sum_size": 1,
-                                   "case1_bound": min(g.order, s_prime.length - n + 1)})
-    emb = subgroup_embedding(g, span)
-    sub_sigma = GroupSubset(emb.spec, emb.map_mask_from_parent(sigma_n.bits))
-    # h <= sigma_n - sigma_n <= span, so h maps into the span like sigma_n
-    sub_h = Subgroup(GroupSubset(emb.spec, emb.map_mask_from_parent(h.carrier.bits)))
-    sub_cert = _pipeline_rec(emb.spec, _into_span(s, emb), _into_span(s_prime, emb),
-                             n, mode, sub_sigma, sub_h)
-    cert = _map_cert_to_parent(sub_cert, emb)
-    if cert.case_tag == "II":
-        return cert
-    sum_a = cert.partition.sum_subset()
-    if sum_a.size >= min(g.order, s_prime.length - n + 1):
-        return cert
-    if sum_a.bits != span.carrier.bits:
-        raise InternalError(
-            "span reduction returned case I without covering the span",
-            {"group": g.spec_string(), "S": s.format(), "n": n})
-    # sum of parts is the whole (proper, nontrivial) span: convert to case II
-    return Certificate("II", cert.partition, H=span, K=span, alpha=0,
-                       e_H=0, e_K=0, k=n, theorem="main",
-                       bounds={"sum_size": sum_a.size})
-
-
 def _pipeline_core(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
-                   mode: str, sigma_n: GroupSubset, h: Subgroup) -> Certificate:
-    """Main argument under <supp(S)>_* = G: case I or Step B, else InternalError.
+                   mode: str, sigma_n: GroupSubset, h: Subgroup,
+                   span: Subgroup) -> Certificate:
+    """Main argument on S with 0 in supp(S) and span = <supp(S)> <= G, in G's
+    coordinates: case I or Step B, else InternalError.
 
-    Case I when the solver's sum of parts reaches min(|G|, |S'| - n + 1).
+    Case I when the solver's sum of parts reaches min(|span|, |S'| - n + 1).
     Otherwise the solver's case-II partition, normalized so the one
     high-multiplicity H-coset is H itself (Step A), splits into k = n - e_H
     parts inside H and e_H parts with one term outside; Step B returns case
@@ -807,12 +768,12 @@ def _pipeline_core(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
     solved, profile = _solve(s, s_prime, n, sigma_n, h)
     partition = solved.partition
     sum_size = solved.bounds["sum_size"]
-    if sum_size >= min(g.order, s_prime.length - n + 1):
+    case1_bound = min(span.order, s_prime.length - n + 1)
+    if sum_size >= case1_bound:
         return Certificate("I", partition, theorem="main",
-                           bounds={"sum_size": sum_size,
-                                   "case1_bound": min(g.order, s_prime.length - n + 1)})
+                           bounds={"sum_size": sum_size, "case1_bound": case1_bound})
 
-    if h.is_trivial or h.is_full:
+    if h.is_trivial or h == span:
         raise InternalError("concentrated case with degenerate stabilizer", dump)
     if profile.N != 1:
         raise InternalError(f"|X| = {profile.N} != 1 under the hypotheses (Step A)", dump)

@@ -181,6 +181,27 @@ def test_verify_malformed_certificate_exit_2(mutate, tmp_path, capsys):
     assert "malformed certificate" in capsys.readouterr().err
 
 
+def _with_inputs(env, **fields):
+    return {**env, "inputs": {**env["inputs"], **fields}}
+
+
+@pytest.mark.parametrize("mutate, named", [
+    (lambda env: _with_inputs(env, n="5"), "'inputs.n'"),
+    (lambda env: _with_inputs(env, n=True), "'inputs.n'"),
+    (lambda env: _with_inputs(env, n=5.0), "'inputs.n'"),
+    (lambda env: [env], "not an object"),
+    (lambda env: {**env, "inputs": {k: v for k, v in env["inputs"].items()
+                                    if k != "S_prime"}}, "'inputs.S_prime'"),
+], ids=["n-string", "n-bool", "n-float", "list", "no-S_prime"])
+def test_verify_malformed_envelope_exit_2(mutate, named, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    run(["maincert", "-g", "4", "-s", "0^6;2^6", "--sprime", "0^5;2^5",
+         "-n", "5", "--format", "json", "--out", str(out)])
+    out.write_text(json.dumps(mutate(json.loads(out.read_text()))))
+    assert run(["verify", str(out)]) == 2
+    assert named in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # other verbs and exit codes
 
@@ -227,6 +248,7 @@ def test_usage_error_exit_2(capsys):
     assert run(["subsums", "-g", "8", "-s", "bogus", "-n", "2"]) == 2
     assert run(["group", "info", "abc"]) == 2
     assert run(["nonsense-verb"]) == 2
+    assert run(["subsums", "-g", "8", "-s", SEQ_A]) == 2   # -n omitted
 
 
 def test_audit_jobs_out_of_range_exit_2(capsys):
@@ -245,6 +267,7 @@ def test_hypotheses_unmet_exit_1(capsys):
 @pytest.mark.parametrize("exc, message", [
     (AttributeError("no such field"), "AttributeError: no such field"),
     (setpartitions.InternalError("step failed", {"n": 2}), "step failed"),
+    (KeyError("no such key"), "KeyError: 'no such key'"),
 ])
 def test_unexpected_and_internal_errors_exit_3(exc, message, monkeypatch, tmp_path, capsys):
     def broken(*args, **kwargs):

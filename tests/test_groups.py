@@ -26,7 +26,6 @@ from subsumlab.groups import (
     representation_min,
     representation_table,
     stabilizer,
-    subgroup_embedding,
     subgroup_generated,
     sum_masks,
     sumset,
@@ -329,13 +328,11 @@ def _swap_labels(monkeypatch, pair):
     original = groups._blackbox_spec
 
     def swapped(n, add):
-        spec, to_elem, from_elem = original(n, add)
+        spec, from_elem = original(n, add)
         c1, c2 = pair
         from_elem = dict(from_elem)
         from_elem[c1], from_elem[c2] = from_elem[c2], from_elem[c1]
-        to_elem = list(to_elem)
-        to_elem[from_elem[c1]], to_elem[from_elem[c2]] = c1, c2
-        return spec, to_elem, from_elem
+        return spec, from_elem
 
     monkeypatch.setattr(groups, "_blackbox_spec", swapped)
 
@@ -352,7 +349,6 @@ def test_tampered_decomposition_rejected_iff_not_homomorphism(spec, monkeypatch)
     rejected = 0
     for h in enumerate_subgroups(g):
         honest = quotient_decompose(g, h)
-        emb = subgroup_embedding(g, h)
         q, reps = honest.num_cosets, honest.representatives
 
         def c_add(a, b):
@@ -369,19 +365,6 @@ def test_tampered_decomposition_rejected_iff_not_homomorphism(spec, monkeypatch)
                     rejected += 1
                     with pytest.raises(GroupError):
                         quotient_decompose(g, h)
-        members = list(h.carrier.indices())
-        for pair in itertools.combinations(range(h.order), 2):
-            to_parent = list(emb.to_parent)
-            i1, i2 = (emb.from_parent[members[c]] for c in pair)
-            to_parent[i1], to_parent[i2] = to_parent[i2], to_parent[i1]
-            with monkeypatch.context() as mp:
-                _swap_labels(mp, pair)
-                if _is_homomorphism(h.order, to_parent, emb.spec.add, g.add):
-                    assert subgroup_embedding(g, h).to_parent == to_parent
-                else:
-                    rejected += 1
-                    with pytest.raises(GroupError):
-                        subgroup_embedding(g, h)
     assert rejected
 
 
@@ -392,21 +375,6 @@ def test_quotient_c8_mod_04():
     assert q.quotient_spec.spec_string() == "4"
     assert q.image(0) == q.image(4)
     assert q.preimage_mask(1 << q.image(1)) == (1 << 1) | (1 << 5)
-
-
-@pytest.mark.parametrize("spec", ["12", "2x4", "3x3"])
-def test_subgroup_embedding_roundtrip(spec):
-    g = parse_group(spec)
-    for k in enumerate_subgroups(g):
-        emb = subgroup_embedding(g, k)
-        assert emb.spec.order == k.order
-        members = list(k.carrier.indices())
-        for a in range(emb.spec.order):
-            assert emb.from_parent[emb.to_parent[a]] == a
-            for b in range(emb.spec.order):
-                assert emb.to_parent[emb.spec.add(a, b)] == \
-                    g.add(emb.to_parent[a], emb.to_parent[b])
-        assert set(emb.to_parent) == set(members)
 
 
 def test_verify_subgroup_rejects_nonsubgroup():

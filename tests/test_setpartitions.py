@@ -485,8 +485,8 @@ def _recording_solver(monkeypatch):
 
 @pytest.mark.parametrize("spec, seq, solved_in, solved_seq", [
     ("7", "1;2;3;4", "7", "0;1;2;3"),                # translated by -1
-    ("8", "2;4^2;6", "4", "0;1^2;2"),                # translated, then into <2>
-    ("2x4", "(0,1);(0,3)^2;(0,2)", "4", "0;1;2^2"),  # into a cyclic span
+    ("8", "2;4^2;6", "8", "0;2^2;4"),                # translated; span <2> inside G
+    ("2x4", "(0,1);(0,3)^2;(0,2)", "2x4", "(0,0);(0,1);(0,2)^2"),  # cyclic span inside G
 ])
 def test_threaded_sigma_matches_fresh_dp(monkeypatch, spec, seq, solved_in, solved_seq):
     g = parse_group(spec)
