@@ -159,12 +159,6 @@ class GroupSpec:
             mask = ((mask & low) << shift) | ((mask & high) >> keep)
         return mask
 
-    def negate_mask(self, mask: int) -> int:
-        out = 0
-        for i in iter_bits(mask):
-            out |= 1 << self.neg(i)
-        return out
-
     def format_element(self, index: int) -> str:
         if self.rank == 1:
             return str(index)

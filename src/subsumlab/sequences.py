@@ -164,11 +164,25 @@ def subsum_table(s: GSequence, cap: int) -> list[int]:
     return _subsum_rows(s, cap, 0)
 
 
+# The last Sigma_n DP as one (key, bits) tuple, key = (invariant factors,
+# mult, n), which fixes the group law and the DP's whole input.  Only
+# nterm_subsums writes it, so a hit is what a fresh DP would return, and one
+# tuple (never two globals) means a race can only cost a recompute.
+_last_nterm: tuple = (None, 0)
+
+
 def nterm_subsums(s: GSequence, n: int) -> GroupSubset:
-    """Sigma_n(S): sums of all length-n subsequences."""
+    """Sigma_n(S): sums of all length-n subsequences; repeat calls on the
+    same (G, S, n) are served from a one-entry memo."""
+    global _last_nterm
     if not 0 <= n <= s.length:
         raise SequenceError(f"n={n} outside [0, |S|={s.length}]")
-    return GroupSubset(s.group, _subsum_rows(s, n, n)[n])
+    key = (s.group.invariant_factors, s.mult, n)
+    last_key, bits = _last_nterm
+    if last_key != key:
+        bits = _subsum_rows(s, n, n)[n]
+        _last_nterm = (key, bits)
+    return GroupSubset(s.group, bits)
 
 
 def _subsum_rows(s: GSequence, cap: int, target: int) -> list[int]:

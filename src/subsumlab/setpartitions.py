@@ -19,13 +19,15 @@ recursing on the inside subsequence), but no instance has been found that
 needs it: reaching that point raises InternalError.
 
 Each public solver verifies the certificate it returns exactly once, with the
-independent verifier for its theorem (partition_verify, main_verify), which
-recomputes Sigma_n(S) from scratch and never sees solver state; a failed
-check raises InternalError.  Callers read cert.verified instead of verifying
-again.  Inside the solver, Sigma_n(S) and its stabilizer H are computed once
-per (S, n) and carried through the translation onto the span, and the
-case-II profile is computed once per solve, from that H, and handed to the
-pipeline.  partition_verify likewise profiles with the H it computed itself.
+independent verifier for its theorem (partition_verify, main_verify); a
+failed check raises InternalError.  Callers read cert.verified instead of
+verifying again.  No value passes from the solver to a verifier: it calls
+nterm_subsums on its own arguments, whose one-entry memo only nterm_subsums
+writes, with the DP's result for exactly that (G, S, n), so a hit is what a
+fresh DP would return.  Inside the solver, Sigma_n(S) and its stabilizer H
+are computed once per (S, n) and carried through the translation onto the
+span, and the case-II profile is computed once per solve, from that H, and
+handed to the pipeline.  partition_verify profiles with its own H.
 
 Each clause is coded once: both verifiers share _common_violations (part
 count, S(A) | S, |S(A)| = |S'|, sum inside Sigma_n(S), the recorded H), and
@@ -164,6 +166,8 @@ class Certificate:
 
         Element literals must be in the canonical form to_dict writes, so an
         out-of-range coordinate such as "5" over C4 is rejected, not reduced.
+        The record's "verified" is ignored: only a solver's own verification
+        sets it, so a parsed certificate has verified=False.
         """
         def check(ok: bool, what: str) -> None:
             if not ok:
@@ -207,7 +211,6 @@ class Certificate:
             bounds=dict(data.get("bounds", {})),
             mode=data.get("mode", "standard"),
             theorem=data.get("theorem", "main"),
-            verified=data.get("verified", False),
         )
 
 
@@ -449,8 +452,7 @@ def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset,
     if best >= target1:
         partition = SetPartition(g, [GroupSubset(g, b) for b in parts_bits])
         return Certificate("I", partition, theorem="partition",
-                           bounds={"sum_size": partition.sum_subset().size,
-                                   "case1_bound": target1}), None
+                           bounds={"sum_size": best, "case1_bound": target1}), None
 
     profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n, h=h)
     bits = _spread_outside_terms(g, parts_bits, profile.Z_mask, sigma_n.bits)
@@ -763,8 +765,9 @@ def _pipeline_core(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
     II with K = H when the inside parts sum to H.  Anything past Step B (the
     paper's Steps C-E) raises InternalError with the instance dump.
     """
-    dump = {"group": g.spec_string(), "S": s.format(),
-            "S_prime": s_prime.format(), "n": n, "mode": mode}
+    def dump(s=s, s_prime=s_prime) -> dict:  # defaults: Step A rebinds s, s_prime
+        return {"group": g.spec_string(), "S": s.format(),
+                "S_prime": s_prime.format(), "n": n, "mode": mode}
     solved, profile = _solve(s, s_prime, n, sigma_n, h)
     partition = solved.partition
     sum_size = solved.bounds["sum_size"]
@@ -774,9 +777,9 @@ def _pipeline_core(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
                            bounds={"sum_size": sum_size, "case1_bound": case1_bound})
 
     if h.is_trivial or h == span:
-        raise InternalError("concentrated case with degenerate stabilizer", dump)
+        raise InternalError("concentrated case with degenerate stabilizer", dump())
     if profile.N != 1:
-        raise InternalError(f"|X| = {profile.N} != 1 under the hypotheses (Step A)", dump)
+        raise InternalError(f"|X| = {profile.N} != 1 under the hypotheses (Step A)", dump())
 
     z = profile.Z_mask
     alpha = next(i for i in iter_bits(z) if s.mult[i])
@@ -789,7 +792,7 @@ def _pipeline_core(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
         partition = partition.translate(neg)
         z = g.translate_mask(z, neg)
     if z != h.carrier.bits:
-        raise InternalError("X-coset did not normalize onto H", dump)
+        raise InternalError("X-coset did not normalize onto H", dump())
 
     e_h = s.count_outside(h.carrier.bits)
     k = n - e_h
@@ -797,11 +800,11 @@ def _pipeline_core(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
     inside = [p for p in partition.parts if p.bits & ~h.carrier.bits == 0]
     outside = [p for p in partition.parts if p.bits & ~h.carrier.bits]
     if len(inside) != k or any((p.bits & ~h.carrier.bits).bit_count() != 1 for p in outside):
-        raise InternalError("partition does not split into k inside / e_H boundary parts", dump)
+        raise InternalError("partition does not split into k inside / e_H boundary parts", dump())
 
     # Step B: the k inside parts sum to H, so K = H and the certificate is done
     if _sum_of_parts(g, [p.bits for p in inside]) != h.carrier.bits:
-        raise InternalError("inside parts do not sum to H; no path past Step B", dump)
+        raise InternalError("inside parts do not sum to H; no path past Step B", dump())
     cert = Certificate("II", SetPartition(g, inside + outside),
                        H=h, K=h, alpha=0, e_H=e_h, e_K=e_h, k=k,
                        theorem="main", bounds={"sum_size": profile.sigma_n.size})

@@ -129,13 +129,6 @@ def test_translate_mask_matches_elementwise(gs, data):
     assert set(iter_bits(translated)) == {g.add(x, b) for x in elems}
 
 
-@given(group_and_subset())
-def test_negate_mask_matches_elementwise(gs):
-    g, elems = gs
-    mask = subset(g, elems).bits
-    assert set(iter_bits(g.negate_mask(mask))) == {g.neg(x) for x in elems}
-
-
 # ---------------------------------------------------------------------------
 # sumsets and stabilizers against oracles
 

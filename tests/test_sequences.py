@@ -159,6 +159,25 @@ def test_nterm_subsums_matches_table_rows_seeded_1024():
         assert subsum_table(s, cap) == rows[:cap + 1]
 
 
+def test_nterm_subsums_memo_keys_on_group():
+    # one multiplicity tuple over C4 and over C2 x C2, whose Sigma_2 and
+    # Sigma_3 differ: alternating calls must never return the other group's
+    # Sigma_n from the one-entry memo
+    mult = (1, 0, 0, 3)
+    seqs = [GSequence(parse_group(spec), mult) for spec in ("4", "2x2")]
+    for n in (2, 2, 3, 3):
+        for s in seqs + seqs:
+            sig = nterm_subsums(s, n)
+            assert sig.group == s.group
+            assert set(sig.indices()) == nterm_subsums_oracle(s, n), (s, n)
+
+
+def test_nterm_subsums_memo_keys_on_n():
+    s = parse_sequence(parse_group("8"), "0^2;1;3^2;6")
+    for n in (2, 4, 2, 2, 5, 4, 1, 5):
+        assert set(nterm_subsums(s, n).indices()) == nterm_subsums_oracle(s, n), n
+
+
 def test_nterm_subsums_range_errors():
     g = parse_group("8")
     s = parse_sequence(g, "1^3")

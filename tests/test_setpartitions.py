@@ -334,9 +334,18 @@ def test_certificate_dict_roundtrip():
     cert = main_pipeline(g, s, s_prime, 5)
     data = cert.to_dict()
     back = Certificate.from_dict(g, data)
-    assert back.to_dict() == data
+    # every field comes back except verified: parsing verifies nothing
+    assert data["verified"] is True and back.verified is False
+    assert back.to_dict() == {**data, "verified": False}
     ok, violations = main_verify(back, g, s, s_prime, 5, back.mode)
     assert ok, violations
+
+
+@pytest.mark.parametrize("claimed", [True, "yes"])
+def test_certificate_from_dict_ignores_recorded_verified(claimed):
+    g = parse_group("4")
+    data = {"case": "I", "parts": [["1"]], "verified": claimed}
+    assert Certificate.from_dict(g, data).verified is False
 
 
 def test_main_verify_rejects_wrong_alpha():
@@ -430,19 +439,33 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _dp_calls(monkeypatch):
+    """Empty nterm_subsums' memo and record every Sigma_n DP run from now on."""
+    calls = []
+    monkeypatch.setattr(sequences, "_last_nterm", (None, 0))
+    monkeypatch.setattr(sequences, "_subsum_rows",
+                        _recording(sequences._subsum_rows, calls))
+    return calls
+
+
 def test_pipeline_verifies_case1_certificate_once(monkeypatch):
     g = parse_group("7")
     s = parse_sequence(g, "0;1;2;3")
     main_calls = _counting(monkeypatch, "main_verify")
     part_calls = _counting(monkeypatch, "partition_verify")
+    # the solver and its verifier share one Sigma_n DP through the memo
+    dp_calls = _dp_calls(monkeypatch)
     cert = main_pipeline(g, s, s, 2)
     assert cert.case_tag == "I" and cert.verified
     assert len(main_calls) == 1 and len(part_calls) == 0
+    assert len(dp_calls) == 1
 
     main_calls.clear()
+    dp_calls = _dp_calls(monkeypatch)
     cert = partition_solve(s, s, 2)
     assert cert.case_tag == "I" and cert.verified
     assert len(part_calls) == 1 and len(main_calls) == 0
+    assert len(dp_calls) == 1
 
     # case II: the pipeline reuses the solver's profile and never runs
     # partition_verify; partition_solve still verifies exactly once.  H is
@@ -455,18 +478,59 @@ def test_pipeline_verifies_case1_certificate_once(monkeypatch):
     for mod in (setpartitions, sequences):
         monkeypatch.setattr(mod, "stabilizer", _recording(stabilizer, stab_calls))
     part_calls.clear()
+    dp_calls = _dp_calls(monkeypatch)
     cert = main_pipeline(g, s, s, 4)
     assert cert.case_tag == "II" and cert.verified
     assert (len(part_calls), len(main_calls), len(profile_calls)) == (0, 1, 1)
     assert len(stab_calls) == 2
+    assert len(dp_calls) == 1
 
     main_calls.clear()
     stab_calls.clear()
+    dp_calls = _dp_calls(monkeypatch)
     s = parse_sequence(g, "0^2;4^2;1^2;5^2")
     cert = partition_solve(s, s, 2)
     assert cert.case_tag == "II" and cert.verified
     assert len(part_calls) == 1 and len(main_calls) == 0
     assert len(stab_calls) == 2
+    assert len(dp_calls) == 1
+
+
+def test_pipeline_dump_holds_inputs_before_step_a(monkeypatch):
+    # Step A translates S by alpha = 1 here; a failure after it must dump the
+    # S that _pipeline_core received, not the translated one
+    g = parse_group("8")
+    s = parse_sequence(g, "0;1^3;5^4")
+    monkeypatch.setattr(GSequence, "count_outside", lambda self, mask: -1)
+    with pytest.raises(InternalError, match="does not split") as info:
+        main_pipeline(g, s, s, 4)
+    assert info.value.dump == {"group": "8", "S": "0;1^3;5^4",
+                               "S_prime": "0;1^3;5^4", "n": 4, "mode": "standard"}
+
+
+def test_main_verify_misses_memo_of_other_sequence(monkeypatch):
+    # the pipeline leaves Sigma_5(S) in nterm_subsums' memo; verifying its
+    # certificate against another S2 must run a fresh DP on S2 and reject
+    g = parse_group("4")
+    s = parse_sequence(g, "0^6;2^6")
+    s_prime = parse_sequence(g, "0^5;2^5")
+    dp_calls = _dp_calls(monkeypatch)
+    cert = main_pipeline(g, s, s_prime, 5)
+    assert cert.case_tag == "II" and len(dp_calls) == 1
+    s2 = parse_sequence(g, "0^6;1;2^6")
+    ok, violations = main_verify(cert, g, s2, s_prime, 5)
+    assert not ok and len(dp_calls) == 2
+    assert violations == [
+        "recorded H={0,2} != H(Sigma_n(S))={0,1,2,3}",
+        "(ii): H(Sigma_n(S)) must be proper",
+        "(ii)(a): sum of parts != Sigma_n(S)",
+        "(ii)(a): leftover terms outside alpha+K",
+        "(ii)(b): recorded e_K=0 != recomputed 1",
+        "(ii)(b): e_H=0 > |G/H|-2",
+        "(ii)(b): e_K=1 > |G/K|-2",
+        "recorded k=5 != n - e_K = 4",
+        "(ii)(c): part 5 must have exactly one element outside alpha+K",
+    ]
 
 
 def _recording_solver(monkeypatch):
