@@ -10,9 +10,12 @@ for unchanged behaviour by running this script in both checkouts:
 
     python3 scripts/cert_fingerprint.py
 
-It prints one digest per slice of the corpus, each followed by the slice's
-name, and then one overall digest over all slices in order, so a change meant
-to touch one slice can show that the others kept their digests.  On stderr it
+It prints, per slice of the corpus, one digest per call (partition,
+pipeline, full-group) and then the slice's digest over all three, each
+followed by its name, and last one overall digest over all slices in order.
+A change meant to touch one slice, or one call, can so show that the others
+kept their digests: a pipeline change leaves every partition digest as it
+was.  On stderr it
 prints, per slice and call, how many outcomes were ok:I, ok:II or each raised
 error class, so a change that alters which certificate comes out, but not
 whether one does, shows as changed digests with unchanged counts.
@@ -135,6 +138,7 @@ def main() -> int:
                          ("concentrated", concentrated),
                          ("pinned", pinned)):
         digest = hashlib.sha256()
+        call_digests = [hashlib.sha256() for _ in CALLS]
         count = 0
         classes = [Counter() for _ in CALLS]
         for g, s, s_prime, n in corpus():
@@ -145,6 +149,7 @@ def main() -> int:
                 cls, text = outcome(call)
                 classes[j][cls] += 1
                 line = text.encode() + b"\n"
+                call_digests[j].update(line)
                 digest.update(line)
                 overall.update(line)
             count += 1
@@ -156,6 +161,8 @@ def main() -> int:
         for call, counts in zip(CALLS, classes):
             print(f"#   {call}: " + ", ".join(f"{cls} {c}" for cls, c in sorted(counts.items())),
                   file=sys.stderr)
+        for call, call_digest in zip(CALLS, call_digests):
+            print(f"{call_digest.hexdigest()}  {name} / {call}")
         print(f"{digest.hexdigest()}  {name}")
     print(overall.hexdigest())
     return 0

@@ -62,8 +62,9 @@ from .verifiers import CheckError
 
 SCHEMA = "subsum-lab/1"
 
+# input errors only: a bare ValueError from the library is a bug (exit 3)
 _USAGE_ERRORS = (GroupError, SequenceError, PartitionError, SearchError,
-                 CheckError, ValueError, OSError)
+                 CheckError, json.JSONDecodeError, UnicodeDecodeError, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +244,17 @@ def _cmd_maincert(args) -> int:
 
 
 def _report_field(envelope: dict, path: str, kind: type) -> Any:
-    """The value at a dotted path of a report envelope; ValueError naming the
-    field unless it is present with type exactly kind (a JSON true is no int)."""
+    """The value at a dotted path of a report envelope; PartitionError naming
+    the field unless it is present with type exactly kind (a JSON true is no
+    int)."""
     value: Any = envelope
     for name in path.split("."):
         if not isinstance(value, dict) or name not in value:
-            raise ValueError(f"report has no field {path!r}")
+            raise PartitionError(f"report has no field {path!r}")
         value = value[name]
     if type(value) is not kind:
-        raise ValueError(f"report field {path!r} must be of type {kind.__name__}, "
-                         f"got {value!r}")
+        raise PartitionError(f"report field {path!r} must be of type {kind.__name__}, "
+                             f"got {value!r}")
     return value
 
 
@@ -264,9 +266,9 @@ def _cmd_verify(args) -> int:
         with open(args.report) as fh:
             envelope = json.load(fh)
     if not isinstance(envelope, dict):
-        raise ValueError(f"report is a JSON {type(envelope).__name__}, not an object")
+        raise PartitionError(f"report is a JSON {type(envelope).__name__}, not an object")
     if envelope.get("schema") != SCHEMA:
-        raise ValueError(f"unknown schema {envelope.get('schema')!r}")
+        raise PartitionError(f"unknown schema {envelope.get('schema')!r}")
     g = parse_group(_report_field(envelope, "group", str))
     s_text = _report_field(envelope, "inputs.S", str)
     s_prime_text = _report_field(envelope, "inputs.S_prime", str)

@@ -615,10 +615,6 @@ class QuotientStructure:
     iso: list[int]                      # coset label -> quotient_spec index
     iso_inv: list[int] = field(repr=False, default_factory=list)  # spec index -> coset label
 
-    @property
-    def num_cosets(self) -> int:
-        return len(self.representatives)
-
     def image(self, element_index: int) -> int:
         """Image of a parent element in quotient_spec coordinates."""
         return self.iso[self.coset_of[element_index]]

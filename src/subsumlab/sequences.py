@@ -94,14 +94,6 @@ class GSequence:
     def max_multiplicity(self) -> int:
         return max(self.mult, default=0)
 
-    def sum_index(self) -> int:
-        g = self.group
-        total = 0
-        for idx, m in enumerate(self.mult):
-            if m:
-                total = g.add(total, g.scale(m, idx))
-        return total
-
     def is_subsequence_of(self, other: "GSequence") -> bool:
         if other.group is not self.group and other.group != self.group:
             raise SequenceError("mixed groups")

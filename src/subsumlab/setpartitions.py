@@ -8,15 +8,18 @@ while a part holds two terms outside the high-multiplicity cosets, one of them
 moves to a part that holds none, as long as the sum of parts stays Sigma_n(S).
 
 main_pipeline realizes the strengthened conclusion under the exponent-style
-hypotheses.  It translates S so that 0 is in supp(S) and works on the span
-<supp(S)>, a subgroup of G kept as a mask in G's own coordinates (the paper's
-reduction to <supp(S)>_* = G).  It has three exits: a trivial span (every
-term equal); _pipeline_core, which returns case I from the solver or case II
-at Step B (the inside parts sum to H, so K = H); and a span reduction, where
-a case-I sum of parts that is the whole proper span becomes case II with
-H = K = span.  The inductive argument goes on past Step B (Steps C-E,
-recursing on the inside subsequence), but no instance has been found that
-needs it: reaching that point raises InternalError.
+hypotheses, in G's own coordinates: it never translates S, Sigma_n(S) or the
+certificate.  The paper's "WLOG 0 in supp(S)" and Step A's move of the heavy
+coset onto H are proof devices; the certificate records the coset alpha + K
+instead.  The argument runs on the affine span <supp(S)>_*, a subgroup of G
+kept as a mask (the paper's reduction to <supp(S)>_* = G), and has four
+exits: a trivial span (every term equal); case I from the solver; a span
+reduction, where a case-I sum of parts that fills a coset of the proper span
+becomes case II with H = K = span; and Step B, where the solver's case-II
+parts inside the one heavy H-coset alpha + H sum to a coset of H, so K = H.
+The inductive argument goes on past Step B (Steps C-E, recursing on the
+inside subsequence), but no instance has been found that needs it: reaching
+that point raises InternalError.
 
 Each public solver verifies the certificate it returns exactly once, with the
 independent verifier for its theorem (partition_verify, main_verify); a
@@ -25,9 +28,9 @@ verifying again.  No value passes from the solver to a verifier: it calls
 nterm_subsums on its own arguments, whose one-entry memo only nterm_subsums
 writes, with the DP's result for exactly that (G, S, n), so a hit is what a
 fresh DP would return.  Inside the solver, Sigma_n(S) and its stabilizer H
-are computed once per (S, n) and carried through the translation onto the
-span, and the case-II profile is computed once per solve, from that H, and
-handed to the pipeline.  partition_verify profiles with its own H.
+are computed once per (S, n), and the case-II profile is computed once per
+solve, from that H, and handed to the pipeline.  partition_verify profiles
+with its own H.
 
 Each clause is coded once: both verifiers share _common_violations (part
 count, S(A) | S, |S(A)| = |S'|, sum inside Sigma_n(S), the recorded H), and
@@ -46,13 +49,12 @@ from .groups import (
     GroupSpec,
     GroupSubset,
     Subgroup,
+    affine_span,
     is_prime,
     iter_bits,
     parse_element,
     quotient_cached,
-    smallest_prime_divisor,
     stabilizer,
-    subgroup_generated,
     sum_masks,
     verify_subgroup,
 )
@@ -107,9 +109,6 @@ class SetPartition:
             for i in p.indices():
                 mult[i] += 1
         return GSequence(self.group, mult)
-
-    def translate(self, b: int) -> "SetPartition":
-        return SetPartition(self.group, [p.translate(b) for p in self.parts])
 
     def sum_subset(self, upto: int | None = None) -> GroupSubset:
         """Sum of the first `upto` parts (all parts by default); {0} for none."""
@@ -315,80 +314,55 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int
                 ) -> tuple[list[int], int]:
     """First-improvement local search maximizing |sum of parts|.
 
-    Moves: replace an element of a part by an unused term of S; transfer an
-    element between parts; swap elements between parts.  Returns part
-    bitmasks and the achieved sum size.
+    Returns part bitmasks and the achieved sum size.
     """
     g = s.group
     parts = [p.bits for p in make_setpartition(s_prime, n).parts]
-
-    def unused_counts(bits_list: list[int]) -> list[int]:
-        used = [0] * g.order
-        for b in bits_list:
-            for i in iter_bits(b):
-                used[i] += 1
-        return [m - u for m, u in zip(s.mult, used)]
-
     best = _sum_of_parts(g, parts).bit_count()
     moves = 0
-    improved = True
-    while improved and best < target and moves < _MAX_CLIMB_MOVES:
-        improved = False
-        spare = unused_counts(parts)
-        for i in range(n):
-            # partial product excluding part i
-            rest = _sum_of_parts(g, parts[:i] + parts[i + 1:])
-            # replace an element by an unused term
-            for e in iter_bits(parts[i]):
-                for u, cnt in enumerate(spare):
-                    if cnt <= 0 or (parts[i] >> u) & 1:
-                        continue
-                    cand = (parts[i] & ~(1 << e)) | (1 << u)
-                    if sum_masks(g, rest, cand).bit_count() > best:
-                        parts[i] = cand
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-            # transfers and swaps with later parts
-            for j in range(n):
-                if j == i:
-                    continue
-                for e in iter_bits(parts[i]):
-                    # transfer i -> j
-                    if parts[i].bit_count() >= 2 and not (parts[j] >> e) & 1:
-                        cand_i = parts[i] & ~(1 << e)
-                        cand_j = parts[j] | (1 << e)
-                        trial = parts[:]
-                        trial[i], trial[j] = cand_i, cand_j
-                        if _sum_of_parts(g, trial).bit_count() > best:
-                            parts[i], parts[j] = cand_i, cand_j
-                            improved = True
-                            break
-                    # swap with each element of part j
-                    for f in iter_bits(parts[j]):
-                        if f == e or (parts[j] >> e) & 1 or (parts[i] >> f) & 1:
-                            continue
-                        cand_i = (parts[i] & ~(1 << e)) | (1 << f)
-                        cand_j = (parts[j] & ~(1 << f)) | (1 << e)
-                        trial = parts[:]
-                        trial[i], trial[j] = cand_i, cand_j
-                        if _sum_of_parts(g, trial).bit_count() > best:
-                            parts[i], parts[j] = cand_i, cand_j
-                            improved = True
-                            break
-                    if improved:
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-        if improved:
-            moves += 1
-            best = _sum_of_parts(g, parts).bit_count()
+    while best < target and moves < _MAX_CLIMB_MOVES and _improve(s, parts, best):
+        moves += 1
+        best = _sum_of_parts(g, parts).bit_count()
     return parts, best
+
+
+def _improve(s: GSequence, parts: list[int], best: int) -> bool:
+    """Apply the first move that lifts |sum of parts| above best to parts.
+
+    For each part i in turn: replace an element of part i by an unused term
+    of S; then, for each other part j and each element e of part i that j
+    lacks, transfer e to j, or swap e with an element of j that i lacks.
+    Returns False when no move improves.
+    """
+    g = s.group
+    used = [0] * g.order
+    for b in parts:
+        for i in iter_bits(b):
+            used[i] += 1
+    spare = [u for u, (m, c) in enumerate(zip(s.mult, used)) if m > c]
+    for i, part in enumerate(parts):
+        # partial product excluding part i
+        rest = _sum_of_parts(g, parts[:i] + parts[i + 1:])
+        for e in iter_bits(part):
+            for u in spare:
+                cand = (part & ~(1 << e)) | (1 << u)
+                if not (part >> u) & 1 and sum_masks(g, rest, cand).bit_count() > best:
+                    parts[i] = cand
+                    return True
+        for j, other in enumerate(parts):
+            if j == i:
+                continue
+            for e in iter_bits(part & ~other):
+                moves = [(part & ~(1 << e), other | (1 << e))] if part.bit_count() >= 2 else []
+                moves += [((part & ~(1 << e)) | (1 << f), (other & ~(1 << f)) | (1 << e))
+                          for f in iter_bits(other & ~part)]
+                for cand_i, cand_j in moves:
+                    trial = parts[:]
+                    trial[i], trial[j] = cand_i, cand_j
+                    if _sum_of_parts(g, trial).bit_count() > best:
+                        parts[i], parts[j] = cand_i, cand_j
+                        return True
+    return False
 
 
 def _spread_outside_terms(g: GroupSpec, parts: list[int], z: int,
@@ -591,7 +565,6 @@ class HypothesisReport:
     H: Subgroup
     quotient: "object"    # QuotientStructure of G by H
     item_satisfied: str   # trivial-H | full-H | item1..item4 | none
-    global_item: str      # g1..g4 | none
     mode: str = "standard"
 
     @property
@@ -622,36 +595,6 @@ def _quotient_items(n: int, q: GroupSpec, order_h: int, mode: str) -> str:
     return "none"
 
 
-def _global_items(n: int, g: GroupSpec, mode: str) -> str:
-    exp_g = g.exponent
-    cyclic = g.rank == 1
-    if mode == "standard":
-        if n >= exp_g + 1:
-            return "g1"
-        if n >= exp_g:
-            q = g.order // exp_g
-            p = next((d for d in range(3, q + 1) if q % d == 0), None)
-            if p is None or g.order < exp_g * exp_g * p:
-                return "g2"
-        if n >= exp_g - 1 and len(g.invariant_factors) == 2 \
-                and is_prime(g.invariant_factors[0]):
-            return "g3"
-        if cyclic and n >= g.order // smallest_prime_divisor(g.order) - 1:
-            return "g4"
-        return "none"
-    if n >= exp_g:
-        return "g1"
-    if n >= exp_g - 1:
-        k_order = g.order // exp_g
-        if is_prime(exp_g) or is_prime(k_order):
-            return "g2"
-    if cyclic and n >= g.order // smallest_prime_divisor(g.order) - 1:
-        return "g3"
-    if n >= 1 and (exp_g <= 3 or g.order < 10):
-        return "g4"
-    return "none"
-
-
 def hypothesis_check(g: GroupSpec, h: Subgroup, n: int,
                      mode: str = "standard") -> HypothesisReport:
     """Which hypothesis item (if any) the triple (G, H, n) satisfies."""
@@ -664,24 +607,11 @@ def hypothesis_check(g: GroupSpec, h: Subgroup, n: int,
         item = "full-H"
     else:
         item = _quotient_items(n, quot.quotient_spec, h.order, mode)
-    return HypothesisReport(h, quot, item, _global_items(n, g, mode), mode)
+    return HypothesisReport(h, quot, item, mode)
 
 
 # ---------------------------------------------------------------------------
 # main pipeline
-
-
-def _untranslate_cert(cert: Certificate, offset: int) -> Certificate:
-    """Map a certificate built on S - offset back to the caller's coordinates."""
-    if offset == 0:
-        return cert
-    g = cert.partition.group
-    cert.partition = cert.partition.translate(offset)
-    if cert.alpha is not None:
-        cert.alpha = g.add(cert.alpha, offset)
-    elif cert.case_tag == "II":
-        cert.alpha = offset
-    return cert
 
 
 def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
@@ -697,13 +627,13 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
             f"full-group mode needs |S'| >= n + |G| - 1 = {n + g.order - 1}, "
             f"got {s_prime.length}")
     sigma_n = nterm_subsums(s, n)
-    h_top = stabilizer(sigma_n)
-    report = hypothesis_check(g, h_top, n, mode)
+    h = stabilizer(sigma_n)
+    report = hypothesis_check(g, h, n, mode)
     if not report.satisfied:
         raise HypothesesUnmetError(
-            f"no hypothesis item holds for H of order {h_top.order}, n={n}, "
+            f"no hypothesis item holds for H of order {h.order}, n={n}, "
             f"G={g.spec_string()} (mode {mode})")
-    cert = _pipeline_on_span(g, s, s_prime, n, mode, sigma_n, h_top)
+    cert = _pipeline_cert(g, s, s_prime, n, mode, sigma_n, h)
     cert.mode = mode
     ok, violations = main_verify(cert, g, s, s_prime, n, mode)
     if not ok:
@@ -715,66 +645,42 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
     return cert
 
 
-def _pipeline_on_span(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
-                      mode: str, sigma_n: GroupSubset, h: Subgroup) -> Certificate:
-    """Translate so 0 is in supp(S), then run the main argument on the span.
+def _pipeline_cert(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
+                   mode: str, sigma_n: GroupSubset, h: Subgroup) -> Certificate:
+    """The main argument on the caller's S, given sigma_n = Sigma_n(S) and
+    h = H(sigma_n): a trivial span, case I, a span reduction or Step B, else
+    InternalError with the caller's instance as dump.
 
-    sigma_n = Sigma_n(S) moves with the translation; h = H(sigma_n) stays.
-    The span <supp(S)> is a subgroup of G and the argument runs inside G's
-    coordinates: a case-I certificate that misses min(|G|, |S'| - n + 1)
-    but whose sum of parts is the whole span becomes case II with
-    H = K = span.
+    Every term lies in s0 + span, s0 the least element of supp(S) and span =
+    <supp(S)>_*, so every sum of parts lies in the coset n*s0 + span.  A
+    case-I sum that reaches |span| but misses min(|G|, |S'| - n + 1) is that
+    whole coset: case II with H = K = span and alpha = s0.  Otherwise the
+    solver's case-II partition has one high-multiplicity H-coset z = alpha + H
+    (the paper's Step A moves it onto H; here it stays put) and splits into
+    k = n - e_H parts inside z and e_H parts with one term outside; Step B
+    returns case II with K = H when the inside parts sum to k*alpha + H.
+    Anything past Step B (the paper's Steps C-E) raises InternalError.
     """
-    offset = next(s.support_indices())
-    if offset != 0:
-        s = s.translate(g.neg(offset))
-        s_prime = s_prime.translate(g.neg(offset))
-        # every n-term sum moves by -n*offset
-        sigma_n = GroupSubset(g, g.translate_mask(sigma_n.bits, g.neg(g.scale(n, offset))))
-    span = subgroup_generated(s.support())
-    case1_bound = min(g.order, s_prime.length - n + 1)
-    if span.is_trivial:
-        # supp(S) = {0}: every part is {0}
-        cert = Certificate("I", make_setpartition(s_prime, n), H=span, theorem="main",
-                           bounds={"sum_size": 1, "case1_bound": case1_bound})
-        return _untranslate_cert(cert, offset)
-    cert = _pipeline_core(g, s, s_prime, n, mode, sigma_n, h, span)
-    if cert.case_tag == "I" and cert.bounds["sum_size"] < case1_bound:
-        sum_a = cert.partition.sum_subset()
-        if sum_a.bits != span.carrier.bits:
-            raise InternalError(
-                "span reduction returned case I without covering the span",
-                {"group": g.spec_string(), "S": s.format(), "n": n})
-        # sum of parts is the whole (proper, nontrivial) span: case II
-        cert = Certificate("II", cert.partition, H=span, K=span, alpha=0,
-                           e_H=0, e_K=0, k=n, theorem="main",
-                           bounds={"sum_size": sum_a.size})
-    return _untranslate_cert(cert, offset)
-
-
-def _pipeline_core(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
-                   mode: str, sigma_n: GroupSubset, h: Subgroup,
-                   span: Subgroup) -> Certificate:
-    """Main argument on S with 0 in supp(S) and span = <supp(S)> <= G, in G's
-    coordinates: case I or Step B, else InternalError.
-
-    Case I when the solver's sum of parts reaches min(|span|, |S'| - n + 1).
-    Otherwise the solver's case-II partition, normalized so the one
-    high-multiplicity H-coset is H itself (Step A), splits into k = n - e_H
-    parts inside H and e_H parts with one term outside; Step B returns case
-    II with K = H when the inside parts sum to H.  Anything past Step B (the
-    paper's Steps C-E) raises InternalError with the instance dump.
-    """
-    def dump(s=s, s_prime=s_prime) -> dict:  # defaults: Step A rebinds s, s_prime
+    def dump() -> dict:
         return {"group": g.spec_string(), "S": s.format(),
                 "S_prime": s_prime.format(), "n": n, "mode": mode}
+    span = affine_span(s.support())
+    case1_bound = min(g.order, s_prime.length - n + 1)
+    if span.is_trivial:
+        # every term equals s0: every part is {s0}
+        return Certificate("I", make_setpartition(s_prime, n), H=span, theorem="main",
+                           bounds={"sum_size": 1, "case1_bound": case1_bound})
     solved, profile = _solve(s, s_prime, n, sigma_n, h)
     partition = solved.partition
     sum_size = solved.bounds["sum_size"]
-    case1_bound = min(span.order, s_prime.length - n + 1)
     if sum_size >= case1_bound:
         return Certificate("I", partition, theorem="main",
-                           bounds={"sum_size": sum_size, "case1_bound": case1_bound})
+                           bounds={"sum_size": sum_size,
+                                   "case1_bound": min(span.order, case1_bound)})
+    if sum_size >= span.order:
+        return Certificate("II", partition, H=span, K=span,
+                           alpha=next(s.support_indices()), e_H=0, e_K=0, k=n,
+                           theorem="main", bounds={"sum_size": sum_size})
 
     if h.is_trivial or h == span:
         raise InternalError("concentrated case with degenerate stabilizer", dump())
@@ -783,32 +689,21 @@ def _pipeline_core(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
 
     z = profile.Z_mask
     alpha = next(i for i in iter_bits(z) if s.mult[i])
-    offset = 0
-    if alpha != 0:
-        offset = alpha
-        neg = g.neg(alpha)
-        s = s.translate(neg)
-        s_prime = s_prime.translate(neg)
-        partition = partition.translate(neg)
-        z = g.translate_mask(z, neg)
-    if z != h.carrier.bits:
-        raise InternalError("X-coset did not normalize onto H", dump())
-
-    e_h = s.count_outside(h.carrier.bits)
+    e_h = s.count_outside(z)
     k = n - e_h
 
-    inside = [p for p in partition.parts if p.bits & ~h.carrier.bits == 0]
-    outside = [p for p in partition.parts if p.bits & ~h.carrier.bits]
-    if len(inside) != k or any((p.bits & ~h.carrier.bits).bit_count() != 1 for p in outside):
+    inside = [p for p in partition.parts if p.bits & ~z == 0]
+    outside = [p for p in partition.parts if p.bits & ~z]
+    if len(inside) != k or any((p.bits & ~z).bit_count() != 1 for p in outside):
         raise InternalError("partition does not split into k inside / e_H boundary parts", dump())
 
-    # Step B: the k inside parts sum to H, so K = H and the certificate is done
-    if _sum_of_parts(g, [p.bits for p in inside]) != h.carrier.bits:
+    # Step B: the k inside parts sum to k*alpha + H, so K = H and the certificate is done
+    target = g.translate_mask(h.carrier.bits, g.scale(k, alpha))
+    if _sum_of_parts(g, [p.bits for p in inside]) != target:
         raise InternalError("inside parts do not sum to H; no path past Step B", dump())
-    cert = Certificate("II", SetPartition(g, inside + outside),
-                       H=h, K=h, alpha=0, e_H=e_h, e_K=e_h, k=k,
+    return Certificate("II", SetPartition(g, inside + outside),
+                       H=h, K=h, alpha=alpha, e_H=e_h, e_K=e_h, k=k,
                        theorem="main", bounds={"sum_size": profile.sigma_n.size})
-    return _untranslate_cert(cert, offset)
 
 
 def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,

@@ -282,5 +282,27 @@ def test_unexpected_and_internal_errors_exit_3(exc, message, monkeypatch, tmp_pa
     assert json.loads(dump.read_text())["error"] == message
 
 
+def test_library_value_error_exit_3(monkeypatch, tmp_path, capsys):
+    # a bare ValueError raised inside the library is a bug, not a usage error
+    def broken(*args, **kwargs):
+        raise ValueError("solver inconsistency")
+    monkeypatch.setattr(cli, "main_pipeline", broken)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert run(["maincert", "-g", "4", "-s", "0^6;2^6", "--sprime", "0^5;2^5",
+                "-n", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: ValueError: solver inconsistency" in err
+    (dump,) = tmp_path.glob("subsumlab-dump-*.json")
+    assert json.loads(dump.read_text())["error"] == "ValueError: solver inconsistency"
+
+
+@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{"], ids=["json", "utf8"])
+def test_verify_unreadable_report_exit_2(content, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    out.write_bytes(content)
+    assert run(["verify", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0

@@ -1,6 +1,9 @@
 """Setpartition construction, the two-case partition solver, hypothesis
 items, and the main certificate pipeline."""
 
+import copy
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +11,6 @@ from subsumlab import sequences, setpartitions
 from subsumlab.groups import (
     GroupSubset,
     Subgroup,
-    enumerate_subgroups,
     parse_element,
     parse_group,
     stabilizer,
@@ -190,6 +192,35 @@ def test_pinned_case2_instances_verify(spec, seq, n, modes):
         assert main_verify(cert, g, s, s, n, mode) == (True, [])
 
 
+# case-II exits whose S misses 0: the certificate is in the caller's
+# coordinates, with alpha in supp(S)
+CALLER_FRAME_CASE2 = [
+    # Step B: the heavy coset (1,0,1) + H; one part has its term outside
+    ("2x2x4", "(1,0,0);(1,0,1)^3;(0,0,3)^4", 4, {
+        "parts": [["(1,0,1)", "(0,0,3)"]] * 3 + [["(1,0,0)", "(0,0,3)"]],
+        "H": ["(0,0,0)", "(1,0,2)"], "K": ["(0,0,0)", "(1,0,2)"],
+        "alpha": "(1,0,1)", "e_H": 1, "e_K": 1, "k": 3, "bounds": {"sum_size": 4}}),
+    # Step B with 13 inside parts
+    ("3x3", "(1,0)^14;(2,0)^6;(0,1)", 14, {
+        "parts": [["(1,0)", "(2,0)"]] * 6 + [["(1,0)"]] * 7 + [["(1,0)", "(0,1)"]],
+        "H": ["(0,0)", "(1,0)", "(2,0)"], "K": ["(0,0)", "(1,0)", "(2,0)"],
+        "alpha": "(1,0)", "e_H": 1, "e_K": 1, "k": 13, "bounds": {"sum_size": 6}}),
+    # span reduction: the sum of parts is the coset 2*1 + span of the span {0,2}
+    ("4", "1^2;3^2", 2, {
+        "parts": [["1", "3"], ["1", "3"]], "H": ["0", "2"], "K": ["0", "2"],
+        "alpha": "1", "e_H": 0, "e_K": 0, "k": 2, "bounds": {"sum_size": 2}}),
+]
+
+
+@pytest.mark.parametrize("spec, seq, n, fields", CALLER_FRAME_CASE2)
+def test_pipeline_case2_in_caller_frame(spec, seq, n, fields):
+    g = parse_group(spec)
+    s = parse_sequence(g, seq)
+    cert = main_pipeline(g, s, s, n)
+    assert cert.to_dict() == {"case": "II", "theorem": "main", "mode": "standard",
+                              "verified": True, **fields}
+
+
 def test_partition_case2_repair_needs_swap():
     # no transfer of an outside term keeps the sum at Sigma_n; a swap does
     g = parse_group("10")
@@ -238,19 +269,6 @@ def test_hypothesis_worked_instances():
     assert hypothesis_check(g, full, 1).item_satisfied == "full-H"
     triv = Subgroup(GroupSubset.from_indices(g, [0]))
     assert hypothesis_check(g, triv, 1).item_satisfied == "trivial-H"
-
-
-@pytest.mark.parametrize("spec", ["8", "12", "2x4", "3x3", "16", "2x2x4"])
-@pytest.mark.parametrize("mode", ["standard", "full-group"])
-def test_global_item_implies_local_item(spec, mode):
-    # test hook: a satisfied global condition must imply some item for
-    # every proper nontrivial subgroup
-    g = parse_group(spec)
-    for n in range(1, g.exponent + 3):
-        for h in enumerate_subgroups(g):
-            rep = hypothesis_check(g, h, n, mode)
-            if rep.global_item != "none" and not (h.is_trivial or h.is_full):
-                assert rep.item_satisfied != "none", (spec, n, h.order, mode)
 
 
 def test_hypothesis_report_quotient_field():
@@ -497,8 +515,9 @@ def test_pipeline_verifies_case1_certificate_once(monkeypatch):
 
 
 def test_pipeline_dump_holds_inputs_before_step_a(monkeypatch):
-    # Step A translates S by alpha = 1 here; a failure after it must dump the
-    # S that _pipeline_core received, not the translated one
+    # the heavy coset is 1 + H here, which the paper's Step A moves onto H;
+    # the pipeline never translates, so a failure at the split dumps the
+    # caller's own S, S', n and mode
     g = parse_group("8")
     s = parse_sequence(g, "0;1^3;5^4")
     monkeypatch.setattr(GSequence, "count_outside", lambda self, mask: -1)
@@ -547,19 +566,19 @@ def _recording_solver(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("spec, seq, solved_in, solved_seq", [
-    ("7", "1;2;3;4", "7", "0;1;2;3"),                # translated by -1
-    ("8", "2;4^2;6", "8", "0;2^2;4"),                # translated; span <2> inside G
-    ("2x4", "(0,1);(0,3)^2;(0,2)", "2x4", "(0,0);(0,1);(0,2)^2"),  # cyclic span inside G
+# 0 is not in supp(S) in any of them; the solver still gets the caller's S
+@pytest.mark.parametrize("spec, seq", [
+    ("7", "1;2;3;4"),
+    ("8", "2;4^2;6"),                # span <2> inside G
+    ("2x4", "(0,1);(0,3)^2;(0,2)"),  # cyclic span inside G
 ])
-def test_threaded_sigma_matches_fresh_dp(monkeypatch, spec, seq, solved_in, solved_seq):
+def test_threaded_sigma_matches_fresh_dp(monkeypatch, spec, seq):
     g = parse_group(spec)
     s = parse_sequence(g, seq)
     seen = _recording_solver(monkeypatch)
     cert = main_pipeline(g, s, s, 2)
     assert cert.verified
-    assert [(t.group.spec_string(), t.format()) for t, _ in seen] == \
-        [(solved_in, solved_seq)]
+    assert seen == [(s, 2)]
 
 
 @given(solver_instance())
@@ -603,6 +622,100 @@ def test_certificate_from_dict_rejects_malformed(mutate, message):
     g, data = _valid_record()
     with pytest.raises(PartitionError, match=message):
         Certificate.from_dict(g, mutate(data))
+
+
+# certificate-mutation fuzz: records of both solvers, case I and II, with a
+# span reduction and Step B whose S misses 0 (group, S, S', n, call)
+FUZZ_RECORDS = [
+    ("7", "0;1;2;3", "0;1;2;3", 2, "standard"),
+    ("4", "0^6;2^6", "0^5;2^5", 5, "standard"),
+    ("4", "1^2;3^2", "1^2;3^2", 2, "standard"),
+    ("2x2x4", "(1,0,0);(1,0,1)^3;(0,0,3)^4", "(1,0,0);(1,0,1)^3;(0,0,3)^4", 4, "standard"),
+    ("4", "0^5;1^5;2^5;3^5", "0^5;1^5;2^5;3^5", 5, "full-group"),
+    ("7", "0;1;2;3", "0;1;2;3", 2, "partition"),
+    ("8", "0^2;4^2;1^2;5^2", "0^2;4^2;1^2;5^2", 2, "partition"),
+]
+JSON_VALUES = (None, True, False, 0, -1, 3, 2.5, "", "0", "II", [], ["0"], [[]], {}, {"a": 1})
+
+
+def _mutate(rng: random.Random, g, record: dict) -> dict:
+    """record with one random edit: an element, part membership, a case
+    field, or the JSON type of a field or a part."""
+    d = copy.deepcopy(record)
+    elems = [g.format_element(i) for i in range(g.order)]
+    literals = elems + ["-1", str(g.order), "(0,9)", "x", ""]
+    parts = d["parts"]
+    kind = rng.randrange(4)
+    if kind == 0:
+        lists = [p for p in parts if p] + [d[name] for name in ("H", "K") if d[name]]
+        target = rng.choice(lists + [None])
+        if target is None:
+            d["alpha"] = rng.choice(literals)
+        else:
+            target[rng.randrange(len(target))] = rng.choice(literals)
+    elif kind == 1:
+        i, j = rng.randrange(len(parts) or 1), rng.randrange(len(parts) or 1)
+        op = rng.randrange(5) if parts else 3
+        if op == 0 and parts[i]:
+            parts[j].append(parts[i].pop(rng.randrange(len(parts[i]))))
+        elif op == 1:
+            parts[i].append(rng.choice(elems))
+        elif op == 2:
+            del parts[i]
+        elif op == 3:
+            parts.append([rng.choice(elems)])
+        else:
+            parts[i], parts[j] = parts[j], parts[i]
+    elif kind == 2:
+        name = rng.choice(["case", "theorem", "mode", "H", "K", "alpha", "e_H", "e_K", "k"])
+        if name in ("case", "theorem", "mode"):
+            d[name] = rng.choice({"case": ["I", "II"], "theorem": ["partition", "main"],
+                                  "mode": ["standard", "full-group"]}[name])
+        elif name in ("H", "K"):
+            d[name] = rng.sample(elems, rng.randint(0, g.order)) or None
+        elif name == "alpha":
+            d[name] = rng.choice(elems + [None])
+        else:
+            d[name] = rng.randint(-1, len(parts) + 1)
+    elif parts and rng.random() < 0.3:
+        parts[rng.randrange(len(parts))] = rng.choice(JSON_VALUES)
+    else:
+        d[rng.choice(sorted(d))] = rng.choice(JSON_VALUES)
+    return d
+
+
+@pytest.mark.parametrize("spec, seq, seq_prime, n, call", FUZZ_RECORDS,
+                         ids=[f"{call}-{spec}-n{n}" for spec, _, _, n, call in FUZZ_RECORDS])
+def test_mutated_certificates_are_rejected_or_verified(spec, seq, seq_prime, n, call):
+    g = parse_group(spec)
+    s, s_prime = parse_sequence(g, seq), parse_sequence(g, seq_prime)
+    cert = (partition_solve(s, s_prime, n) if call == "partition"
+            else main_pipeline(g, s, s_prime, n, call))
+    record = cert.to_dict()
+    rng = random.Random(f"fuzz:{spec}:{seq}:{n}:{call}")
+    outcomes = {"malformed": 0, "rejected": 0, "verified": 0}
+    for _ in range(600):
+        # one to three edits, stopping at the first record that fails to parse
+        data = record
+        for _ in range(rng.randint(1, 3)):
+            data = _mutate(rng, g, data)
+            try:
+                back = Certificate.from_dict(g, data)
+            except PartitionError:
+                back = None
+                break
+        if back is None:
+            outcomes["malformed"] += 1
+            continue
+        # read the theorem and mode from the record, as subsumlab verify does
+        if back.theorem == "partition":
+            ok, violations = partition_verify(back, s, s_prime, n)
+        else:
+            ok, violations = main_verify(back, g, s, s_prime, n, back.mode)
+        assert type(ok) is bool and ok == (not violations), data
+        assert all(isinstance(v, str) for v in violations), data
+        outcomes["verified" if ok else "rejected"] += 1
+    assert outcomes["malformed"] and outcomes["rejected"], outcomes
 
 
 def test_certificate_from_dict_range_checks_coordinates():
