@@ -673,16 +673,13 @@ def quotient_decompose(g: GroupSpec, h: Subgroup) -> QuotientStructure:
     return QuotientStructure(g, h, coset_of, reps, spec, iso, iso_inv)
 
 
-_quotient_cache: dict[tuple[GroupSpec, int], QuotientStructure] = {}
+# quotients quotient_cached keeps, least recently used evicted first
+QUOTIENT_CACHE_SIZE = 512
 
 
+@functools.lru_cache(maxsize=QUOTIENT_CACHE_SIZE)
 def quotient_cached(g: GroupSpec, h: Subgroup) -> QuotientStructure:
-    key = (g, h.carrier.bits)
-    q = _quotient_cache.get(key)
-    if q is None:
-        q = quotient_decompose(g, h)
-        _quotient_cache[key] = q
-    return q
+    return quotient_decompose(g, h)
 
 
 def enumerate_subgroups(g: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup]:

@@ -76,9 +76,6 @@ class GSequence:
     def __repr__(self) -> str:
         return f"GSequence({self.group.spec_string()}, {self.format()!r})"
 
-    def multiplicity(self, idx: int) -> int:
-        return self.mult[idx]
-
     def terms(self) -> Iterator[int]:
         """Each term once per multiplicity, ascending element index."""
         for idx, m in enumerate(self.mult):
@@ -104,14 +101,6 @@ class GSequence:
         if not other.is_subsequence_of(self):
             raise SequenceError("removal of a non-subsequence")
         return GSequence(self.group, list(map(operator.sub, self.mult, other.mult)))
-
-    def translate(self, b: int) -> "GSequence":
-        g = self.group
-        mult = [0] * g.order
-        for idx, m in enumerate(self.mult):
-            if m:
-                mult[g.add(idx, b)] = m
-        return GSequence(g, mult)
 
     def count_outside(self, mask: int) -> int:
         return sum(m for i, m in enumerate(self.mult) if not (mask >> i) & 1)

@@ -8,18 +8,13 @@ while a part holds two terms outside the high-multiplicity cosets, one of them
 moves to a part that holds none, as long as the sum of parts stays Sigma_n(S).
 
 main_pipeline realizes the strengthened conclusion under the exponent-style
-hypotheses, in G's own coordinates: it never translates S, Sigma_n(S) or the
-certificate.  The paper's "WLOG 0 in supp(S)" and Step A's move of the heavy
-coset onto H are proof devices; the certificate records the coset alpha + K
-instead.  The argument runs on the affine span <supp(S)>_*, a subgroup of G
-kept as a mask (the paper's reduction to <supp(S)>_* = G), and has four
-exits: a trivial span (every term equal); case I from the solver; a span
-reduction, where a case-I sum of parts that fills a coset of the proper span
-becomes case II with H = K = span; and Step B, where the solver's case-II
-parts inside the one heavy H-coset alpha + H sum to a coset of H, so K = H.
-The inductive argument goes on past Step B (Steps C-E, recursing on the
-inside subsequence), but no instance has been found that needs it: reaching
-that point raises InternalError.
+hypotheses in G's own coordinates, never translating S, Sigma_n(S) or the
+certificate: it records the coset alpha + K where the paper's "WLOG 0 in
+supp(S)" and Step A translate.  It has two exits, case I from the solver and
+Step B (K = H); _pipeline_cert argues why the paper's trivial span and span
+reduction need none.  Steps C-E, past Step B, are not coded: no instance has
+been found that needs them, and main_verify checks the claims of Steps A and
+B on every certificate.
 
 Each public solver verifies the certificate it returns exactly once, with the
 independent verifier for its theorem (partition_verify, main_verify); a
@@ -49,7 +44,6 @@ from .groups import (
     GroupSpec,
     GroupSubset,
     Subgroup,
-    affine_span,
     is_prime,
     iter_bits,
     parse_element,
@@ -634,7 +628,6 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
             f"no hypothesis item holds for H of order {h.order}, n={n}, "
             f"G={g.spec_string()} (mode {mode})")
     cert = _pipeline_cert(g, s, s_prime, n, mode, sigma_n, h)
-    cert.mode = mode
     ok, violations = main_verify(cert, g, s, s_prime, n, mode)
     if not ok:
         raise InternalError(
@@ -648,62 +641,43 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
 def _pipeline_cert(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
                    mode: str, sigma_n: GroupSubset, h: Subgroup) -> Certificate:
     """The main argument on the caller's S, given sigma_n = Sigma_n(S) and
-    h = H(sigma_n): a trivial span, case I, a span reduction or Step B, else
-    InternalError with the caller's instance as dump.
+    h = H(sigma_n): case I, else Step B.
 
-    Every term lies in s0 + span, s0 the least element of supp(S) and span =
-    <supp(S)>_*, so every sum of parts lies in the coset n*s0 + span.  A
-    case-I sum that reaches |span| but misses min(|G|, |S'| - n + 1) is that
-    whole coset: case II with H = K = span and alpha = s0.  Otherwise the
-    solver's case-II partition has one high-multiplicity H-coset z = alpha + H
-    (the paper's Step A moves it onto H; here it stays put) and splits into
+    The solver's case-II partition has one high-multiplicity H-coset z =
+    alpha + H (Step A would move it onto H; here it stays put) and splits into
     k = n - e_H parts inside z and e_H parts with one term outside; Step B
-    returns case II with K = H when the inside parts sum to k*alpha + H.
-    Anything past Step B (the paper's Steps C-E) raises InternalError.
+    returns case II with K = H.  Every term lies in s0 + span (s0 the least
+    element of supp(S), span = <supp(S)>_*), so every sum of parts lies in
+    the coset n*s0 + span.  The other branches of the argument need no code:
+    (1) A trivial span (every term s0) forces |S'| = h(S') <= n, so the
+        solver returns case I on the round-robin partition (bound 1).
+    (2) A sum of parts that fills n*s0 + span but misses the case-I bound
+        comes from case II, where it is Sigma_n; so H = span, N = 1, e = 0,
+        alpha = s0, and Step B gives H = K = span.
+    (3) At the case-I exit, bound <= sum size <= |span|: no min with |span|.
+    (4) Case II with trivial H has |Sigma_n| >= |S'| - n + 1 + rho, so it
+        leaves by the case-I exit.
+    (5) The solver checked case II: no leftover term outside z and at most
+        one outside term per part, so the e_H = profile.e outside terms sit
+        in e_H parts and k parts lie inside z.  z is not empty: N = 0 puts
+        one term in each part, so |S'| = n, which is case I.
+    Not proved here: |X| = 1 (Step A), and the inside parts summing to
+    k*alpha + H (Step B; open).  main_verify's clauses (c) and (d) check both,
+    and main_pipeline raises InternalError with the caller's instance.
     """
-    def dump() -> dict:
-        return {"group": g.spec_string(), "S": s.format(),
-                "S_prime": s_prime.format(), "n": n, "mode": mode}
-    span = affine_span(s.support())
-    case1_bound = min(g.order, s_prime.length - n + 1)
-    if span.is_trivial:
-        # every term equals s0: every part is {s0}
-        return Certificate("I", make_setpartition(s_prime, n), H=span, theorem="main",
-                           bounds={"sum_size": 1, "case1_bound": case1_bound})
     solved, profile = _solve(s, s_prime, n, sigma_n, h)
-    partition = solved.partition
     sum_size = solved.bounds["sum_size"]
+    case1_bound = min(g.order, s_prime.length - n + 1)
     if sum_size >= case1_bound:
-        return Certificate("I", partition, theorem="main",
-                           bounds={"sum_size": sum_size,
-                                   "case1_bound": min(span.order, case1_bound)})
-    if sum_size >= span.order:
-        return Certificate("II", partition, H=span, K=span,
-                           alpha=next(s.support_indices()), e_H=0, e_K=0, k=n,
-                           theorem="main", bounds={"sum_size": sum_size})
-
-    if h.is_trivial or h == span:
-        raise InternalError("concentrated case with degenerate stabilizer", dump())
-    if profile.N != 1:
-        raise InternalError(f"|X| = {profile.N} != 1 under the hypotheses (Step A)", dump())
-
+        return Certificate("I", solved.partition, theorem="main", mode=mode,
+                           bounds={"sum_size": sum_size, "case1_bound": case1_bound})
     z = profile.Z_mask
     alpha = next(i for i in iter_bits(z) if s.mult[i])
-    e_h = s.count_outside(z)
-    k = n - e_h
-
-    inside = [p for p in partition.parts if p.bits & ~z == 0]
-    outside = [p for p in partition.parts if p.bits & ~z]
-    if len(inside) != k or any((p.bits & ~z).bit_count() != 1 for p in outside):
-        raise InternalError("partition does not split into k inside / e_H boundary parts", dump())
-
-    # Step B: the k inside parts sum to k*alpha + H, so K = H and the certificate is done
-    target = g.translate_mask(h.carrier.bits, g.scale(k, alpha))
-    if _sum_of_parts(g, [p.bits for p in inside]) != target:
-        raise InternalError("inside parts do not sum to H; no path past Step B", dump())
-    return Certificate("II", SetPartition(g, inside + outside),
-                       H=h, K=h, alpha=alpha, e_H=e_h, e_K=e_h, k=k,
-                       theorem="main", bounds={"sum_size": profile.sigma_n.size})
+    # the k parts inside z first, each in the solver's order
+    parts = sorted(solved.partition.parts, key=lambda p: bool(p.bits & ~z))
+    return Certificate("II", SetPartition(g, parts), H=h, K=h, alpha=alpha,
+                       e_H=profile.e, e_K=profile.e, k=n - profile.e,
+                       theorem="main", mode=mode, bounds={"sum_size": sigma_n.size})
 
 
 def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,

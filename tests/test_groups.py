@@ -371,6 +371,16 @@ def test_quotient_c8_mod_04():
     assert q.preimage_mask(1 << q.image(1)) == (1 << 1) | (1 << 5)
 
 
+def test_quotient_cache_is_bounded():
+    # 2^6 has 2,825 subgroups; one more than the bound fills the cache
+    g = parse_group("2x2x2x2x2x2")
+    size = groups.QUOTIENT_CACHE_SIZE
+    for h in enumerate_subgroups(g)[:size + 1]:
+        quotient_cached(g, h)
+    assert quotient_cached.cache_info().maxsize == size
+    assert quotient_cached.cache_info().currsize == size
+
+
 def test_verify_subgroup_rejects_nonsubgroup():
     g = parse_group("8")
     with pytest.raises(GroupError):

@@ -205,7 +205,7 @@ CALLER_FRAME_CASE2 = [
         "parts": [["(1,0)", "(2,0)"]] * 6 + [["(1,0)"]] * 7 + [["(1,0)", "(0,1)"]],
         "H": ["(0,0)", "(1,0)", "(2,0)"], "K": ["(0,0)", "(1,0)", "(2,0)"],
         "alpha": "(1,0)", "e_H": 1, "e_K": 1, "k": 13, "bounds": {"sum_size": 6}}),
-    # span reduction: the sum of parts is the coset 2*1 + span of the span {0,2}
+    # Step B with H = K = span: the sum of parts is the coset 2*1 + {0,2}
     ("4", "1^2;3^2", 2, {
         "parts": [["1", "3"], ["1", "3"]], "H": ["0", "2"], "K": ["0", "2"],
         "alpha": "1", "e_H": 0, "e_K": 0, "k": 2, "bounds": {"sum_size": 2}}),
@@ -298,10 +298,15 @@ def test_main_pipeline_worked_case2():
 
 
 def test_main_pipeline_trivial_span_case1():
-    g = parse_group("4")
-    s = parse_sequence(g, "1^4")
-    cert = main_pipeline(g, s, s, 4)
-    assert cert.case_tag == "I" and cert.verified
+    # every term equal: the solver's case I on the round-robin partition,
+    # with no H recorded
+    for spec, seq, n in [("4", "1^4", 4), ("1", "0^3", 3)]:
+        g = parse_group(spec)
+        s = parse_sequence(g, seq)
+        cert = main_pipeline(g, s, s, n)
+        assert cert.case_tag == "I" and cert.verified
+        assert cert.H is None
+        assert cert.partition == make_setpartition(s, n)
 
 
 def test_main_pipeline_fullgroup_worked():
@@ -516,15 +521,17 @@ def test_pipeline_verifies_case1_certificate_once(monkeypatch):
 
 def test_pipeline_dump_holds_inputs_before_step_a(monkeypatch):
     # the heavy coset is 1 + H here, which the paper's Step A moves onto H;
-    # the pipeline never translates, so a failure at the split dumps the
-    # caller's own S, S', n and mode
+    # the pipeline never translates, so a certificate that fails main_verify
+    # dumps the caller's own group, S, S', n and mode with the violations
     g = parse_group("8")
     s = parse_sequence(g, "0;1^3;5^4")
-    monkeypatch.setattr(GSequence, "count_outside", lambda self, mask: -1)
-    with pytest.raises(InternalError, match="does not split") as info:
+    monkeypatch.setattr(setpartitions, "main_verify",
+                        lambda *args: (False, ["rejected"]))
+    with pytest.raises(InternalError, match="failed verification") as info:
         main_pipeline(g, s, s, 4)
-    assert info.value.dump == {"group": "8", "S": "0;1^3;5^4",
-                               "S_prime": "0;1^3;5^4", "n": 4, "mode": "standard"}
+    assert info.value.dump == {"violations": ["rejected"], "group": "8",
+                               "S": "0;1^3;5^4", "S_prime": "0;1^3;5^4",
+                               "n": 4, "mode": "standard"}
 
 
 def test_main_verify_misses_memo_of_other_sequence(monkeypatch):
@@ -624,8 +631,8 @@ def test_certificate_from_dict_rejects_malformed(mutate, message):
         Certificate.from_dict(g, mutate(data))
 
 
-# certificate-mutation fuzz: records of both solvers, case I and II, with a
-# span reduction and Step B whose S misses 0 (group, S, S', n, call)
+# certificate-mutation fuzz: records of both solvers, case I and II, with
+# Step B with H = K = span and Step B whose S misses 0 (group, S, S', n, call)
 FUZZ_RECORDS = [
     ("7", "0;1;2;3", "0;1;2;3", 2, "standard"),
     ("4", "0^6;2^6", "0^5;2^5", 5, "standard"),
