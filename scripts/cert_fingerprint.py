@@ -18,7 +18,11 @@ kept their digests: a pipeline change leaves every partition digest as it
 was.  On stderr it
 prints, per slice and call, how many outcomes were ok:I, ok:II or each raised
 error class, so a change that alters which certificate comes out, but not
-whether one does, shows as changed digests with unchanged counts.
+whether one does, shows as changed digests with unchanged counts.  It also
+round-trips every certificate it hashes through the codec,
+from_dict(G, json.loads(json.dumps(to_dict()))), and prints per slice how many
+round-trips did not give back the same record apart from "verified" (a
+parsed certificate is never verified), or raised; that count must be 0.
 
 The corpus (fixed, seeded), one slice each:
   - criterion 8-9: the criterion 8-9 audit corpus, 56,974 instances: every
@@ -52,7 +56,12 @@ from subsumlab.search import (  # noqa: E402
     random_instance,
 )
 from subsumlab.sequences import GSequence, parse_sequence  # noqa: E402
-from subsumlab.setpartitions import main_pipeline, partition_solve  # noqa: E402
+from subsumlab.setpartitions import (  # noqa: E402
+    Certificate,
+    PartitionError,
+    main_pipeline,
+    partition_solve,
+)
 
 # the criterion 8-9 audit configuration (tests/test_acceptance.py)
 C89 = AuditConfig(max_group_order=16, exhaustive_group_cap=8,
@@ -120,14 +129,21 @@ def pinned():
         yield g, s, s, n
 
 
-def outcome(call) -> tuple[str, str]:
-    """(class, text): ok:I or ok:II and the certificate's to_dict() JSON, or
-    the raised error's class name and its text."""
+def outcome(g, call) -> tuple[str, str, bool]:
+    """(class, text, round-trip ok): ok:I or ok:II, the certificate's
+    to_dict() JSON and whether the codec gives its record back, or the raised
+    error's class name, its text and True."""
     try:
         cert = call()
-        return f"ok:{cert.case_tag}", json.dumps(cert.to_dict(), sort_keys=True)
     except Exception as err:  # the error text is part of the fingerprint
-        return type(err).__name__, f"{type(err).__name__}: {err}"
+        return type(err).__name__, f"{type(err).__name__}: {err}", True
+    record = cert.to_dict()
+    try:
+        back = Certificate.from_dict(g, json.loads(json.dumps(record))).to_dict()
+    except PartitionError:
+        back = None
+    same = back == {**record, "verified": False}
+    return f"ok:{cert.case_tag}", json.dumps(record, sort_keys=True), same
 
 
 def main() -> int:
@@ -141,13 +157,15 @@ def main() -> int:
         call_digests = [hashlib.sha256() for _ in CALLS]
         count = 0
         classes = [Counter() for _ in CALLS]
+        mismatches = 0
         for g, s, s_prime, n in corpus():
             for j, call in enumerate((
                     lambda: partition_solve(s, s_prime, n),
                     lambda: main_pipeline(g, s, s_prime, n),
                     lambda: main_pipeline(g, s, s_prime, n, "full-group"))):
-                cls, text = outcome(call)
+                cls, text, same = outcome(g, call)
                 classes[j][cls] += 1
+                mismatches += not same
                 line = text.encode() + b"\n"
                 call_digests[j].update(line)
                 digest.update(line)
@@ -156,7 +174,8 @@ def main() -> int:
         raised = [sum(c for cls, c in counts.items() if not cls.startswith("ok:"))
                   for counts in classes]
         print(f"# {name}: {count} instances; raised: partition {raised[0]}, "
-              f"pipeline {raised[1]}, full-group {raised[2]} "
+              f"pipeline {raised[1]}, full-group {raised[2]}; "
+              f"round-trip mismatches {mismatches} "
               f"({time.perf_counter() - t0:.0f}s)", file=sys.stderr)
         for call, counts in zip(CALLS, classes):
             print(f"#   {call}: " + ", ".join(f"{cls} {c}" for cls, c in sorted(counts.items())),

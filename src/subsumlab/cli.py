@@ -72,8 +72,8 @@ _USAGE_ERRORS = (GroupError, SequenceError, PartitionError, SearchError,
 
 
 def _format_subset(subset: GroupSubset) -> list[str]:
-    g = subset.group
-    return [g.format_element(i) for i in subset.indices()]
+    lits = subset.group.literals()
+    return [lits[i] for i in subset.indices()]
 
 
 def _render_text(value: Any, key: str = "", indent: int = 0) -> list[str]:

@@ -13,6 +13,7 @@ Everything here is exact and immutable; the intended scale is |G| <= 4096.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -30,6 +31,7 @@ class GroupSpec:
     __slots__ = (
         "invariant_factors", "order", "exponent", "rank", "strides",
         "full_mask", "_rot_cache", "_plans", "_neg_cache", "_order_cache",
+        "_literals", "_literal_index",
     )
 
     def __init__(self, invariant_factors: Sequence[int]):
@@ -54,6 +56,8 @@ class GroupSpec:
         self._plans: list[tuple | None] = [None] * self.order
         self._neg_cache: list[int] | None = None
         self._order_cache: list[int] | None = None
+        self._literals: list[str] | None = None
+        self._literal_index: dict[str, int] | None = None
 
     # -- identity / formatting ------------------------------------------------
 
@@ -159,10 +163,29 @@ class GroupSpec:
             mask = ((mask & low) << shift) | ((mask & high) >> keep)
         return mask
 
+    def literals(self) -> list[str]:
+        """Canonical literal of every element by index, built on first use:
+        a bare int for rank 1, '(c1,...,cr)' otherwise."""
+        lits = self._literals
+        if lits is None:
+            if self.rank == 1:
+                lits = [str(i) for i in range(self.order)]
+            else:
+                # product varies its last axis fastest, the index its first
+                axes = [[str(c) for c in range(m)] for m in reversed(self.invariant_factors)]
+                lits = ["(" + ",".join(reversed(t)) + ")" for t in itertools.product(*axes)]
+            self._literals = lits
+        return lits
+
+    def literal_index(self) -> dict[str, int]:
+        """The inverse of literals(): canonical literal -> element index."""
+        index = self._literal_index
+        if index is None:
+            index = self._literal_index = {t: i for i, t in enumerate(self.literals())}
+        return index
+
     def format_element(self, index: int) -> str:
-        if self.rank == 1:
-            return str(index)
-        return "(" + ",".join(str(c) for c in self.coords(index)) + ")"
+        return self.literals()[index]
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -221,7 +244,8 @@ class GroupSubset:
         return f"GroupSubset({self.group.spec_string()}, {{{self.format()}}})"
 
     def format(self) -> str:
-        return ",".join(self.group.format_element(i) for i in self.indices())
+        lits = self.group.literals()
+        return ",".join(lits[i] for i in self.indices())
 
     def indices(self) -> Iterator[int]:
         return iter_bits(self.bits)

@@ -30,6 +30,14 @@ class SequenceError(ValueError):
     """Invalid sequence operation (bad lengths, mismatched groups, ...)."""
 
 
+class InternalError(RuntimeError):
+    """A step the theory guarantees has failed; carries an instance dump."""
+
+    def __init__(self, message: str, dump: dict | None = None):
+        super().__init__(message)
+        self.dump = dump or {}
+
+
 class GSequence:
     """Multiset of group elements with cached length."""
 
@@ -106,11 +114,12 @@ class GSequence:
         return sum(m for i, m in enumerate(self.mult) if not (mask >> i) & 1)
 
     def format(self) -> str:
+        lits = self.group.literals()
         parts = []
         for idx, m in enumerate(self.mult):
             if not m:
                 continue
-            lit = self.group.format_element(idx)
+            lit = lits[idx]
             parts.append(lit if m == 1 else f"{lit}^{m}")
         return ";".join(parts)
 
@@ -236,6 +245,11 @@ class SubsumProfile:
         return self.quotient.preimage_mask(self.X.bits)
 
 
+def _dump(s: GSequence, n: int) -> dict:
+    """The instance an InternalError reports."""
+    return {"group": s.group.spec_string(), "S": s.format(), "n": n}
+
+
 def subsum_profile(s: GSequence, n: int, ref_len: int,
                    sigma: GroupSubset | None = None,
                    h: Subgroup | None = None) -> SubsumProfile:
@@ -265,7 +279,8 @@ def subsum_profile(s: GSequence, n: int, ref_len: int,
     bound_primary = ((big_n - 1) * n + e + 1) * order_h
     bound_alt = (sum(min(n, m) for m in phi_s.mult) - n + 1) * order_h
     if bound_primary != bound_alt:
-        raise SequenceError("subsum bound forms disagree (internal inconsistency)")
+        raise InternalError("subsum bound forms disagree (internal inconsistency)",
+                            {**_dump(s, n), "ref_len": ref_len})
     return SubsumProfile(h, q, GroupSubset(q.quotient_spec, x_bits),
                          big_n, e, rho, n, ref_len, sig, bound_primary, bound_alt)
 
@@ -280,9 +295,9 @@ def build_s_star(s: GSequence, profile: SubsumProfile, n: int) -> GSequence:
         mult[idx] = n
     star = GSequence(s.group, mult)
     if not s.is_subsequence_of(star):
-        raise SequenceError("S* construction lost terms of S")
+        raise InternalError("S* construction lost terms of S", _dump(s, n))
     if star.length != s.length + profile.rho:
-        raise SequenceError("|S*| != |S| + rho")
+        raise InternalError("|S*| != |S| + rho", _dump(s, n))
     if star.mult != s.mult:
         # Sigma_n(S) <= Sigma_n(S*) already holds (S | S*), and Sigma_n(S) is
         # H-saturated, so equality reduces to equality of quotient images --
@@ -290,7 +305,7 @@ def build_s_star(s: GSequence, profile: SubsumProfile, n: int) -> GSequence:
         q = profile.quotient
         phi_star = push_forward(star, q)
         if nterm_subsums(phi_star, n).bits != q.image_mask(profile.sigma_n.bits):
-            raise SequenceError("Sigma_n(S*) != Sigma_n(S)")
+            raise InternalError("Sigma_n(S*) != Sigma_n(S)", _dump(s, n))
     return star
 
 

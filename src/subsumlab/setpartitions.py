@@ -52,7 +52,13 @@ from .groups import (
     sum_masks,
     verify_subgroup,
 )
-from .sequences import GSequence, SubsumProfile, nterm_subsums, subsum_profile
+from .sequences import (
+    GSequence,
+    InternalError,
+    SubsumProfile,
+    nterm_subsums,
+    subsum_profile,
+)
 
 
 class PartitionError(ValueError):
@@ -61,14 +67,6 @@ class PartitionError(ValueError):
 
 class HypothesesUnmetError(PartitionError):
     """None of the main-theorem hypothesis items holds for the instance."""
-
-
-class InternalError(RuntimeError):
-    """A step the theory guarantees has failed; carries an instance dump."""
-
-    def __init__(self, message: str, dump: dict | None = None):
-        super().__init__(message)
-        self.dump = dump or {}
 
 
 class SetPartition:
@@ -134,18 +132,19 @@ class Certificate:
     verified: bool = False
 
     def to_dict(self) -> dict:
-        g = self.partition.group
+        lits = self.partition.group.literals()
+
+        def subset(sub: GroupSubset) -> list[str]:
+            return [lits[i] for i in sub.indices()]
+
         return {
             "case": self.case_tag,
             "theorem": self.theorem,
             "mode": self.mode,
-            "parts": [[g.format_element(i) for i in p.indices()]
-                      for p in self.partition.parts],
-            "H": ([g.format_element(i) for i in self.H.carrier.indices()]
-                  if self.H else None),
-            "K": ([g.format_element(i) for i in self.K.carrier.indices()]
-                  if self.K else None),
-            "alpha": g.format_element(self.alpha) if self.alpha is not None else None,
+            "parts": [subset(p) for p in self.partition.parts],
+            "H": subset(self.H.carrier) if self.H else None,
+            "K": subset(self.K.carrier) if self.K else None,
+            "alpha": lits[self.alpha] if self.alpha is not None else None,
             "e_H": self.e_H,
             "e_K": self.e_K,
             "k": self.k,
@@ -158,15 +157,22 @@ class Certificate:
         """Parse a to_dict() record; PartitionError on any malformed field.
 
         Element literals must be in the canonical form to_dict writes, so an
-        out-of-range coordinate such as "5" over C4 is rejected, not reduced.
-        The record's "verified" is ignored: only a solver's own verification
-        sets it, so a parsed certificate has verified=False.
+        out-of-range coordinate such as "5" over C4 is rejected, not reduced;
+        whitespace around a literal or its coordinates is tolerated, so
+        " ( 1 , 0 ) " reads as "(1,0)".  The record's "verified" is ignored:
+        only a solver's own verification sets it, so a parsed certificate has
+        verified=False.
         """
         def check(ok: bool, what: str) -> None:
             if not ok:
                 raise PartitionError(f"malformed certificate: {what}")
 
+        canonical = group.literal_index()
+
         def element(text) -> int:
+            idx = canonical.get(text) if isinstance(text, str) else None
+            if idx is not None:
+                return idx
             check(isinstance(text, str), f"element {text!r} is not a string")
             try:
                 idx = parse_element(group, text)
@@ -310,23 +316,24 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int
 
     Returns part bitmasks and the achieved sum size.
     """
-    g = s.group
     parts = [p.bits for p in make_setpartition(s_prime, n).parts]
-    best = _sum_of_parts(g, parts).bit_count()
+    best = _sum_of_parts(s.group, parts).bit_count()
     moves = 0
-    while best < target and moves < _MAX_CLIMB_MOVES and _improve(s, parts, best):
+    while best < target and moves < _MAX_CLIMB_MOVES and (lifted := _improve(s, parts, best)):
         moves += 1
-        best = _sum_of_parts(g, parts).bit_count()
+        best = lifted
     return parts, best
 
 
-def _improve(s: GSequence, parts: list[int], best: int) -> bool:
+def _improve(s: GSequence, parts: list[int], best: int) -> int:
     """Apply the first move that lifts |sum of parts| above best to parts.
 
     For each part i in turn: replace an element of part i by an unused term
     of S; then, for each other part j and each element e of part i that j
     lacks, transfer e to j, or swap e with an element of j that i lacks.
-    Returns False when no move improves.
+    A move changes parts i and j only, so the sum of the other parts is
+    taken once per pair (i, j) that has a move.  Returns the lifted sum
+    size, or 0 when no move improves.
     """
     g = s.group
     used = [0] * g.order
@@ -336,27 +343,32 @@ def _improve(s: GSequence, parts: list[int], best: int) -> bool:
     spare = [u for u, (m, c) in enumerate(zip(s.mult, used)) if m > c]
     for i, part in enumerate(parts):
         # partial product excluding part i
-        rest = _sum_of_parts(g, parts[:i] + parts[i + 1:])
+        rest = _sum_of_parts(g, parts[:i] + parts[i + 1:]) if spare else 0
         for e in iter_bits(part):
             for u in spare:
                 cand = (part & ~(1 << e)) | (1 << u)
-                if not (part >> u) & 1 and sum_masks(g, rest, cand).bit_count() > best:
-                    parts[i] = cand
-                    return True
+                if not (part >> u) & 1:
+                    size = sum_masks(g, rest, cand).bit_count()
+                    if size > best:
+                        parts[i] = cand
+                        return size
         for j, other in enumerate(parts):
-            if j == i:
+            givers, takers = part & ~other, other & ~part
+            # no move without an e to give, nor when i would be left empty
+            # and j has no f to give back
+            if j == i or not givers or (part.bit_count() < 2 and not takers):
                 continue
-            for e in iter_bits(part & ~other):
+            rest_ij = _sum_of_parts(g, [b for k, b in enumerate(parts) if k != i and k != j])
+            for e in iter_bits(givers):
                 moves = [(part & ~(1 << e), other | (1 << e))] if part.bit_count() >= 2 else []
                 moves += [((part & ~(1 << e)) | (1 << f), (other & ~(1 << f)) | (1 << e))
-                          for f in iter_bits(other & ~part)]
+                          for f in iter_bits(takers)]
                 for cand_i, cand_j in moves:
-                    trial = parts[:]
-                    trial[i], trial[j] = cand_i, cand_j
-                    if _sum_of_parts(g, trial).bit_count() > best:
+                    size = sum_masks(g, sum_masks(g, rest_ij, cand_i), cand_j).bit_count()
+                    if size > best:
                         parts[i], parts[j] = cand_i, cand_j
-                        return True
-    return False
+                        return size
+    return 0
 
 
 def _spread_outside_terms(g: GroupSpec, parts: list[int], z: int,

@@ -2,14 +2,16 @@
 
 Everything here recomputes from first principles with itertools-style
 enumeration over explicit element tuples; no bitmask tricks, no DP, no
-sharing of code paths with the library implementations under test.
+sharing of code paths with the library implementations under test.  The one
+exception is improve_oracle, a reference copy of the hill climb's move step
+that re-sums every part per candidate move with the library's sum_masks.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from subsumlab.groups import GroupSpec, GroupSubset, Subgroup
+from subsumlab.groups import GroupSpec, GroupSubset, Subgroup, iter_bits, sum_masks
 from subsumlab.sequences import GSequence
 
 
@@ -111,3 +113,45 @@ def subset(g: GroupSpec, indices) -> GroupSubset:
 
 def subgroup(g: GroupSpec, indices) -> Subgroup:
     return Subgroup(GroupSubset.from_indices(g, indices))
+
+
+def improve_oracle(s: GSequence, parts: list[int], best: int) -> bool:
+    """setpartitions._improve as it was before it kept one partial sum per
+    part pair: the same moves in the same order, each scored by summing all
+    n parts afresh.  Applies the first improving move to parts and returns
+    whether there was one."""
+    g = s.group
+
+    def sum_of_parts(parts_bits):
+        acc = 1
+        for b in parts_bits:
+            acc = sum_masks(g, acc, b)
+        return acc
+
+    used = [0] * g.order
+    for b in parts:
+        for i in iter_bits(b):
+            used[i] += 1
+    spare = [u for u, (m, c) in enumerate(zip(s.mult, used)) if m > c]
+    for i, part in enumerate(parts):
+        rest = sum_of_parts(parts[:i] + parts[i + 1:])
+        for e in iter_bits(part):
+            for u in spare:
+                cand = (part & ~(1 << e)) | (1 << u)
+                if not (part >> u) & 1 and sum_masks(g, rest, cand).bit_count() > best:
+                    parts[i] = cand
+                    return True
+        for j, other in enumerate(parts):
+            if j == i:
+                continue
+            for e in iter_bits(part & ~other):
+                moves = [(part & ~(1 << e), other | (1 << e))] if part.bit_count() >= 2 else []
+                moves += [((part & ~(1 << e)) | (1 << f), (other & ~(1 << f)) | (1 << e))
+                          for f in iter_bits(other & ~part)]
+                for cand_i, cand_j in moves:
+                    trial = parts[:]
+                    trial[i], trial[j] = cand_i, cand_j
+                    if sum_of_parts(trial).bit_count() > best:
+                        parts[i], parts[j] = cand_i, cand_j
+                        return True
+    return False

@@ -1,12 +1,14 @@
 """Command-line interface: envelopes, exit codes, round-trips."""
 
 import json
+import math
 import os
 import tempfile
+from types import SimpleNamespace
 
 import pytest
 
-from subsumlab import cli, setpartitions
+from subsumlab import cli, sequences, setpartitions
 from subsumlab.cli import run
 
 SEQ_A = "0^2;4^2;1^2;5^2"
@@ -294,6 +296,24 @@ def test_library_value_error_exit_3(monkeypatch, tmp_path, capsys):
     assert "internal error: ValueError: solver inconsistency" in err
     (dump,) = tmp_path.glob("subsumlab-dump-*.json")
     assert json.loads(dump.read_text())["error"] == "ValueError: solver inconsistency"
+
+
+def test_library_inconsistency_check_exit_3(monkeypatch, tmp_path, capsys):
+    # the two forms of the subsum bound agree on every integer push-forward;
+    # a NaN multiplicity, false under every comparison, makes them disagree
+    real = sequences.push_forward
+
+    def skewed(s, q):
+        return SimpleNamespace(mult=(math.nan,) + real(s, q).mult[1:])
+
+    monkeypatch.setattr(sequences, "push_forward", skewed)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert run(["subsums", "-g", "8", "-s", SEQ_A, "-n", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: subsum bound forms disagree" in err
+    (dump,) = tmp_path.glob("subsumlab-dump-*.json")
+    assert json.loads(dump.read_text())["dump"] == {
+        "group": "8", "S": "0^2;1^2;4^2;5^2", "n": 2, "ref_len": 8}
 
 
 @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{"], ids=["json", "utf8"])

@@ -387,3 +387,15 @@ def test_verify_subgroup_rejects_nonsubgroup():
         verify_subgroup(g, GroupSubset.from_indices(g, [0, 1, 2]))
     with pytest.raises(GroupError):
         verify_subgroup(g, GroupSubset.from_indices(g, [1, 2]))
+
+
+def test_literal_tables_match_coordinates():
+    groups = [g for m in range(1, 65) for g in abelian_groups_of_order(m)]
+    for g in groups + [parse_group("2x4x8x16"), parse_group("32x32")]:
+        literals, index = g.literals(), g.literal_index()
+        assert len(literals) == len(index) == g.order
+        for i in range(g.order):
+            expect = (str(i) if g.rank == 1
+                      else "(" + ",".join(str(c) for c in g.coords(i)) + ")")
+            assert literals[i] == expect and index[expect] == i
+            assert parse_element(g, expect) == i

@@ -11,6 +11,7 @@ from subsumlab import sequences, setpartitions
 from subsumlab.groups import (
     GroupSubset,
     Subgroup,
+    abelian_groups_of_order,
     parse_element,
     parse_group,
     stabilizer,
@@ -31,7 +32,7 @@ from subsumlab.setpartitions import (
     partition_verify,
 )
 
-from _oracles import nterm_subsums_oracle
+from _oracles import improve_oracle, nterm_subsums_oracle
 
 GROUPS = [parse_group(s) for s in ["2", "4", "7", "8", "2x2", "2x4", "3x3", "9"]]
 
@@ -131,6 +132,41 @@ def test_partition_case1_hill_climb():
     cert = partition_solve(s, s, 2)
     assert cert.case_tag == "I"
     assert cert.partition.sum_subset().size >= 3
+
+
+def test_improve_matches_full_recompute_oracle():
+    # the partial sum kept per part pair scores every move as the full
+    # re-sum did, so both climbs take the same moves from the same start
+    rng = random.Random("improve-oracle")
+    groups = [g for m in range(2, 33) for g in abelian_groups_of_order(m)]
+    climbs = moves = spare_climbs = 0
+    while climbs < 1500:
+        g = rng.choice(groups)
+        pool = rng.sample(range(g.order), min(g.order, rng.randint(2, 8)))
+        s = GSequence.from_terms(g, [rng.choice(pool) for _ in range(rng.randint(2, 14))])
+        mult = list(s.mult)
+        for _ in range(rng.randint(0, s.length // 3)):
+            mult[rng.choice([x for x, m in enumerate(mult) if m])] -= 1
+        s_prime = GSequence(g, mult)
+        if s_prime.max_multiplicity() > s_prime.length // 2:
+            continue
+        n = rng.randint(max(2, s_prime.max_multiplicity()), s_prime.length)
+        parts = [p.bits for p in make_setpartition(s_prime, n).parts]
+        oracle_parts = parts[:]
+        best = setpartitions._sum_of_parts(g, parts).bit_count()
+        climbs += 1
+        spare_climbs += s_prime != s
+        while True:
+            lifted = setpartitions._improve(s, parts, best)
+            moved = improve_oracle(s, oracle_parts, best)
+            assert parts == oracle_parts, (g, s.format(), s_prime.format(), n)
+            if not moved:
+                assert lifted == 0
+                break
+            best = setpartitions._sum_of_parts(g, oracle_parts).bit_count()
+            assert lifted == best
+            moves += 1
+    assert moves > climbs // 3 and spare_climbs > climbs // 2, (moves, spare_climbs)
 
 
 def test_partition_case2_worked_instance():
@@ -734,3 +770,13 @@ def test_certificate_from_dict_range_checks_coordinates():
             Certificate.from_dict(g, {"case": "I", "parts": [[literal]]})
     # input sequences keep their modular reading
     assert parse_element(parse_group("8"), "-1") == 7
+
+
+def test_certificate_from_dict_tolerates_whitespace_only():
+    g = parse_group("2x4")
+    cert = Certificate.from_dict(g, {"case": "I", "parts": [[" ( 1 , 0 ) ", "(0,3)"]]})
+    assert cert.to_dict()["parts"] == [["(1,0)", "(0,3)"]]
+    with pytest.raises(PartitionError, match="bad element literal '1 0'"):
+        Certificate.from_dict(parse_group("16"), {"case": "I", "parts": [["1 0"]]})
+    with pytest.raises(PartitionError, match="'5' is not a canonical element of 4$"):
+        Certificate.from_dict(parse_group("4"), {"case": "I", "parts": [["5"]]})
