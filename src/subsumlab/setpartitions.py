@@ -52,13 +52,7 @@ from .groups import (
     sum_masks,
     verify_subgroup,
 )
-from .sequences import (
-    GSequence,
-    InternalError,
-    SubsumProfile,
-    nterm_subsums,
-    subsum_profile,
-)
+from .sequences import GSequence, InternalError, SubsumProfile, nterm_subsums, subsum_profile
 
 
 class PartitionError(ValueError):

@@ -1,8 +1,6 @@
 """Extremal-example generation, audit sweeps, and the open-question hunt."""
 
 import json
-import math
-from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +11,7 @@ from subsumlab.groups import (
     stabilizer,
     subgroup_generated,
 )
-from subsumlab import search, sequences, setpartitions
+from subsumlab import search, setpartitions
 from subsumlab.sequences import SequenceError, nterm_subsums, parse_sequence
 from subsumlab.search import (
     AuditConfig,
@@ -171,19 +169,6 @@ def test_audit_records_sequence_error_as_failure(target, monkeypatch):
         sum(c["fail"] for c in report.counters.values())
     for v in report.violations:
         assert "internal inconsistency" in v["detail"]
-        assert v["replay"].startswith(f"subsumlab subsums -g {v['group']} ")
-
-
-def test_audit_records_library_inconsistency_as_failure(monkeypatch):
-    # subsum_profile's bound-form check fails on a NaN push-forward and
-    # raises InternalError; the audit records it and keeps going
-    real = sequences.push_forward
-    monkeypatch.setattr(sequences, "push_forward", lambda s, q: SimpleNamespace(
-        mult=(math.nan,) + real(s, q).mult[1:]))
-    report = run_audit(_small_cfg(random_samples=20))
-    assert report.counters["s_star"]["fail"] == report.instances
-    for v in report.violations:
-        assert "internal error: subsum bound forms disagree" in v["detail"]
         assert v["replay"].startswith(f"subsumlab subsums -g {v['group']} ")
 
 
