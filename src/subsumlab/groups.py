@@ -258,11 +258,24 @@ class GroupSubset:
         return self.bits & ~other.bits == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A verified subgroup; carrier is closed under addition and contains 0."""
+    """A verified subgroup; carrier is closed under addition and contains 0.
+
+    Equal, and hashed alike, exactly when group and carrier bits match: the
+    dataclass meaning, without its per-call tuple and GroupSubset compare,
+    since quotient_cached looks a Subgroup up on every profile."""
 
     carrier: GroupSubset
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Subgroup):
+            return NotImplemented
+        a, b = self.carrier, other.carrier
+        return a.bits == b.bits and (a.group is b.group or a.group == b.group)
+
+    def __hash__(self) -> int:
+        return hash((self.carrier.group.invariant_factors, self.carrier.bits))
 
     @property
     def group(self) -> GroupSpec:

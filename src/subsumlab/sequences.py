@@ -53,6 +53,15 @@ class GSequence:
         self.length = sum(self.mult)
 
     @classmethod
+    def _derived(cls, group: GroupSpec, mult: tuple[int, ...], length: int) -> "GSequence":
+        """Trusted constructor for vectors the library derives itself: mult
+        is a tuple of |G| non-negative ints summing to length, so __init__'s
+        checks are skipped.  Input from outside goes through __init__."""
+        seq = object.__new__(cls)
+        seq.group, seq.mult, seq.length = group, mult, length
+        return seq
+
+    @classmethod
     def empty(cls, group: GroupSpec) -> "GSequence":
         return cls(group, [0] * group.order)
 
@@ -191,7 +200,9 @@ def _subsum_rows(s: GSequence, cap: int, target: int) -> list[int]:
         if not m:
             continue
         left -= m
-        shifts = [g.scale(t, idx) for t in range(1, min(m, cap) + 1)]
+        shifts = [idx]  # t*idx for t = 1..min(m, cap), as a running sum
+        for _ in range(1, min(m, cap)):
+            shifts.append(g.add(shifts[-1], idx))
         for j in range(min(cap, seen + m), max(0, target - left - 1), -1):
             acc = rows[j]
             for t in range(max(1, j - seen), min(m, j) + 1):
@@ -217,10 +228,11 @@ def push_forward(s: GSequence, q: QuotientStructure) -> GSequence:
     if q.parent != s.group:
         raise SequenceError("quotient structure over a different group")
     mult = [0] * q.quotient_spec.order
+    iso, coset_of = q.iso, q.coset_of
     for idx, m in enumerate(s.mult):
         if m:
-            mult[q.image(idx)] += m
-    return GSequence(q.quotient_spec, mult)
+            mult[iso[coset_of[idx]]] += m
+    return GSequence._derived(q.quotient_spec, tuple(mult), s.length)
 
 
 @dataclass
@@ -238,6 +250,7 @@ class SubsumProfile:
     sigma_n: GroupSubset
     bound_primary: int        # ((N-1)n + e + 1)|H|
     bound_alt: int            # (sum_x min(n, v_x(phi(S))) - n + 1)|H|
+    phi: GSequence            # phi_H(S) over quotient_spec
 
     @property
     def Z_mask(self) -> int:
@@ -266,44 +279,58 @@ def subsum_profile(s: GSequence, n: int, ref_len: int,
     h = h if h is not None else stabilizer(sig)
     q = quotient_cached(s.group, h)
     phi_s = push_forward(s, q)
-    x_bits = 0
-    e = 0
+    # one pass: X = {x : v_x >= n}, e = terms outside X, capped = sum min(n, v_x)
+    x_bits = e = capped = 0
     for idx, m in enumerate(phi_s.mult):
         if m >= n:
             x_bits |= 1 << idx
+            capped += n
         else:
             e += m
+            capped += m
     big_n = x_bits.bit_count()
     order_h = h.order
     rho = big_n * order_h * n + e - ref_len
     bound_primary = ((big_n - 1) * n + e + 1) * order_h
-    bound_alt = (sum(min(n, m) for m in phi_s.mult) - n + 1) * order_h
+    bound_alt = (capped - n + 1) * order_h
     if bound_primary != bound_alt:
         raise InternalError("subsum bound forms disagree (internal inconsistency)",
                             {**_dump(s, n), "ref_len": ref_len})
-    return SubsumProfile(h, q, GroupSubset(q.quotient_spec, x_bits),
-                         big_n, e, rho, n, ref_len, sig, bound_primary, bound_alt)
+    return SubsumProfile(h, q, GroupSubset(q.quotient_spec, x_bits), big_n, e, rho,
+                         n, ref_len, sig, bound_primary, bound_alt, phi_s)
 
 
 def build_s_star(s: GSequence, profile: SubsumProfile, n: int) -> GSequence:
     """S*: every term of phi_H^{-1}(X) raised to multiplicity exactly n."""
     if profile.n != n or profile.ref_len != s.length:
         raise SequenceError("profile was not computed from (S, n) with ref_len=|S|")
-    z = profile.Z_mask
+    # S* differs from S only on Z, so one pass over Z gives the lost-terms
+    # test (S | S* iff v_g <= n on Z), the growth |S*| - |S| and whether S* != S
     mult = list(s.mult)
-    for idx in iter_bits(z):
+    lost = False
+    grown = 0
+    for idx in iter_bits(profile.Z_mask):
+        m = mult[idx]
+        lost = lost or m > n
+        grown += n - m
         mult[idx] = n
-    star = GSequence(s.group, mult)
-    if not s.is_subsequence_of(star):
+    if lost:
         raise InternalError("S* construction lost terms of S", _dump(s, n))
-    if star.length != s.length + profile.rho:
+    if grown != profile.rho:
         raise InternalError("|S*| != |S| + rho", _dump(s, n))
-    if star.mult != s.mult:
+    star = GSequence._derived(s.group, tuple(mult), s.length + grown)
+    if grown:
         # Sigma_n(S) <= Sigma_n(S*) already holds (S | S*), and Sigma_n(S) is
         # H-saturated, so equality reduces to equality of quotient images --
-        # a DP over the much smaller quotient group.
+        # a DP over the much smaller quotient group.  phi(S*) is phi(S) with
+        # every coset in X raised to n|H|, since S* holds each of its
+        # elements n times.
         q = profile.quotient
-        phi_star = push_forward(star, q)
+        phi = list(profile.phi.mult)
+        full = n * profile.H.order
+        for x in iter_bits(profile.X.bits):
+            phi[x] = full
+        phi_star = GSequence._derived(q.quotient_spec, tuple(phi), star.length)
         if nterm_subsums(phi_star, n).bits != q.image_mask(profile.sigma_n.bits):
             raise InternalError("Sigma_n(S*) != Sigma_n(S)", _dump(s, n))
     return star

@@ -229,17 +229,20 @@ def make_setpartition(s: GSequence, n: int) -> SetPartition:
     return SetPartition(s.group, [GroupSubset(s.group, b) for b in bits])
 
 
-def _greedy_mult(mult: Sequence[int], per_elem_cap: int, room: int) -> list[int]:
-    """Take min(v_g, per_elem_cap) of each element ascending, room terms at most."""
+def _greedy_mult(mult: Sequence[int], per_elem_cap: int, room: int
+                 ) -> tuple[tuple[int, ...], int]:
+    """Take min(v_g, per_elem_cap) of each element ascending, room terms at
+    most; returns the multiplicities taken and their total."""
     out = [0] * len(mult)
+    taken = 0
     for g, m in enumerate(mult):
-        if room <= 0:
+        if taken >= room:
             break
-        take = min(m, per_elem_cap, room)
+        take = min(m, per_elem_cap, room - taken)
         if take > 0:
             out[g] = take
-            room -= take
-    return out
+            taken += take
+    return tuple(out), taken
 
 
 def lemma31_complete(s: GSequence, s_prime: GSequence, n: int, k: int
@@ -257,14 +260,14 @@ def lemma31_complete(s: GSequence, s_prime: GSequence, n: int, k: int
         raise PartitionError("need h(S') <= n <= |S'|")
     if not 1 <= k <= n:
         raise PartitionError("need 1 <= k <= n")
-    t = GSequence(s.group, _greedy_mult(s.mult, k, s_prime.length - (n - k)))
+    t = GSequence._derived(s.group, *_greedy_mult(s.mult, k, s_prime.length - (n - k)))
     if t.length < k:
         raise InternalError("greedy maximal subsequence shorter than k")
     if not t.is_subsequence_of(s):
         raise InternalError("T is not a subsequence of S")
     need = s_prime.length - t.length
     rem = list(map(operator.sub, s.mult, t.mult))
-    t_prime = GSequence(s.group, _greedy_mult(rem, n - k, need))
+    t_prime = GSequence._derived(s.group, *_greedy_mult(rem, n - k, need))
     if t_prime.length < need:
         raise InternalError("not enough remaining terms for the counterpart")
     if t.length + t_prime.length != s_prime.length:
@@ -384,15 +387,21 @@ def _spread_outside_terms(g: GroupSpec, parts: list[int], z: int,
         moves = ((e, j, f) for e in iter_bits(parts[over] & ~z)
                  for j, b in enumerate(parts) if not b & ~z
                  for f in (-1, *iter_bits(b & ~parts[over])))
+        # a move changes parts `over` and j only: the sum of the other parts
+        # is taken once per j, on its first move
+        rest: dict[int, int] = {}
         for e, j, f in moves:
-            trial = parts[:]
-            trial[over] &= ~(1 << e)
-            trial[j] |= 1 << e
+            if j not in rest:
+                rest[j] = _sum_of_parts(g, [b for i, b in enumerate(parts)
+                                            if i != over and i != j])
+            cand_over = parts[over] & ~(1 << e)
+            cand_j = parts[j] | 1 << e
             if f >= 0:
-                trial[over] |= 1 << f
-                trial[j] &= ~(1 << f)
-            if _sum_of_parts(g, trial) == target:
-                parts = trial
+                cand_over |= 1 << f
+                cand_j &= ~(1 << f)
+            if sum_masks(g, sum_masks(g, rest[j], cand_over), cand_j) == target:
+                parts = parts[:]
+                parts[over], parts[j] = cand_over, cand_j
                 break
         else:
             return None

@@ -2,14 +2,16 @@
 
 Everything here recomputes from first principles with itertools-style
 enumeration over explicit element tuples; no bitmask tricks, no DP, no
-sharing of code paths with the library implementations under test.  The one
-exception is improve_oracle, a reference copy of the hill climb's move step
-that re-sums every part per candidate move with the library's sum_masks.
+sharing of code paths with the library implementations under test.  The
+exceptions are improve_oracle and spread_outside_terms_oracle, reference
+copies of the hill climb's move step and of the case-II repair that re-sum
+every part per candidate move with the library's sum_masks.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from typing import Optional
 
 from subsumlab.groups import GroupSpec, GroupSubset, Subgroup, iter_bits, sum_masks
 from subsumlab.sequences import GSequence
@@ -115,26 +117,26 @@ def subgroup(g: GroupSpec, indices) -> Subgroup:
     return Subgroup(GroupSubset.from_indices(g, indices))
 
 
+def _sum_of_parts(g: GroupSpec, parts_bits) -> int:
+    acc = 1
+    for b in parts_bits:
+        acc = sum_masks(g, acc, b)
+    return acc
+
+
 def improve_oracle(s: GSequence, parts: list[int], best: int) -> bool:
     """setpartitions._improve as it was before it kept one partial sum per
     part pair: the same moves in the same order, each scored by summing all
     n parts afresh.  Applies the first improving move to parts and returns
     whether there was one."""
     g = s.group
-
-    def sum_of_parts(parts_bits):
-        acc = 1
-        for b in parts_bits:
-            acc = sum_masks(g, acc, b)
-        return acc
-
     used = [0] * g.order
     for b in parts:
         for i in iter_bits(b):
             used[i] += 1
     spare = [u for u, (m, c) in enumerate(zip(s.mult, used)) if m > c]
     for i, part in enumerate(parts):
-        rest = sum_of_parts(parts[:i] + parts[i + 1:])
+        rest = _sum_of_parts(g, parts[:i] + parts[i + 1:])
         for e in iter_bits(part):
             for u in spare:
                 cand = (part & ~(1 << e)) | (1 << u)
@@ -151,7 +153,33 @@ def improve_oracle(s: GSequence, parts: list[int], best: int) -> bool:
                 for cand_i, cand_j in moves:
                     trial = parts[:]
                     trial[i], trial[j] = cand_i, cand_j
-                    if sum_of_parts(trial).bit_count() > best:
+                    if _sum_of_parts(g, trial).bit_count() > best:
                         parts[i], parts[j] = cand_i, cand_j
                         return True
     return False
+
+
+def spread_outside_terms_oracle(g: GroupSpec, parts: list[int], z: int,
+                                target: int) -> Optional[list[int]]:
+    """setpartitions._spread_outside_terms as it was before it kept one
+    partial sum per part pair: the same moves in the same order, each scored
+    by summing all n parts afresh."""
+    while True:
+        over = next((i for i, b in enumerate(parts) if (b & ~z).bit_count() > 1), None)
+        if over is None:
+            return parts
+        moves = ((e, j, f) for e in iter_bits(parts[over] & ~z)
+                 for j, b in enumerate(parts) if not b & ~z
+                 for f in (-1, *iter_bits(b & ~parts[over])))
+        for e, j, f in moves:
+            trial = parts[:]
+            trial[over] &= ~(1 << e)
+            trial[j] |= 1 << e
+            if f >= 0:
+                trial[over] |= 1 << f
+                trial[j] &= ~(1 << f)
+            if _sum_of_parts(g, trial) == target:
+                parts = trial
+                break
+        else:
+            return None

@@ -381,6 +381,34 @@ def test_quotient_cache_is_bounded():
     assert quotient_cached.cache_info().currsize == size
 
 
+def test_subgroup_equality_is_group_and_carrier_bits():
+    # equal and hashed alike exactly when group and carrier bits match, as
+    # the dataclass equality on the carrier was
+    subs = [h for spec in ("8", "2x4", "2x2x2") for h in enumerate_subgroups(parse_group(spec))]
+    for a, b in itertools.product(subs, repeat=2):
+        same = a.group == b.group and a.carrier.bits == b.carrier.bits
+        assert (a == b) is same and (a != b) is not same
+        assert same == (a.carrier == b.carrier)
+        if same:
+            assert hash(a) == hash(b)
+    # an equal group built apart from the interned one
+    h = Subgroup(GroupSubset(parse_group("8"), 0b10001))
+    twin = Subgroup(GroupSubset(GroupSpec((8,)), 0b10001))
+    assert twin.group is not h.group and twin == h and hash(twin) == hash(h)
+    assert h != h.carrier and h != None  # noqa: E711
+
+    # {0} in C4 and in C2xC2: one bitmask, two groups, two cache entries
+    c4, c22 = parse_group("4"), parse_group("2x2")
+    quotient_cached.cache_clear()
+    q4 = quotient_cached(c4, Subgroup(GroupSubset(c4, 1)))
+    q22 = quotient_cached(c22, Subgroup(GroupSubset(c22, 1)))
+    assert q4.quotient_spec == c4 and q22.quotient_spec == c22
+    assert quotient_cached.cache_info().currsize == 2
+    # a fresh, equal Subgroup is a hit on the same entry
+    assert quotient_cached(c4, Subgroup(GroupSubset(c4, 1))) is q4
+    assert quotient_cached.cache_info().hits == 1
+
+
 def test_verify_subgroup_rejects_nonsubgroup():
     g = parse_group("8")
     with pytest.raises(GroupError):

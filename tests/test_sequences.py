@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subsumlab import sequences
 from subsumlab.groups import GroupSubset, Subgroup, parse_group
+from subsumlab.search import AuditConfig, exhaustive_instances
 from subsumlab.sequences import (
     GSequence,
     SequenceError,
@@ -63,6 +65,22 @@ def test_parse_sequence_rejects_garbage():
         parse_sequence(parse_group("2x4"), "3")  # arity mismatch
     # rank-1 literals reduce modulo the order
     assert parse_sequence(g, "9") == parse_sequence(g, "1")
+
+
+def test_user_input_never_reaches_the_trusted_constructor():
+    # only library-derived vectors skip validation; every public way in
+    # still raises with the same message
+    g = parse_group("2x2")
+    with pytest.raises(SequenceError, match=r"^multiplicity vector length must equal \|G\|$"):
+        GSequence(g, [1, 2, 3])
+    with pytest.raises(SequenceError, match="^negative multiplicity$"):
+        GSequence(g, [1, -1, 0, 0])
+    with pytest.raises(SequenceError, match="^element index 4 out of range$"):
+        GSequence.from_pairs(g, [(0, 1), (4, 1)])
+    with pytest.raises(SequenceError, match="^negative multiplicity$"):
+        GSequence.from_pairs(g, [(1, 2), (1, -1)])
+    with pytest.raises(SequenceError, match=r"^negative multiplicity in '\(1,0\)\^-1'$"):
+        parse_sequence(g, "(0,1);(1,0)^-1")
 
 
 @given(group_and_sequence(), st.data())
@@ -221,6 +239,38 @@ def test_s_star_identities(gs, data):
     assert s.is_subsequence_of(star)
     assert star.length == s.length + p.rho
     assert nterm_subsums(star, n) == p.sigma_n
+
+
+def test_s_star_derived_push_forward_exhaustive(monkeypatch):
+    # build_s_star derives phi(S*) from the profile's phi(S) for its quotient
+    # DP; on every instance that DP must get push_forward(S*), and nothing
+    # when S* = S
+    real = sequences.nterm_subsums
+    dp_inputs = []
+
+    def spy(seq, n):
+        dp_inputs.append(seq)
+        return real(seq, n)
+
+    monkeypatch.setattr(sequences, "nterm_subsums", spy)
+    instances = grown = 0
+    for g, s, n in exhaustive_instances(AuditConfig(exhaustive_group_cap=8,
+                                                    exhaustive_len_cap=6)):
+        p = subsum_profile(s, n, s.length)
+        assert p.phi == push_forward(s, p.quotient) and p.phi.length == s.length
+        dp_inputs.clear()
+        star = build_s_star(s, p, n)
+        instances += 1
+        if star == s:
+            assert dp_inputs == []
+            continue
+        grown += 1
+        (phi_star,) = dp_inputs
+        expect = push_forward(star, p.quotient)
+        assert phi_star.group is p.quotient.quotient_spec
+        assert (phi_star.mult, phi_star.length) == (expect.mult, expect.length), \
+            (g.spec_string(), s.format(), n)
+    assert (instances, grown) == (46_974, 11_920)
 
 
 # ---------------------------------------------------------------------------

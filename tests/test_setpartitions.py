@@ -32,7 +32,7 @@ from subsumlab.setpartitions import (
     partition_verify,
 )
 
-from _oracles import improve_oracle, nterm_subsums_oracle
+from _oracles import improve_oracle, nterm_subsums_oracle, spread_outside_terms_oracle
 
 GROUPS = [parse_group(s) for s in ["2", "4", "7", "8", "2x2", "2x4", "3x3", "9"]]
 
@@ -226,6 +226,51 @@ def test_pinned_case2_instances_verify(spec, seq, n, modes):
         assert cert.case_tag == "II" and cert.verified and cert.mode == mode
         assert cert.K.order == 4
         assert main_verify(cert, g, s, s, n, mode) == (True, [])
+
+
+def test_spread_outside_terms_matches_full_recompute_oracle(monkeypatch):
+    # the partial sum kept per (over, j) pair scores every move as the full
+    # re-sum did, so both repairs take the same moves and give the same parts
+    real = setpartitions._spread_outside_terms
+    seen = []
+
+    def spy(g, parts, z, target):
+        seen.append((g, parts[:], z, target))
+        return real(g, parts, z, target)
+
+    monkeypatch.setattr(setpartitions, "_spread_outside_terms", spy)
+    for spec, seq, n, _ in PINNED_CASE2[:2]:
+        g = parse_group(spec)
+        s = parse_sequence(g, seq)
+        assert partition_solve(s, s, n).verified
+    monkeypatch.undo()
+    assert len(seen) == 2
+    for g, parts, z, target in seen:
+        repaired = real(g, parts[:], z, target)
+        assert repaired is not None and repaired != parts
+        assert repaired == spread_outside_terms_oracle(g, parts[:], z, target)
+
+    # seeded climbs with a random z and the climb's own sum as the target:
+    # most have an over-full part, and both outcomes occur
+    rng = random.Random("spread-oracle")
+    groups = [g for m in range(4, 25) for g in abelian_groups_of_order(m)]
+    repaired = failed = 0
+    for _ in range(1000):
+        g = rng.choice(groups)
+        pool = rng.sample(range(g.order), min(g.order, rng.randint(3, 8)))
+        s = GSequence.from_terms(g, [rng.choice(pool) for _ in range(rng.randint(4, 16))])
+        n = rng.randint(max(2, s.max_multiplicity()), s.length)
+        parts, _ = setpartitions._hill_climb(s, s, n, s.length)
+        z = GroupSubset.from_indices(g, rng.sample(pool, len(pool) // 2)).bits
+        target = setpartitions._sum_of_parts(g, parts)
+        got = real(g, parts[:], z, target)
+        assert got == spread_outside_terms_oracle(g, parts[:], z, target), \
+            (g, s.format(), n, z)
+        if got is None:
+            failed += 1
+        elif got != parts:
+            repaired += 1
+    assert repaired > 40 and failed > 40, (repaired, failed)
 
 
 # case-II exits whose S misses 0: the certificate is in the caller's
