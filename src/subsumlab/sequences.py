@@ -307,15 +307,13 @@ def build_s_star(s: GSequence, profile: SubsumProfile, n: int) -> GSequence:
     # S* differs from S only on Z, so one pass over Z gives the lost-terms
     # test (S | S* iff v_g <= n on Z), the growth |S*| - |S| and whether S* != S
     mult = list(s.mult)
-    lost = False
     grown = 0
     for idx in iter_bits(profile.Z_mask):
         m = mult[idx]
-        lost = lost or m > n
+        if m > n:
+            raise InternalError("S* construction lost terms of S", _dump(s, n))
         grown += n - m
         mult[idx] = n
-    if lost:
-        raise InternalError("S* construction lost terms of S", _dump(s, n))
     if grown != profile.rho:
         raise InternalError("|S*| != |S| + rho", _dump(s, n))
     star = GSequence._derived(s.group, tuple(mult), s.length + grown)

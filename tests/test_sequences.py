@@ -1,5 +1,6 @@
 """Sequence parsing, n-term subsum DP, profile bookkeeping, Davenport."""
 
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from subsumlab.groups import GroupSubset, Subgroup, parse_group
 from subsumlab.search import AuditConfig, exhaustive_instances
 from subsumlab.sequences import (
     GSequence,
+    InternalError,
     SequenceError,
     all_subsums,
     build_s_star,
@@ -271,6 +273,28 @@ def test_s_star_derived_push_forward_exhaustive(monkeypatch):
         assert (phi_star.mult, phi_star.length) == (expect.mult, expect.length), \
             (g.spec_string(), s.format(), n)
     assert (instances, grown) == (46_974, 11_920)
+
+
+def test_s_star_internal_errors_carry_the_instance():
+    # h(S) = 3 > n = 2: raising 0 to multiplicity n would drop a term
+    g = parse_group("4")
+    s = parse_sequence(g, "0^3;1")
+    with pytest.raises(InternalError, match="^S\\* construction lost terms of S$") as err:
+        build_s_star(s, subsum_profile(s, 2, s.length), 2)
+    assert err.value.dump == {"group": "4", "S": "0^3;1", "n": 2}
+    # S* = 0^2;4^2;1 grows by rho = 1; a tampered rho or Sigma_n is caught
+    g = parse_group("8")
+    s = parse_sequence(g, "0^2;4;1")
+    p = subsum_profile(s, 2, s.length)
+    assert build_s_star(s, p, 2).length == s.length + p.rho == 5
+    dump = {"group": "8", "S": "0^2;1;4", "n": 2}
+    with pytest.raises(InternalError, match=r"^\|S\*\| != \|S\| \+ rho$") as err:
+        build_s_star(s, dataclasses.replace(p, rho=p.rho + 1), 2)
+    assert err.value.dump == dump
+    wider = GroupSubset(g, p.sigma_n.bits | 0b100)
+    with pytest.raises(InternalError, match=r"^Sigma_n\(S\*\) != Sigma_n\(S\)$") as err:
+        build_s_star(s, dataclasses.replace(p, sigma_n=wider), 2)
+    assert err.value.dump == dump
 
 
 # ---------------------------------------------------------------------------
