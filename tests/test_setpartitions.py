@@ -246,12 +246,12 @@ def test_spread_outside_terms_matches_full_recompute_oracle(monkeypatch):
     monkeypatch.undo()
     assert len(seen) == 2
     for g, parts, z, target in seen:
-        repaired = real(g, parts[:], z, target)
-        assert repaired is not None and repaired != parts
-        assert repaired == spread_outside_terms_oracle(g, parts[:], z, target)
+        fixed = real(g, parts[:], z, target)
+        assert fixed is not None and fixed != parts
+        assert fixed == spread_outside_terms_oracle(g, parts[:], z, target)
 
-    # seeded climbs with a random z and the climb's own sum as the target:
-    # most have an over-full part, and both outcomes occur
+    # seeded climbs with a random z and the climb's own sum as the target;
+    # both outcomes, a repair and no move, must occur
     rng = random.Random("spread-oracle")
     groups = [g for m in range(4, 25) for g in abelian_groups_of_order(m)]
     repaired = failed = 0
