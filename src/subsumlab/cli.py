@@ -127,11 +127,10 @@ def _emit(args, command: str, group: Optional[str], inputs: dict,
 
 
 # ---------------------------------------------------------------------------
-# verb handlers (each returns the exit code)
+# verb handlers (each returns group, inputs, result, verified, violations)
 
 
-def _cmd_group(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_group(args) -> tuple:
     g = parse_group(args.spec)
     given = tuple(int(p) for p in args.spec.strip().split("x"))
     normalized = normalize_factors(given) != given
@@ -141,14 +140,12 @@ def _cmd_group(args) -> int:
         "order": g.order,
         "exponent": g.exponent,
         "rank": g.rank,
-        "d_star": sum(m - 1 for m in g.invariant_factors),
+        "d_star": g.d_star,
     }
     if normalized:
         result["notice"] = (f"factors {args.spec} normalized to invariant "
                             f"chain {g.spec_string()}")
-    _emit(args, "group", g.spec_string(), {"given": args.spec}, result,
-          True, [], t0)
-    return 0
+    return g.spec_string(), {"given": args.spec}, result, True, []
 
 
 def _parse_subset(g: GroupSpec, text: str) -> GroupSubset:
@@ -156,8 +153,7 @@ def _parse_subset(g: GroupSpec, text: str) -> GroupSubset:
     return seq.support()
 
 
-def _cmd_sumset(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_sumset(args) -> tuple:
     g = parse_group(args.group)
     a = _parse_subset(g, args.seq)
     if a.bits == 0:
@@ -180,12 +176,10 @@ def _cmd_sumset(args) -> int:
         "stabilizer": _format_subset(h.carrier),
         "stabilizer_order": h.order,
     }
-    _emit(args, "sumset", g.spec_string(), inputs, result, True, [], t0)
-    return 0
+    return g.spec_string(), inputs, result, True, []
 
 
-def _cmd_subsums(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_subsums(args) -> tuple:
     g = parse_group(args.group)
     s = parse_sequence(g, args.seq)
     profile = subsum_profile(s, args.n, s.length)
@@ -199,48 +193,36 @@ def _cmd_subsums(args) -> int:
         "rho": profile.rho,
         "bound": profile.bound_primary,
     }
-    _emit(args, "subsums", g.spec_string(),
-          {"S": s.format(), "n": args.n}, result, True, [], t0)
-    return 0
+    return g.spec_string(), {"S": s.format(), "n": args.n}, result, True, []
 
 
-def _cert_envelope(cert: Certificate, s: GSequence, s_prime: GSequence,
-                   n: int) -> tuple[dict, dict]:
+def _cert_report(cert: Certificate, s: GSequence, s_prime: GSequence, n: int) -> tuple:
     inputs = {
         "S": s.format(),
         "S_prime": s_prime.format(),
         "n": n,
         "mode": cert.mode,
     }
-    return inputs, {"certificate": cert.to_dict(),
-                    "sum_of_parts_size": cert.partition.sum_subset().size}
+    result = {"certificate": cert.to_dict(),
+              "sum_of_parts_size": cert.partition.sum_subset().size}
+    return s.group.spec_string(), inputs, result, cert.verified, []
 
 
-def _cmd_partition(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_partition(args) -> tuple:
     g = parse_group(args.group)
     s = parse_sequence(g, args.seq)
     s_prime = parse_sequence(g, args.sprime) if args.sprime else s
-    cert = partition_solve(s, s_prime, args.n)
-    inputs, result = _cert_envelope(cert, s, s_prime, args.n)
-    _emit(args, "partition", g.spec_string(), inputs, result,
-          cert.verified, [], t0)
-    return 0 if cert.verified else 1
+    return _cert_report(partition_solve(s, s_prime, args.n), s, s_prime, args.n)
 
 
-def _cmd_maincert(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_maincert(args) -> tuple:
     g = parse_group(args.group)
     s = parse_sequence(g, args.seq)
     if not args.sprime:
         raise SequenceError("maincert requires --sprime")
     s_prime = parse_sequence(g, args.sprime)
     mode = "full-group" if args.mode == "fullgroup" else "standard"
-    cert = main_pipeline(g, s, s_prime, args.n, mode)
-    inputs, result = _cert_envelope(cert, s, s_prime, args.n)
-    _emit(args, "maincert", g.spec_string(), inputs, result,
-          cert.verified, [], t0)
-    return 0 if cert.verified else 1
+    return _cert_report(main_pipeline(g, s, s_prime, args.n, mode), s, s_prime, args.n)
 
 
 def _report_field(envelope: dict, path: str, kind: type) -> Any:
@@ -258,8 +240,7 @@ def _report_field(envelope: dict, path: str, kind: type) -> Any:
     return value
 
 
-def _cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify(args) -> tuple:
     if args.report == "-":
         envelope = json.load(sys.stdin)
     else:
@@ -281,14 +262,12 @@ def _cmd_verify(args) -> int:
     else:
         ok, violations = main_verify(cert, g, s, s_prime, n, cert.mode)
     result = {"theorem": cert.theorem, "case": cert.case_tag, "holds": ok}
-    _emit(args, "verify", g.spec_string(),
-          {"report": args.report, "S": s_text, "S_prime": s_prime_text, "n": n},
-          result, ok, violations, t0)
-    return 0 if ok else 1
+    return (g.spec_string(),
+            {"report": args.report, "S": s_text, "S_prime": s_prime_text, "n": n},
+            result, ok, violations)
 
 
-def _cmd_example(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_example(args) -> tuple:
     g = parse_group(args.group)
     h = subgroup_generated(_parse_subset(g, args.h))
     k = subgroup_generated(_parse_subset(g, args.k)) if args.k else None
@@ -298,14 +277,11 @@ def _cmd_example(args) -> int:
     result = dict(inst.to_dict())
     result["sigma_n_size"] = sigma.size
     result["stabilizer"] = _format_subset(stabilizer(sigma).carrier)
-    _emit(args, "example", g.spec_string(),
-          {"kind": args.kind, "H": _format_subset(h.carrier)},
-          result, True, [], t0)
-    return 0
+    return (g.spec_string(), {"kind": args.kind, "H": _format_subset(h.carrier)},
+            result, True, [])
 
 
-def _cmd_audit(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_audit(args) -> tuple:
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise SearchError(f"--jobs must lie in [1, {cpus}], got {args.jobs}")
@@ -323,37 +299,24 @@ def _cmd_audit(args) -> int:
         kwargs["checkers"] = tuple(args.checkers.split(","))
     cfg = AuditConfig(**kwargs)
     report = run_audit(cfg)
-    _emit(args, "audit", None, cfg.to_dict(), report.to_dict(),
-          report.holds, list(report.violations), t0)
-    return 0 if report.holds else 1
+    return None, cfg.to_dict(), report.to_dict(), report.holds, list(report.violations)
 
 
-def _cmd_hunt(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_hunt(args) -> tuple:
     g = parse_group(args.group)
     report = hunt_unique_expression(g, args.n,
                                     canonicalize=not args.no_canonicalize,
                                     budget=args.budget)
     # hits are reported, never asserted: exit 0 either way
-    _emit(args, "hunt", g.spec_string(), {"n": args.n},
-          report.to_dict(), True, [], t0)
-    return 0
+    return g.spec_string(), {"n": args.n}, report.to_dict(), True, []
 
 
-def _cmd_davenport(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_davenport(args) -> tuple:
     g = parse_group(args.group)
     d = davenport_bruteforce(g, cap=args.cap)
-    d_star = sum(m - 1 for m in g.invariant_factors)
-    result = {
-        "davenport": d,
-        "d_star": d_star,
-        "order": g.order,
-        "sandwich_holds": d_star + 1 <= d <= g.order,
-    }
-    _emit(args, "davenport", g.spec_string(), {}, result,
-          result["sandwich_holds"], [], t0)
-    return 0 if result["sandwich_holds"] else 1
+    holds = g.d_star + 1 <= d <= g.order
+    result = {"davenport": d, "d_star": g.d_star, "order": g.order, "sandwich_holds": holds}
+    return g.spec_string(), {}, result, holds, []
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +420,11 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    t0 = time.perf_counter()
     try:
-        return args.handler(args)
+        group, inputs, result, verified, violations = args.handler(args)
+        _emit(args, args.verb, group, inputs, result, verified, violations, t0)
+        return 0 if verified else 1
     except HypothesesUnmetError as exc:
         print(f"no: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_ORDER_CAP = 4096
 
@@ -72,6 +72,11 @@ class GroupSpec:
 
     def spec_string(self) -> str:
         return "x".join(str(m) for m in self.invariant_factors)
+
+    @property
+    def d_star(self) -> int:
+        """d*(G) = sum of (m_i - 1) over the invariant factors m_i."""
+        return sum(m - 1 for m in self.invariant_factors)
 
     # -- element arithmetic ---------------------------------------------------
 
@@ -413,6 +418,14 @@ def sum_masks(g: GroupSpec, a: int, b: int) -> int:
     return out
 
 
+def sum_of_masks(g: GroupSpec, masks: Iterable[int]) -> int:
+    """Bitmask of the n-fold sum of the given bitmasks; {0} for none."""
+    acc = 1
+    for b in masks:
+        acc = sum_masks(g, acc, b)
+    return acc
+
+
 def sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:
     """A + B = {x + y : x in A, y in B}."""
     _check_same_group(a, b)
@@ -719,10 +732,11 @@ def quotient_cached(g: GroupSpec, h: Subgroup) -> QuotientStructure:
     return quotient_decompose(g, h)
 
 
-def enumerate_subgroups(g: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup]:
+def enumerate_subgroups(g: GroupSpec) -> list[Subgroup]:
     """All subgroups of G, sorted by (size, carrier bitmask)."""
-    if g.order > cap:
-        raise GroupError(f"group order {g.order} exceeds subgroup enumeration cap {cap}")
+    if g.order > DEFAULT_ORDER_CAP:
+        raise GroupError(f"group order {g.order} exceeds subgroup enumeration cap "
+                         f"{DEFAULT_ORDER_CAP}")
     seen = {1}  # trivial subgroup bitmask
     frontier = [1]
     while frontier:

@@ -23,6 +23,7 @@ from .groups import (
     representation_min,
     stabilizer,
     subgroup_generated,
+    sum_of_masks,
 )
 from .sequences import (
     GSequence,
@@ -294,10 +295,11 @@ def random_instance(cfg: AuditConfig, i: int,
 
 
 def _check_instance(name: str, g: GroupSpec, s: GSequence, n: int,
-                    profile=None) -> tuple[str, str]:
+                    profile) -> tuple[str, str]:
     """Run one checker; returns (status, detail) with status in
-    {pass, fail, skip}.  profile, when given, is the (S, n, |S|) subsum
-    profile shared across the bound checkers.
+    {pass, fail, skip}.  profile is the (S, n, |S|) subsum profile shared
+    across the bound checkers, built by the caller whenever one of them is
+    configured (None otherwise).
 
     The certificate checkers do not verify again: partition_solve and
     main_pipeline each run their independent verifier once on the
@@ -308,8 +310,6 @@ def _check_instance(name: str, g: GroupSpec, s: GSequence, n: int,
         rep = check_subsum_kneser(s, n, profile=profile)
         return ("pass" if rep.holds else "fail"), rep.detail
     if name == "s_star":
-        if profile is None:
-            profile = subsum_profile(s, n, s.length)
         build_s_star(s, profile, n)  # raises on any identity failure
         return "pass", ""
     if name == "lemma_extra":
@@ -484,10 +484,7 @@ def hunt_unique_expression(g: GroupSpec, n: int, canonicalize: bool = True,
                 continue
             seen.add(canon)
         report.tuples_examined += 1
-        total_bits = 1
-        for d in combo:
-            total_bits |= g.translate_mask(total_bits, d)
-        total = GroupSubset(g, total_bits)
+        total = GroupSubset(g, sum_of_masks(g, [1 | 1 << d for d in combo]))
         if not stabilizer(total).is_trivial:
             continue
         report.aperiodic_count += 1

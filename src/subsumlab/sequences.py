@@ -360,10 +360,9 @@ def davenport_bruteforce(g: GroupSpec, cap: int = 16) -> int:
 
     extend(1, 0, 0)
     d = best + 1
-    d_star = sum(m - 1 for m in g.invariant_factors)
-    if not d_star + 1 <= d <= g.order:
+    if not g.d_star + 1 <= d <= g.order:
         warnings.warn(
             f"Davenport value {d} escapes the classical sandwich "
-            f"[{d_star + 1}, {g.order}] for {g.spec_string()}; "
+            f"[{g.d_star + 1}, {g.order}] for {g.spec_string()}; "
             "at this scale that indicates a bug", RuntimeWarning)
     return d

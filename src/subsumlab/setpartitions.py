@@ -6,6 +6,11 @@ It has one path per case.  Case I is a hill climb on the sum of parts.  Case
 II takes the hill climb's partition and repairs it (_spread_outside_terms):
 while a part holds two terms outside the high-multiplicity cosets, one of them
 moves to a part that holds none, as long as the sum of parts stays Sigma_n(S).
+Both local searches only list their candidate moves, in a fixed order, and
+hand them to one loop, _first_move, which scores each move and applies the
+first one that passes: a larger sum in the climb, the sum Sigma_n(S) in the
+repair.  A move changes at most two parts, so the loop sums the other parts
+once per part pair.
 
 main_pipeline realizes the strengthened conclusion under the exponent-style
 hypotheses in G's own coordinates, never translating S, Sigma_n(S) or the
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .groups import (
     GroupError,
@@ -50,6 +55,7 @@ from .groups import (
     quotient_cached,
     stabilizer,
     sum_masks,
+    sum_of_masks,
     verify_subgroup,
 )
 from .sequences import GSequence, InternalError, SubsumProfile, nterm_subsums, subsum_profile
@@ -99,7 +105,7 @@ class SetPartition:
     def sum_subset(self, upto: int | None = None) -> GroupSubset:
         """Sum of the first `upto` parts (all parts by default); {0} for none."""
         parts = self.parts if upto is None else self.parts[:upto]
-        return GroupSubset(self.group, _sum_of_parts(self.group, [p.bits for p in parts]))
+        return GroupSubset(self.group, sum_of_masks(self.group, [p.bits for p in parts]))
 
 
 @dataclass
@@ -295,14 +301,6 @@ def _validate_instance(s: GSequence, s_prime: GSequence, n: int) -> None:
         raise PartitionError("n must be >= 1")
 
 
-def _sum_of_parts(g: GroupSpec, parts_bits: Sequence[int]) -> int:
-    """Bitmask of the sum of the given parts (bitmasks); {0} for no parts."""
-    acc = 1
-    for b in parts_bits:
-        acc = sum_masks(g, acc, b)
-    return acc
-
-
 # cap on the number of improving moves one hill climb makes
 _MAX_CLIMB_MOVES = 2000
 
@@ -314,7 +312,7 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int
     Returns part bitmasks and the achieved sum size.
     """
     parts = [p.bits for p in make_setpartition(s_prime, n).parts]
-    best = _sum_of_parts(s.group, parts).bit_count()
+    best = sum_of_masks(s.group, parts).bit_count()
     moves = 0
     while best < target and moves < _MAX_CLIMB_MOVES and (lifted := _improve(s, parts, best)):
         moves += 1
@@ -328,9 +326,7 @@ def _improve(s: GSequence, parts: list[int], best: int) -> int:
     For each part i in turn: replace an element of part i by an unused term
     of S; then, for each other part j and each element e of part i that j
     lacks, transfer e to j, or swap e with an element of j that i lacks.
-    A move changes parts i and j only, so the sum of the other parts is
-    taken once per pair (i, j) that has a move.  Returns the lifted sum
-    size, or 0 when no move improves.
+    Returns the lifted sum size, or 0 when no move improves.
     """
     g = s.group
     used = [0] * g.order
@@ -338,73 +334,73 @@ def _improve(s: GSequence, parts: list[int], best: int) -> int:
         for i in iter_bits(b):
             used[i] += 1
     spare = [u for u, (m, c) in enumerate(zip(s.mult, used)) if m > c]
-    for i, part in enumerate(parts):
-        # partial product excluding part i
-        rest = _sum_of_parts(g, parts[:i] + parts[i + 1:]) if spare else 0
-        for e in iter_bits(part):
-            for u in spare:
-                cand = (part & ~(1 << e)) | (1 << u)
-                if not (part >> u) & 1:
-                    size = sum_masks(g, rest, cand).bit_count()
-                    if size > best:
-                        parts[i] = cand
-                        return size
-        for j, other in enumerate(parts):
-            givers, takers = part & ~other, other & ~part
-            # no move without an e to give, nor when i would be left empty
-            # and j has no f to give back
-            if j == i or not givers or (part.bit_count() < 2 and not takers):
-                continue
-            rest_ij = _sum_of_parts(g, [b for k, b in enumerate(parts) if k != i and k != j])
-            for e in iter_bits(givers):
-                moves = [(part & ~(1 << e), other | (1 << e))] if part.bit_count() >= 2 else []
-                moves += [((part & ~(1 << e)) | (1 << f), (other & ~(1 << f)) | (1 << e))
-                          for f in iter_bits(takers)]
-                for cand_i, cand_j in moves:
-                    size = sum_masks(g, sum_masks(g, rest_ij, cand_i), cand_j).bit_count()
-                    if size > best:
-                        parts[i], parts[j] = cand_i, cand_j
-                        return size
-    return 0
+
+    def moves():
+        for i, part in enumerate(parts):
+            for e in iter_bits(part):
+                for u in spare:
+                    if not (part >> u) & 1:
+                        yield i, -1, (part & ~(1 << e)) | (1 << u), 0
+            for j, other in enumerate(parts):
+                if j == i:
+                    continue
+                for e in iter_bits(part & ~other):
+                    give, take = part & ~(1 << e), other | (1 << e)
+                    if part.bit_count() >= 2:
+                        yield i, j, give, take
+                    for f in iter_bits(other & ~part):
+                        yield i, j, give | (1 << f), take & ~(1 << f)
+
+    return _first_move(g, parts, moves(), lambda total: total.bit_count() > best).bit_count()
 
 
 def _spread_outside_terms(g: GroupSpec, parts: list[int], z: int,
                           target: int) -> Optional[list[int]]:
-    """Repair part bitmasks so that no part holds two terms outside z.
+    """Repair part bitmasks in place so that no part holds two terms outside z.
 
     While some part holds more than one term outside z, move one of them into
     a part that has none, by a transfer or by a swap with an inside term of
     that part, taking the first move that keeps the sum of parts equal to
-    target.  Returns the repaired parts (parts itself when no part is
-    over-full), or None when no such move exists.
+    target.  Returns parts, or None when no such move exists.
     """
     while True:
         over = next((i for i, b in enumerate(parts) if (b & ~z).bit_count() > 1), None)
         if over is None:
             return parts
-        # (e, j, f): e leaves part `over` for part j; f = -1 is a transfer,
-        # otherwise the inside term f of part j goes the other way
-        moves = ((e, j, f) for e in iter_bits(parts[over] & ~z)
+        # e leaves part `over` for part j, alone or in exchange for an inside
+        # term f of part j (f_bit = 1 << f, or 0 for a transfer)
+        part = parts[over]
+        moves = ((over, j, (part & ~(1 << e)) | f_bit, (b | 1 << e) & ~f_bit)
+                 for e in iter_bits(part & ~z)
                  for j, b in enumerate(parts) if not b & ~z
-                 for f in (-1, *iter_bits(b & ~parts[over])))
-        # a move changes parts `over` and j only: the sum of the other parts
-        # is taken once per j, on its first move
-        rest: dict[int, int] = {}
-        for e, j, f in moves:
-            if j not in rest:
-                rest[j] = _sum_of_parts(g, [b for i, b in enumerate(parts)
-                                            if i != over and i != j])
-            cand_over = parts[over] & ~(1 << e)
-            cand_j = parts[j] | 1 << e
-            if f >= 0:
-                cand_over |= 1 << f
-                cand_j &= ~(1 << f)
-            if sum_masks(g, sum_masks(g, rest[j], cand_over), cand_j) == target:
-                parts = parts[:]
-                parts[over], parts[j] = cand_over, cand_j
-                break
-        else:
+                 for f_bit in (0, *(1 << f for f in iter_bits(b & ~part))))
+        if not _first_move(g, parts, moves, lambda total: total == target):
             return None
+
+
+def _first_move(g: GroupSpec, parts: list[int], moves: Iterable[tuple[int, int, int, int]],
+                accept: Callable[[int], bool]) -> int:
+    """Apply to parts the first move whose sum of parts passes accept, and
+    return that sum (a bitmask; 0 when no move passes).
+
+    A move (i, j, cand_i, cand_j) makes part i cand_i and part j cand_j; j =
+    -1 changes part i alone (a term of it replaced by a spare term).  A move
+    changes parts i and j only, so the sum of the other parts is taken once
+    per (i, j), on that pair's first move.
+    """
+    rest: dict[tuple[int, int], int] = {}
+    for i, j, cand_i, cand_j in moves:
+        if (i, j) not in rest:
+            rest[i, j] = sum_of_masks(g, [b for k, b in enumerate(parts) if k != i and k != j])
+        total = sum_masks(g, rest[i, j], cand_i)
+        if j >= 0:
+            total = sum_masks(g, total, cand_j)
+        if accept(total):
+            parts[i] = cand_i
+            if j >= 0:
+                parts[j] = cand_j
+            return total
+    return 0
 
 
 def partition_solve(s: GSequence, s_prime: GSequence, n: int) -> Certificate:

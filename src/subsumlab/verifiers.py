@@ -19,6 +19,7 @@ from .groups import (
     Subgroup,
     affine_span,
     enumerate_subgroups,
+    is_prime,
     iter_bits,
     iterated_sumset,
     representation_min,
@@ -26,6 +27,7 @@ from .groups import (
     stabilizer,
     subgroup_generated,
     sum_masks,
+    sum_of_masks,
     sumset,
 )
 from .sequences import GSequence, subsum_profile
@@ -64,9 +66,7 @@ def check_kneser(parts: list[GroupSubset]) -> CheckReport:
             raise CheckError("summands over different groups")
         if p.bits == 0:
             raise CheckError("empty summand")
-    total = parts[0]
-    for p in parts[1:]:
-        total = sumset(total, p)
+    total = GroupSubset(g, sum_of_masks(g, [p.bits for p in parts]))
     h = stabilizer(total)
     n = len(parts)
     filled = [GroupSubset(g, sum_masks(g, p.bits, h.carrier.bits)) for p in parts]
@@ -160,7 +160,7 @@ def _complement_generators(g: GroupSpec, h: Subgroup) -> list[int]:
 
 def _subgroups_between(g: GroupSpec, low: Subgroup, size: int) -> list[Subgroup]:
     return [h for h in enumerate_subgroups(g)
-            if h.order == size and low.carrier.bits & ~h.carrier.bits == 0]
+            if h.order == size and h.contains_subgroup(low)]
 
 
 def _match_case1(g: GroupSpec, a: GroupSubset, n: int, na: GroupSubset,
@@ -176,7 +176,7 @@ def _match_case1(g: GroupSpec, a: GroupSubset, n: int, na: GroupSubset,
     if na.size < a_plus_k.size * n - k.order:
         return None
     for h in enumerate_subgroups(g):
-        if not (k.order < h.order and k.carrier.bits & ~h.carrier.bits == 0):
+        if not (k.order < h.order and h.contains_subgroup(k)):
             continue
         for g0 in _complement_generators(g, h):
             # template (b): (H \ K) union (g0 + K)
@@ -189,7 +189,7 @@ def _match_case1(g: GroupSpec, a: GroupSubset, n: int, na: GroupSubset,
             # template (a): H/K = H1/K + H2/K of type (2,2)
             if h.order == 4 * k.order:
                 mids = _subgroups_between(g, k, 2 * k.order)
-                mids = [m for m in mids if m.carrier.bits & ~h.carrier.bits == 0]
+                mids = [m for m in mids if h.contains_subgroup(m)]
                 for h1, h2 in itertools.permutations(mids, 2):
                     if h1.carrier.bits & h2.carrier.bits != k.carrier.bits:
                         continue
@@ -241,7 +241,7 @@ def _match_case2b(g: GroupSpec, a: GroupSubset, n: int, na: GroupSubset,
     exp = g.exponent
     a_plus_k = GroupSubset(g, sum_masks(g, a.bits, k.carrier.bits))
     for h0, xs, span in _chain_decompositions(g):
-        if not (k.order < h0.order and k.carrier.bits & ~h0.carrier.bits == 0):
+        if not (k.order < h0.order and h0.contains_subgroup(k)):
             continue
         if na.size != g.order - h0.order + k.order:
             continue
@@ -257,9 +257,7 @@ def _match_case2b(g: GroupSpec, a: GroupSubset, n: int, na: GroupSubset,
             subgroup_generated(GroupSubset.singleton(g, x)).carrier.bits for x in xs]
         union = 0
         for j in range(r + 1):
-            piece = k.carrier.bits
-            for i in range(j):
-                piece = sum_masks(g, piece, blocks[i])
+            piece = sum_of_masks(g, [k.carrier.bits, *blocks[:j]])
             for i in range(j + 1, r + 1):
                 piece = g.translate_mask(piece, xs[i - 1])
             union |= piece
@@ -279,8 +277,7 @@ def _match_case2a(g: GroupSpec, a: GroupSubset, n: int, na: GroupSubset,
     if a.size * n > g.order:
         return None
     for h in enumerate_subgroups(g):
-        if not (k.order < h.order < g.order
-                and k.carrier.bits & ~h.carrier.bits == 0):
+        if not (k.order < h.order < g.order and h.contains_subgroup(k)):
             continue
         if h.order * g.exponent != g.order or not _complement_generators(g, h):
             continue
@@ -360,7 +357,7 @@ def check_cor2(a: GroupSubset, n: int) -> CheckReport:
     if na.bits == g.full_mask:
         return CheckReport("cor2", True, na.size, g.order, detail="nA = G")
     exp = g.exponent
-    exp_composite = smallest_prime_divisor(exp) != exp
+    exp_composite = not is_prime(exp)
     structural_ok = exp >= 2 and exp_composite and g.rank >= 2
     k = stabilizer(na)
     match = _match_case2b(g, a, n, na, k)

@@ -16,6 +16,7 @@ from subsumlab.groups import (
     parse_group,
     stabilizer,
     subgroup_generated,
+    sum_of_masks,
 )
 from subsumlab.sequences import GSequence, nterm_subsums, parse_sequence
 from subsumlab.setpartitions import (
@@ -153,7 +154,7 @@ def test_improve_matches_full_recompute_oracle():
         n = rng.randint(max(2, s_prime.max_multiplicity()), s_prime.length)
         parts = [p.bits for p in make_setpartition(s_prime, n).parts]
         oracle_parts = parts[:]
-        best = setpartitions._sum_of_parts(g, parts).bit_count()
+        best = sum_of_masks(g, parts).bit_count()
         climbs += 1
         spare_climbs += s_prime != s
         while True:
@@ -163,7 +164,7 @@ def test_improve_matches_full_recompute_oracle():
             if not moved:
                 assert lifted == 0
                 break
-            best = setpartitions._sum_of_parts(g, oracle_parts).bit_count()
+            best = sum_of_masks(g, oracle_parts).bit_count()
             assert lifted == best
             moves += 1
     assert moves > climbs // 3 and spare_climbs > climbs // 2, (moves, spare_climbs)
@@ -262,7 +263,7 @@ def test_spread_outside_terms_matches_full_recompute_oracle(monkeypatch):
         n = rng.randint(max(2, s.max_multiplicity()), s.length)
         parts, _ = setpartitions._hill_climb(s, s, n, s.length)
         z = GroupSubset.from_indices(g, rng.sample(pool, len(pool) // 2)).bits
-        target = setpartitions._sum_of_parts(g, parts)
+        target = sum_of_masks(g, parts)
         got = real(g, parts[:], z, target)
         assert got == spread_outside_terms_oracle(g, parts[:], z, target), \
             (g, s.format(), n, z)

@@ -157,6 +157,22 @@ def test_cor1_template_2b():
     assert 7 == g.order - 2 + 1
 
 
+# the only groups of order 10-18 where templates 1(a) and 2(a) occur
+@pytest.mark.parametrize("spec, n, elems, template, lhs, rhs", [
+    ("2x2x4", 4, "(0,0,0);(1,0,0);(0,0,1);(0,1,1)", "1(a)", 15, 16),
+    ("4x4", 3, "(0,0);(1,0);(2,0);(3,0);(0,1)", "2(a)", 13, 15),
+    ("2x2x4", 3, "(0,0,0);(1,0,0);(0,1,0);(1,1,0);(0,0,1)", "2(a)", 13, 15),
+])
+def test_cor1_templates_1a_2a(spec, n, elems, template, lhs, rhs):
+    g = parse_group(spec)
+    rep = check_cor1(parse_sequence(g, elems).support(), n)
+    assert rep.holds and rep.detail == f"matched template {template}"
+    assert (rep.lhs, rep.rhs) == (lhs, rhs)
+    assert rep.witnesses["template"] == template
+    assert rep.witnesses["H_order"] == 4
+    assert rep.witnesses["K_order"] == 1
+
+
 def test_cor1_preconditions():
     g = parse_group("4")
     with pytest.raises(CheckError):
