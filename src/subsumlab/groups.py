@@ -7,6 +7,12 @@ dense bit vectors over the index space; translating a subset by a group
 element decomposes into one masked rotation per coordinate, so every subset
 operation is a handful of big-int operations regardless of |G|.
 
+A subgroup is a bitmask too, grown one cyclic subgroup at a time by
+doubling (_join_cyclic).  G/H is read off the Smith form of G's relations
+m_i e_i together with a few generators of H: QuotientStructure keeps the
+image of every element and the least element of every coset, and
+quotient_decompose checks that the map is onto G/H with kernel exactly H.
+
 Everything here is exact and immutable; the intended scale is |G| <= 4096.
 """
 
@@ -16,7 +22,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ORDER_CAP = 4096
 
@@ -491,8 +497,9 @@ def stabilizer(a: GroupSubset) -> Subgroup:
     its complement (both have period H).  H <= W - w for every w in W, so
     H <= C at every step, and C = {x : x + W <= W} = H once all of W is
     used.  The scan stops early at C = {0}, or when an intersection leaves
-    C unchanged and _periods_cover holds: periods of W that generate a
-    subgroup containing C give C <= H.  Each C is tested at most once.
+    C unchanged and C's _least_generators are all periods of W: periods of
+    W that generate a subgroup containing C give C <= H.  Each C is tested
+    at most once.
     """
     if a.bits == 0:
         raise GroupError("stabilizer of empty set")
@@ -506,7 +513,7 @@ def stabilizer(a: GroupSubset) -> Subgroup:
     for x in iter_bits(w):
         nxt = c & g.translate_mask(w, g.neg(x))
         if nxt == c != tested:
-            if _periods_cover(g, w, c):
+            if all(g.translate_mask(w, y) == w for y in _least_generators(g, c)):
                 break
             tested = c
         c = nxt
@@ -515,20 +522,26 @@ def stabilizer(a: GroupSubset) -> Subgroup:
     return Subgroup(GroupSubset(g, c))
 
 
-def _periods_cover(g: GroupSpec, w: int, c: int) -> bool:
-    """Whether periods of W, each the least element of C outside the span
-    of the earlier ones, generate a subgroup containing C."""
+def _least_generators(g: GroupSpec, bits: int) -> Iterator[int]:
+    """Each least element of bits outside the span of the earlier ones, until
+    their span contains bits."""
     span = 1
-    while c & ~span:
-        x = next(iter_bits(c & ~span))
-        if g.translate_mask(w, x) != w:
-            return False
-        # span + {0, ..., 2^t - 1}x stops growing only once it is span + <x>:
-        # fewer than ord(x) consecutive cosets never have period 2^t x
-        step = x
-        while (nxt := span | g.translate_mask(span, step)) != span:
-            span, step = nxt, g.add(step, step)
-    return True
+    while rest := bits & ~span:
+        x = next(iter_bits(rest))
+        yield x
+        span = _join_cyclic(g, span, x)
+
+
+def _join_cyclic(g: GroupSpec, span: int, x: int) -> int:
+    """Bitmask of span + <x> for a subgroup bitmask span.
+
+    span + {0, ..., 2^t - 1}x stops growing only once it is span + <x>:
+    fewer than ord(x) consecutive cosets never have period 2^t x.
+    """
+    step = x
+    while (nxt := span | g.translate_mask(span, step)) != span:
+        span, step = nxt, g.add(step, step)
+    return span
 
 
 def subgroup_generated(s: GroupSubset) -> Subgroup:
@@ -536,10 +549,8 @@ def subgroup_generated(s: GroupSubset) -> Subgroup:
     g = s.group
     closure = 1  # contains 0
     for gen in iter_bits(s.bits):
-        prev = -1
-        while closure != prev:
-            prev = closure
-            closure |= g.translate_mask(closure, gen)
+        if not (closure >> gen) & 1:
+            closure = _join_cyclic(g, closure, gen)
     return Subgroup(GroupSubset(g, closure))
 
 
@@ -565,162 +576,129 @@ def verify_subgroup(g: GroupSpec, carrier: GroupSubset) -> Subgroup:
 
 
 # ---------------------------------------------------------------------------
-# black-box decomposition (quotients)
+# quotients
 
 
-def _blackbox_basis(n: int, add: Callable[[int, int], int]) -> list[tuple[int, int]]:
-    """Generators (element, order) of an abelian black-box group on [0, n).
+def _smith_columns(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Smith form diag(d_1, ..., d_r), d_1 | d_2 | ... | d_r, of an integer
+    matrix with r columns and full column rank, and the column transform V:
+    U * rows * V = diag(d) for some unimodular U, which is not kept."""
+    a = [list(row) for row in rows]
+    r = len(a[0])
+    v = [[int(i == j) for j in range(r)] for i in range(r)]
+    d = []
+    for t in range(r):
+        while True:
+            # pivot: an entry of least absolute value in the minor from (t, t)
+            _, i, j = min((abs(x), i, j) for i in range(t, len(a))
+                          for j, x in enumerate(a[i][t:], t) if x)
+            a[t], a[i] = a[i], a[t]
+            for row in a + v:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for i in range(t + 1, len(a)):
+                if q := a[i][t] // p:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, r):
+                if q := a[t][j] // p:
+                    for row in a + v:
+                        row[j] -= q * row[t]
+            if any(a[i][t] for i in range(t + 1, len(a))) or any(a[t][t + 1:]):
+                continue  # a remainder is smaller than the pivot: pivot again
+            # p must divide the rest of the minor; else fold a row it does
+            # not divide into row t, whose remainders then undercut p
+            bad = next((i for i in range(t + 1, len(a))
+                        if any(x % p for x in a[i][t + 1:])), None)
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+        d.append(abs(a[t][t]))
+    return d, v
 
-    Orders come out non-increasing and form the invariant factors (largest
-    first).  Identity must be element 0.  Costs O(n * rank) calls to add.
+
+def _quotient_generators(g: GroupSpec, hbits: int) -> tuple[GroupSpec, list[int]]:
+    """G/H as a GroupSpec and the images there of G's standard generators e_i.
+
+    G/H is Z^r modulo the rows m_i e_i and the coordinates of H's
+    _least_generators.  With U * rows * V = diag(d) in Smith form,
+    c -> cV mod d maps Z^r onto the product of the C_d, d > 1, with exactly
+    that kernel, so e_i goes to row i of V reduced mod d.
     """
-    if n == 1:
-        return []
-
-    def multiples(x: int) -> list[int]:
-        out = [0]
-        acc = x
-        while acc != 0:
-            out.append(acc)
-            acc = add(acc, x)
-        return out
-
-    # one walk per cyclic subgroup: ord(k*x) = ord(x) / gcd(k, ord(x))
-    orders = [0] * n
-    for x in range(n):
-        if not orders[x]:
-            walk = multiples(x)
-            o = len(walk)
-            for k, y in enumerate(walk):
-                orders[y] = o // math.gcd(k, o)
-    m = max(orders)
-    x = orders.index(m)
-    cyclic = multiples(x)
-    position = {e: k for k, e in enumerate(cyclic)}
-    # label cosets of <x>
-    coset_of = [-1] * n
-    reps: list[int] = []
-    for e in range(n):
-        if coset_of[e] >= 0:
-            continue
-        label = len(reps)
-        reps.append(e)
-        for c in cyclic:
-            coset_of[add(e, c)] = label
-    if coset_of[0] != 0:
-        raise GroupError("black-box identity is not element 0")
-
-    def q_add(a: int, b: int) -> int:
-        return coset_of[add(reps[a], reps[b])]
-
-    basis = [(x, m)]
-    for rep_label, o in _blackbox_basis(n // m, q_add):
-        y = reps[rep_label]
-        # adjust lift so its order matches the quotient order o
-        oy = 0
-        for _ in range(o):
-            oy = add(oy, y)
-        t = position.get(oy, -1)    # oy = t*x must lie in <x>
-        if t < 0 or t % o:
-            raise GroupError("black-box lift has no element of the quotient order")
-        y = add(y, cyclic[(m - t // o) % m])
-        basis.append((y, o))
-    return basis
-
-
-def _blackbox_spec(n: int, add: Callable[[int, int], int]) -> tuple[GroupSpec, dict[int, int]]:
-    """Decompose a black-box abelian group into (spec, elem->spec_idx)."""
-    basis = _blackbox_basis(n, add)
-    factors = tuple(o for _, o in reversed(basis)) or (1,)
-    spec = _interned_spec(factors)
-    from_elem: dict[int, int] = {}
-    gens = [g for g, _ in reversed(basis)]  # aligned with ascending factors
-
-    def build(pos: int, elem: int, idx: int) -> None:
-        if pos == len(gens):
-            from_elem[elem] = idx
-            return
-        m = factors[pos]
-        stride = spec.strides[pos]
-        cur = elem
-        for c in range(m):
-            build(pos + 1, cur, idx + c * stride)
-            cur = add(cur, gens[pos])
-
-    build(0, 0, 0)
-    if len(from_elem) != n:
-        raise GroupError("black-box decomposition failed to cover the group")
-    return spec, from_elem
+    rows = [[m if j == i else 0 for j in range(g.rank)]
+            for i, m in enumerate(g.invariant_factors)]
+    rows += [list(g.coords(x)) for x in _least_generators(g, hbits)]
+    d, v = _smith_columns(rows)
+    keep = [j for j in range(g.rank) if d[j] > 1]
+    spec = _interned_spec(tuple(d[j] for j in keep) or (1,))
+    return spec, [sum(row[j] % d[j] * s for j, s in zip(keep, spec.strides)) for row in v]
 
 
 @dataclass
 class QuotientStructure:
-    """Coset table of G/H together with an explicit GroupSpec isomorphism."""
+    """G/H as a GroupSpec: the image of every element of G, and the least
+    element of every coset of H."""
 
     parent: GroupSpec
     subgroup: Subgroup
-    coset_of: list[int]                 # element index -> coset label
-    representatives: list[int]          # coset label -> element index
+    images: list[int] = field(repr=False)           # element index -> quotient_spec index
+    representatives: list[int] = field(repr=False)  # quotient_spec index -> least coset element
     quotient_spec: GroupSpec
-    iso: list[int]                      # coset label -> quotient_spec index
-    iso_inv: list[int] = field(repr=False, default_factory=list)  # spec index -> coset label
 
     def image(self, element_index: int) -> int:
         """Image of a parent element in quotient_spec coordinates."""
-        return self.iso[self.coset_of[element_index]]
+        return self.images[element_index]
 
     def image_mask(self, mask: int) -> int:
+        images = self.images
         out = 0
         for i in iter_bits(mask):
-            out |= 1 << self.image(i)
+            out |= 1 << images[i]
         return out
 
     def preimage_mask(self, qmask: int) -> int:
         out = 0
         hbits = self.subgroup.carrier.bits
         for q in iter_bits(qmask):
-            out |= self.parent.translate_mask(hbits, self.representatives[self.iso_inv[q]])
+            out |= self.parent.translate_mask(hbits, self.representatives[q])
         return out
 
 
 def quotient_decompose(g: GroupSpec, h: Subgroup) -> QuotientStructure:
-    """Coset table plus invariant factors of G/H via black-box decomposition.
+    """G/H from the Smith form of H's relations (_quotient_generators).
 
-    The map iso from coset labels to quotient_spec is checked only on the
-    cosets b_j of G's standard generators: iso(0) = 0 and
-    iso(a + b_j) = iso(a) + iso(b_j) for every label a and every j.  iso is a
-    bijection by construction and the b_j generate G/H, so by induction on
-    the length of b as a sum of b_j's, iso(a + b) = iso(a) + iso(b) for all
-    a, b.  Decomposition and check together cost O(|G/H| * rank(G))
-    additions.
+    The image of each element c = sum c_i e_i, 0 <= c_i < m_i, is tabulated
+    as sum c_i f(e_i) from the generator images f(e_i), then three checks
+    make the table a surjective homomorphism with kernel exactly H:
+      - m_i f(e_i) = 0 for every i, so c -> sum c_i f(e_i), a homomorphism
+        on Z^r, vanishes on the relations m_i e_i and is one on G;
+      - every element of H maps to 0, so H lies in the kernel;
+      - every quotient index is hit and |G/H| |H| = |G|, so the kernel has
+        |G| / |G/H| = |H| elements and is H (which also makes H a subgroup).
+    GroupError is raised when any of them fails.  Costs O(|G| rank(G/H))
+    integer operations.
     """
     _check_same_group(h.carrier, g)
-    verify_subgroup(g, h.carrier)
     hbits = h.carrier.bits
-    coset_of = [-1] * g.order
-    reps: list[int] = []
-    for e in range(g.order):
-        if coset_of[e] >= 0:
-            continue
-        label = len(reps)
-        reps.append(e)
-        for i in iter_bits(g.translate_mask(hbits, e)):
-            coset_of[i] = label
-    q = len(reps)
-
-    def c_add(a: int, b: int) -> int:
-        return coset_of[g.add(reps[a], reps[b])]
-
-    spec, from_elem = _blackbox_spec(q, c_add)
-    iso = [from_elem[c] for c in range(q)]
-    gens = [coset_of[s % g.order] for s in g.strides]
-    if iso[0] != 0 or any(spec.add(iso[a], iso[b]) != iso[c_add(a, b)]
-                          for a in range(q) for b in gens):
-        raise GroupError("black-box map failed the homomorphism check")
-    iso_inv = [0] * q
-    for c, s in enumerate(iso):
-        iso_inv[s] = c
-    return QuotientStructure(g, h, coset_of, reps, spec, iso, iso_inv)
+    spec, gens = _quotient_generators(g, hbits)
+    gen_coords = [spec.coords(f) for f in gens]
+    images = [0] * g.order
+    for j, (d, stride) in enumerate(zip(spec.invariant_factors, spec.strides)):
+        # coordinate j of every image, axis by axis of G: the index of G
+        # runs over axis i's coordinate outside the earlier axes
+        col = [0]
+        for m, f in zip(g.invariant_factors, gen_coords):
+            col = [(a + c * f[j]) % d for c in range(m) for a in col]
+        images = [x + y * stride for x, y in zip(images, col)]
+    reps = [-1] * spec.order
+    for x in range(g.order - 1, -1, -1):
+        reps[images[x]] = x
+    if any(spec.scale(m, f) for m, f in zip(g.invariant_factors, gens)):
+        raise GroupError("quotient map is not well defined on G")
+    if any(images[x] for x in iter_bits(hbits)):
+        raise GroupError("quotient map does not send H to 0")
+    if -1 in reps or spec.order * h.order != g.order:
+        raise GroupError("quotient map is not onto a group of order |G|/|H|")
+    return QuotientStructure(g, h, images, reps, spec)
 
 
 # quotients quotient_cached keeps, least recently used evicted first
@@ -744,7 +722,7 @@ def enumerate_subgroups(g: GroupSpec) -> list[Subgroup]:
         for e in range(1, g.order):
             if (bits >> e) & 1:
                 continue
-            new = subgroup_generated(GroupSubset(g, bits | (1 << e))).carrier.bits
+            new = _join_cyclic(g, bits, e)
             if new not in seen:
                 seen.add(new)
                 frontier.append(new)

@@ -82,13 +82,8 @@ def clause_iib_fails(g: GroupSpec, s: GSequence, n: int, h: Subgroup,
     sigma = nterm_subsums(s, n).size
     order_h = h.order
     index = g.order // order_h
-    seen = set()
-    for alpha in range(g.order):
-        coset = g.translate_mask(h.carrier.bits, alpha)
-        if coset in seen:
-            continue
-        seen.add(coset)
-        e = s.count_outside(coset)
+    for alpha in quotient_cached(g, h).representatives:
+        e = s.count_outside(g.translate_mask(h.carrier.bits, alpha))
         if (e <= index - 2 and (e + 1) * order_h <= s_prime_len - n
                 and sigma >= (e + 1) * order_h):
             return False
@@ -97,17 +92,6 @@ def clause_iib_fails(g: GroupSpec, s: GSequence, n: int, h: Subgroup,
 
 def _sequence_over_mask(g: GroupSpec, mask: int, n: int) -> GSequence:
     return GSequence(g, [n if (mask >> i) & 1 else 0 for i in range(g.order)])
-
-
-def _quotient_cyclic_gen(q) -> Optional[int]:
-    """Index (in the quotient spec) of a generator, if the quotient is cyclic."""
-    spec = q.quotient_spec
-    if spec.rank != 1:
-        return None
-    for x in range(spec.order):
-        if spec.element_order(x) == spec.order:
-            return x
-    return None
 
 
 def gen_example(kind: str, g: GroupSpec, h: Subgroup,
@@ -127,7 +111,8 @@ def gen_example(kind: str, g: GroupSpec, h: Subgroup,
         if spec.rank != 1 or spec.order < 4:
             raise SearchError("example A needs G/H cyclic of order >= 4")
         n = spec.order - 2
-        gq = _quotient_cyclic_gen(q)
+        # the image of the least element of G whose image generates G/H
+        gq = next(y for y in q.images if spec.element_order(y) == spec.order)
         x_bits = (1 << 0) | (1 << gq)
         expected_len = 2 * g.order - 4 * h.order
         expected_sigma = g.order - h.order

@@ -228,10 +228,10 @@ def push_forward(s: GSequence, q: QuotientStructure) -> GSequence:
     if q.parent != s.group:
         raise SequenceError("quotient structure over a different group")
     mult = [0] * q.quotient_spec.order
-    iso, coset_of = q.iso, q.coset_of
+    images = q.images
     for idx, m in enumerate(s.mult):
         if m:
-            mult[iso[coset_of[idx]]] += m
+            mult[images[idx]] += m
     return GSequence._derived(q.quotient_spec, tuple(mult), s.length)
 
 

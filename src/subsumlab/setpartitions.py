@@ -48,6 +48,7 @@ from .groups import (
     GroupError,
     GroupSpec,
     GroupSubset,
+    QuotientStructure,
     Subgroup,
     is_prime,
     iter_bits,
@@ -568,7 +569,7 @@ def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
 @dataclass
 class HypothesisReport:
     H: Subgroup
-    quotient: "object"    # QuotientStructure of G by H
+    quotient: QuotientStructure    # of G by H
     item_satisfied: str   # trivial-H | full-H | item1..item4 | none
     mode: str = "standard"
 

@@ -22,6 +22,7 @@ from .groups import (
     is_prime,
     iter_bits,
     iterated_sumset,
+    quotient_cached,
     representation_min,
     smallest_prime_divisor,
     stabilizer,
@@ -289,17 +290,13 @@ def _match_case2a(g: GroupSpec, a: GroupSubset, n: int, na: GroupSubset,
             target = h.carrier.bits | sum_masks(g, a0, k.carrier.bits)
             if sum_masks(g, az, k.carrier.bits) != target:
                 continue
-            phi_classes = {_coset_id(g, h, x) for x in iter_bits(az)}
-            if len(phi_classes) != 2:
+            # z + A meets exactly two H-cosets
+            if quotient_cached(g, h).image_mask(az).bit_count() != 2:
                 continue
             na0k = iterated_sumset(GroupSubset(g, sum_masks(g, a0, k.carrier.bits)), n)
             if na.size == g.order - h.order + na0k.size:
                 return {"case": "2(a)", "H": h, "z": z}
     return None
-
-
-def _coset_id(g: GroupSpec, h: Subgroup, x: int) -> int:
-    return min(iter_bits(g.translate_mask(h.carrier.bits, x)))
 
 
 def check_cor1(a: GroupSubset, n: int) -> CheckReport:
@@ -358,7 +355,7 @@ def check_cor2(a: GroupSubset, n: int) -> CheckReport:
         return CheckReport("cor2", True, na.size, g.order, detail="nA = G")
     exp = g.exponent
     exp_composite = not is_prime(exp)
-    structural_ok = exp >= 2 and exp_composite and g.rank >= 2
+    structural_ok = exp_composite and g.rank >= 2
     k = stabilizer(na)
     match = _match_case2b(g, a, n, na, k)
     holds = structural_ok and match is not None

@@ -302,7 +302,7 @@ def test_quotients_of_trivial_group():
     for h in enumerate_subgroups(g):  # 1 = G, so G/1 and G/G coincide
         q = quotient_decompose(g, h)
         assert q.quotient_spec.order == 1
-        assert q.coset_of == [0] and q.iso == [0] and q.image(0) == 0
+        assert q.images == [0] and q.representatives == [0] and q.image(0) == 0
 
 
 @pytest.mark.parametrize("spec", ["4x4x4x4x4x4", "64x64"])
@@ -316,49 +316,46 @@ def test_cold_quotient_of_large_group(spec):
         assert q.image(g.add(a, b)) == g.add(q.image(a), q.image(b))
 
 
-def _swap_labels(monkeypatch, pair):
-    """Make _blackbox_spec return its bijection with two labels swapped."""
-    original = groups._blackbox_spec
-
-    def swapped(n, add):
-        spec, from_elem = original(n, add)
-        c1, c2 = pair
-        from_elem = dict(from_elem)
-        from_elem[c1], from_elem[c2] = from_elem[c2], from_elem[c1]
-        return spec, from_elem
-
-    monkeypatch.setattr(groups, "_blackbox_spec", swapped)
-
-
 def _is_homomorphism(n, f, add_src, add_dst):
-    """All-pairs reference for the generator check."""
+    """All-pairs reference for the quotient map checks."""
     return all(add_dst(f[a], f[b]) == f[add_src(a, b)]
                for a in range(n) for b in range(n))
 
 
-@pytest.mark.parametrize("spec", ["6", "8", "2x4", "2x2x2", "3x3"])
+def _tabulate(g, spec, gens):
+    """c -> sum c_i f(e_i) over spec, one element at a time."""
+    table = []
+    for x in range(g.order):
+        y = 0
+        for c, f in zip(g.coords(x), gens):
+            y = spec.add(y, spec.scale(c, f))
+        table.append(y)
+    return table
+
+
+@pytest.mark.parametrize("spec", ["6", "8", "2x4", "2x2x2", "3x3", "2x6"])
 def test_tampered_decomposition_rejected_iff_not_homomorphism(spec, monkeypatch):
+    """Replace one generator image f(e_i) by every quotient element in turn:
+    quotient_decompose must raise exactly when the tabulated map is not a
+    homomorphism with kernel H, and otherwise return that map."""
     g = parse_group(spec)
+    honest = groups._quotient_generators
     rejected = 0
     for h in enumerate_subgroups(g):
-        honest = quotient_decompose(g, h)
-        reps = honest.representatives
-        q = len(reps)
-
-        def c_add(a, b):
-            return honest.coset_of[g.add(reps[a], reps[b])]
-
-        for pair in itertools.combinations(range(q), 2):
-            iso = list(honest.iso)
-            iso[pair[0]], iso[pair[1]] = iso[pair[1]], iso[pair[0]]
-            with monkeypatch.context() as mp:
-                _swap_labels(mp, pair)
-                if _is_homomorphism(q, iso, c_add, honest.quotient_spec.add):
-                    assert quotient_decompose(g, h).iso == iso
-                else:
-                    rejected += 1
-                    with pytest.raises(GroupError):
-                        quotient_decompose(g, h)
+        spec_q, gens = honest(g, h.carrier.bits)
+        for i, y in itertools.product(range(g.rank), range(spec_q.order)):
+            tampered = gens[:i] + [y] + gens[i + 1:]
+            table = _tabulate(g, spec_q, tampered)
+            valid = (_is_homomorphism(g.order, table, g.add, spec_q.add)
+                     and {x for x, t in enumerate(table) if t == 0} == set(h.carrier.indices()))
+            monkeypatch.setattr(groups, "_quotient_generators",
+                                lambda *_, out=(spec_q, tampered): out)
+            if valid:
+                assert quotient_decompose(g, h).images == table
+            else:
+                rejected += 1
+                with pytest.raises(GroupError):
+                    quotient_decompose(g, h)
     assert rejected
 
 

@@ -1,5 +1,6 @@
 """Extremal-example generation, audit sweeps, and the open-question hunt."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,10 @@ import pytest
 from subsumlab.groups import (
     GroupSubset,
     Subgroup,
+    abelian_groups_of_order,
+    enumerate_subgroups,
     parse_group,
+    quotient_cached,
     stabilizer,
     subgroup_generated,
 )
@@ -76,6 +80,27 @@ def test_example_c_worked_instance():
     sigma = nterm_subsums(inst.S, inst.n)
     assert sigma.size == g.order - h.order == 24
     assert stabilizer(sigma).carrier == h.carrier
+
+
+def test_example_a_sequences_pinned():
+    """Family A over every (G, H), |G| <= 32, H nontrivial and G/H cyclic
+    of order >= 4 (130 pairs, 98 with G noncyclic): the digest of the
+    generated sequences is pinned, so a change of the quotient map cannot
+    move the coset family A puts its second block on."""
+    digest = hashlib.sha256()
+    pairs = 0
+    for m in range(4, 33):
+        for g in abelian_groups_of_order(m):
+            for h in enumerate_subgroups(g):
+                spec = quotient_cached(g, h).quotient_spec
+                if h.is_trivial or spec.rank != 1 or spec.order < 4:
+                    continue
+                s = gen_example("A", g, h).S.format()
+                digest.update(f"{g.spec_string()} {h.carrier.bits:x} {s}\n".encode())
+                pairs += 1
+    assert pairs == 130
+    assert digest.hexdigest() == \
+        "16f4edb41b1f947382fba3fd25b3c91c16efb634bb3ffa1ebe35d1ca7666ed04"
 
 
 def test_example_expected_fields_match_bruteforce():
