@@ -23,6 +23,10 @@ round-trips every certificate it hashes through the codec,
 from_dict(G, json.loads(json.dumps(to_dict()))), and prints per slice how many
 round-trips did not give back the same record apart from "verified" (a
 parsed certificate is never verified), or raised; that count must be 0.
+Last, per slice and pipeline mode, it counts which hypothesis item
+hypothesis_check selected, over the calls that passed the preconditions
+(raised no plain PartitionError); "none" counts the HypothesesUnmetError
+outcomes.  These counts stay out of the digests.
 
 The corpus (fixed, seeded), one slice each:
   - criterion 8-9: the criterion 8-9 audit corpus, 56,974 instances: every
@@ -48,17 +52,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from subsumlab.groups import enumerate_subgroups, parse_group  # noqa: E402
+from subsumlab.groups import enumerate_subgroups, parse_group, stabilizer  # noqa: E402
 from subsumlab.search import (  # noqa: E402
     AuditConfig,
     exhaustive_instances,
     groups_up_to,
     random_instance,
 )
-from subsumlab.sequences import GSequence, parse_sequence  # noqa: E402
+from subsumlab.sequences import GSequence, nterm_subsums, parse_sequence  # noqa: E402
 from subsumlab.setpartitions import (  # noqa: E402
     Certificate,
     PartitionError,
+    hypothesis_check,
     main_pipeline,
     partition_solve,
 )
@@ -71,6 +76,8 @@ C89 = AuditConfig(max_group_order=16, exhaustive_group_cap=8,
 PROPER_SUBSEQUENCE = 4_000
 CONCENTRATED = 3_000
 CALLS = ("partition", "pipeline", "full-group")
+# the hypothesis mode of each main_pipeline call
+ITEM_MODES = {"pipeline": "standard", "full-group": "full-group"}
 PINNED = (
     ("2x8", "(0,0)^16;(1,0);(0,1);(1,4)^22;(1,7)", 23),
     ("4x4", "(0,0)^14;(3,1);(1,2);(2,2)^16;(2,3)", 17),
@@ -157,6 +164,7 @@ def main() -> int:
         call_digests = [hashlib.sha256() for _ in CALLS]
         count = 0
         classes = [Counter() for _ in CALLS]
+        items = {call: Counter() for call in ITEM_MODES}
         mismatches = 0
         for g, s, s_prime, n in corpus():
             for j, call in enumerate((
@@ -170,6 +178,10 @@ def main() -> int:
                 call_digests[j].update(line)
                 digest.update(line)
                 overall.update(line)
+                mode = ITEM_MODES.get(CALLS[j])
+                if mode and cls != "PartitionError":
+                    h = stabilizer(nterm_subsums(s, n))
+                    items[CALLS[j]][hypothesis_check(g, h, n, mode)] += 1
             count += 1
         raised = [sum(c for cls, c in counts.items() if not cls.startswith("ok:"))
                   for counts in classes]
@@ -179,6 +191,9 @@ def main() -> int:
               f"({time.perf_counter() - t0:.0f}s)", file=sys.stderr)
         for call, counts in zip(CALLS, classes):
             print(f"#   {call}: " + ", ".join(f"{cls} {c}" for cls, c in sorted(counts.items())),
+                  file=sys.stderr)
+        for call, counts in items.items():
+            print(f"#   {call} items: " + ", ".join(f"{item} {c}" for item, c in sorted(counts.items())),
                   file=sys.stderr)
         for call, call_digest in zip(CALLS, call_digests):
             print(f"{call_digest.hexdigest()}  {name} / {call}")

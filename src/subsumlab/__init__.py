@@ -36,7 +36,6 @@ from .sequences import (
 from .setpartitions import (
     Certificate,
     HypothesesUnmetError,
-    HypothesisReport,
     InternalError,
     PartitionError,
     SetPartition,

@@ -26,7 +26,6 @@ from .groups import (
     GroupSpec,
     GroupSubset,
     iterated_sumset,
-    normalize_factors,
     parse_element,
     parse_group,
     stabilizer,
@@ -132,8 +131,7 @@ def _emit(args, command: str, group: Optional[str], inputs: dict,
 
 def _cmd_group(args) -> tuple:
     g = parse_group(args.spec)
-    given = tuple(int(p) for p in args.spec.strip().split("x"))
-    normalized = normalize_factors(given) != given
+    normalized = g.invariant_factors != tuple(int(p) for p in args.spec.split("x"))
     result = {
         "spec": g.spec_string(),
         "invariant_factors": list(g.invariant_factors),

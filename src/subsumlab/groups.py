@@ -13,7 +13,7 @@ m_i e_i together with a few generators of H: QuotientStructure keeps the
 image of every element and the least element of every coset, and
 quotient_decompose checks that the map is onto G/H with kernel exactly H.
 
-Everything here is exact and immutable; the intended scale is |G| <= 4096.
+Everything here is exact and immutable; make_group caps |G| at 4096.
 """
 
 from __future__ import annotations
@@ -345,12 +345,11 @@ def _prime_power_split(m: int) -> dict[int, int]:
     return out
 
 
-def normalize_factors(factors: Sequence[int]) -> tuple[int, ...]:
-    """Invariant-factor chain of C_{f1} x ... x C_{fk} via elementary divisors."""
+def _normalize_factors(factors: Sequence[int]) -> tuple[int, ...]:
+    """Invariant-factor chain of C_{f1} x ... x C_{fk} via elementary divisors
+    (positive factors: make_group checks them)."""
     by_prime: dict[int, list[int]] = {}
     for f in factors:
-        if f <= 0:
-            raise GroupError(f"factor must be positive: {f}")
         for p, a in _prime_power_split(f).items():
             by_prime.setdefault(p, []).append(a)
     if not by_prime:
@@ -371,10 +370,19 @@ def _interned_spec(factors: tuple[int, ...]) -> GroupSpec:
 
 
 def make_group(factors: Sequence[int]) -> GroupSpec:
-    """Build a GroupSpec, normalizing arbitrary factor lists (e.g. [4,2] -> [2,4])."""
+    """Build a GroupSpec, normalizing arbitrary factor lists (e.g. [4,2] -> [2,4]).
+
+    |G| > DEFAULT_ORDER_CAP is refused before normalizing, which trial-divides,
+    and before GroupSpec allocates O(|G|) tables.
+    """
     if not factors:
         raise GroupError("empty factor list")
-    return _interned_spec(normalize_factors(tuple(factors)))
+    if min(factors) <= 0:
+        raise GroupError(f"factor must be positive: {min(factors)}")
+    order = math.prod(factors)
+    if order > DEFAULT_ORDER_CAP:
+        raise GroupError(f"group order {order} exceeds the cap {DEFAULT_ORDER_CAP}")
+    return _interned_spec(_normalize_factors(tuple(factors)))
 
 
 def parse_group(text: str) -> GroupSpec:
@@ -712,9 +720,6 @@ def quotient_cached(g: GroupSpec, h: Subgroup) -> QuotientStructure:
 
 def enumerate_subgroups(g: GroupSpec) -> list[Subgroup]:
     """All subgroups of G, sorted by (size, carrier bitmask)."""
-    if g.order > DEFAULT_ORDER_CAP:
-        raise GroupError(f"group order {g.order} exceeds subgroup enumeration cap "
-                         f"{DEFAULT_ORDER_CAP}")
     seen = {1}  # trivial subgroup bitmask
     frontier = [1]
     while frontier:

@@ -70,21 +70,19 @@ class ExampleInstance:
         }
 
 
-def clause_iib_fails(g: GroupSpec, s: GSequence, n: int, h: Subgroup,
-                     s_prime_len: Optional[int] = None) -> bool:
-    """True when no choice of alpha satisfies the e_H half of clause (ii)(b).
+def clause_iib_fails(g: GroupSpec, s: GSequence, n: int, h: Subgroup) -> bool:
+    """True when no choice of alpha satisfies the e_H half of clause (ii)(b)
+    with S' = S.
 
     Necessary condition for the structured conclusion: some H-coset alpha+H
     must leave few enough terms outside.  Checked for every coset.
     """
-    if s_prime_len is None:
-        s_prime_len = s.length
     sigma = nterm_subsums(s, n).size
     order_h = h.order
     index = g.order // order_h
     for alpha in quotient_cached(g, h).representatives:
         e = s.count_outside(g.translate_mask(h.carrier.bits, alpha))
-        if (e <= index - 2 and (e + 1) * order_h <= s_prime_len - n
+        if (e <= index - 2 and (e + 1) * order_h <= s.length - n
                 and sigma >= (e + 1) * order_h):
             return False
     return True

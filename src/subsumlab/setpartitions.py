@@ -48,9 +48,7 @@ from .groups import (
     GroupError,
     GroupSpec,
     GroupSubset,
-    QuotientStructure,
     Subgroup,
-    is_prime,
     iter_bits,
     parse_element,
     quotient_cached,
@@ -256,10 +254,22 @@ def lemma31_complete(s: GSequence, s_prime: GSequence, n: int, k: int
                      ) -> tuple[GSequence, GSequence]:
     """Split-off pair (T, T'): h(T) <= k <= |T|, h(T') <= n-k <= |T'|, |T|+|T'|=|S'|.
 
-    T takes min(v_g, k) of each element of S ascending, stopping at length
-    |S'| - (n-k), so it has maximal length among such subsequences.  T' is
-    the first |S'| - |T| terms of T^{[-1]}S taken at most n-k per element
-    (when |T| is at that cap, the first n-k terms).
+    A reproduction of the paper's Lemma 3.1; no solver path calls it.  T
+    takes min(v_g, k) of each element of S ascending, stopping at the room
+    |S'| - (n-k), so it has maximal length among such subsequences.  T' takes
+    |S'| - |T| terms of T^{[-1]}S ascending, at most n-k per element.
+
+    The postconditions follow from h(S') <= n <= |S'| and S' | S, so none is
+    checked (criterion 6 asserts the length and multiplicity ones per call):
+    - |T| >= k: the room is >= k, and sum_g min(v_g(S), k) >= k, as one g
+      with v_g(S') >= k gives k alone, and otherwise the sum is >= |S'| >= k.
+    - T T' | S: T takes at most v_g(S) of each g, and T' from what T left.
+    - |T'| = |S'| - |T|: if T stopped at the room, T' needs n - k terms, at
+      most n - k per element, of the |S| - room >= n - k that T left.
+      Otherwise T took min(v_g(S), k) of each g, so T' may take
+      min(v_g(S), n) - min(v_g(S), k), in all >= |S'| - |T| as h(S') <= n.
+    - h(T) <= k and h(T') <= n - k by the caps; |T'| >= |S'| - room = n - k,
+      and T' is empty when k = n.
     """
     if not s_prime.is_subsequence_of(s):
         raise PartitionError("S' must be a subsequence of S")
@@ -268,19 +278,8 @@ def lemma31_complete(s: GSequence, s_prime: GSequence, n: int, k: int
     if not 1 <= k <= n:
         raise PartitionError("need 1 <= k <= n")
     t = GSequence._derived(s.group, *_greedy_mult(s.mult, k, s_prime.length - (n - k)))
-    if t.length < k:
-        raise InternalError("greedy maximal subsequence shorter than k")
-    if not t.is_subsequence_of(s):
-        raise InternalError("T is not a subsequence of S")
-    need = s_prime.length - t.length
     rem = list(map(operator.sub, s.mult, t.mult))
-    t_prime = GSequence._derived(s.group, *_greedy_mult(rem, n - k, need))
-    if t_prime.length < need:
-        raise InternalError("not enough remaining terms for the counterpart")
-    if t.length + t_prime.length != s_prime.length:
-        raise InternalError("counterpart length mismatch")
-    if t_prime.max_multiplicity() > n - k or t_prime.length < n - k:
-        raise InternalError("counterpart multiplicity bounds violated")
+    t_prime = GSequence._derived(s.group, *_greedy_mult(rem, n - k, s_prime.length - t.length))
     return t, t_prime
 
 
@@ -302,21 +301,18 @@ def _validate_instance(s: GSequence, s_prime: GSequence, n: int) -> None:
         raise PartitionError("n must be >= 1")
 
 
-# cap on the number of improving moves one hill climb makes
-_MAX_CLIMB_MOVES = 2000
-
-
 def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int
                 ) -> tuple[list[int], int]:
     """First-improvement local search maximizing |sum of parts|.
 
-    Returns part bitmasks and the achieved sum size.
+    Returns part bitmasks and the achieved sum size.  The climb needs no move
+    cap: every applied move raises best by at least 1, from best >= 1, and
+    best never exceeds |Sigma_n(S)| <= |G|, so a climb makes at most |G| - 1
+    moves.
     """
     parts = [p.bits for p in make_setpartition(s_prime, n).parts]
     best = sum_of_masks(s.group, parts).bit_count()
-    moves = 0
-    while best < target and moves < _MAX_CLIMB_MOVES and (lifted := _improve(s, parts, best)):
-        moves += 1
+    while best < target and (lifted := _improve(s, parts, best)):
         best = lifted
     return parts, best
 
@@ -566,54 +562,50 @@ def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
 # hypothesis checking
 
 
-@dataclass
-class HypothesisReport:
-    H: Subgroup
-    quotient: QuotientStructure    # of G by H
-    item_satisfied: str   # trivial-H | full-H | item1..item4 | none
-    mode: str = "standard"
-
-    @property
-    def satisfied(self) -> bool:
-        return self.item_satisfied != "none"
-
-
-def _quotient_items(n: int, q: GroupSpec, order_h: int, mode: str) -> str:
-    exp_q = q.exponent
-    cyclic = q.rank == 1
-    if mode == "standard":
-        if n >= exp_q + 1:
-            return "item1"
-        if n >= exp_q > order_h:
-            return "item2"
-        if n >= exp_q and q.invariant_factors == (2, exp_q):
-            return "item3"
-        if cyclic and n >= exp_q - 1:
-            return "item4"
-        return "none"
-    # full-group variant
-    if n >= exp_q:
-        return "item1"
-    if n >= exp_q - 1 and (cyclic or is_prime(exp_q)):
-        return "item2"
-    if n >= 1 and (exp_q <= 3 or q.invariant_factors == (4,)):
-        return "item3"
-    return "none"
-
-
 def hypothesis_check(g: GroupSpec, h: Subgroup, n: int,
-                     mode: str = "standard") -> HypothesisReport:
-    """Which hypothesis item (if any) the triple (G, H, n) satisfies."""
+                     mode: str = "standard") -> str:
+    """The hypothesis item (G, H, n) satisfies: "trivial-H", "full-H",
+    "item1" to "item4", or "none".
+
+    Full-group mode answers item1 (n >= exp(G/H)) or none, which is the
+    paper's answer for the H main_pipeline asks about: H = H(Sigma_n(S)) of
+    an S' with h(S') <= n and |S'| >= n + |G| - 1.  There the paper's items 2
+    (n >= exp(G/H) - 1, G/H cyclic or of prime exponent) and 3 (exp(G/H) <= 3
+    or G/H = C4) hold only where item 1 does.  Let H be proper and nontrivial,
+    q = |G/H|, h = |H|, and N, e as in subsum_profile (N cosets of H holding
+    at least n terms of S, e terms of S outside them).
+    (A) The n-term subsum bound |Sigma_n| >= ((N-1)n + e + 1)h and
+        |Sigma_n| <= (q-1)h give (N-1)n + e + 2 <= q.
+    (B) S' has at most nh terms in each of those N cosets (h(S') <= n) and
+        at most e outside them: Nnh + e >= |S'| >= n + qh - 1.
+    N = 0 is impossible: (A) and (B) give n + qh - 1 <= e <= q + n - 2.
+    N = 1: (A) gives e <= q - 2, then (B) n(h-1) >= q(h-1) + 1, so n > q.
+    N >= 2: (A) gives Nn <= q - 2 - e + n, so (B) gives n(h-1) >=
+    (e+2)(h-1) + 1, and e + 3 <= n <= q - 2 - e.  Then item 3's
+    exp(G/H) <= 3 <= n is item 1, and its G/H = C4 would need 4 >= n + 2 >= 5.
+    Item 2 without item 1 needs n = exp(G/H) - 1: for cyclic G/H that is
+    q - 1 > q - 2 - e; for prime exponent p and a = (q-1)/(p-1), (A) gives
+    N <= a, but (A) and (B) give N(p-1)(h-1) >= q(h-1) + 1, so N > a.
+    """
     if h.carrier.group != g:
         raise PartitionError("subgroup over a different group")
-    quot = quotient_cached(g, h)
     if h.is_trivial:
-        item = "trivial-H"
-    elif h.is_full:
-        item = "full-H"
-    else:
-        item = _quotient_items(n, quot.quotient_spec, h.order, mode)
-    return HypothesisReport(h, quot, item, mode)
+        return "trivial-H"
+    if h.is_full:
+        return "full-H"
+    q = quotient_cached(g, h).quotient_spec
+    exp_q = q.exponent
+    if mode != "standard":      # full-group
+        return "item1" if n >= exp_q else "none"
+    if n >= exp_q + 1:
+        return "item1"
+    if n >= exp_q > h.order:
+        return "item2"
+    if n >= exp_q and q.invariant_factors == (2, exp_q):
+        return "item3"
+    if q.rank == 1 and n >= exp_q - 1:
+        return "item4"
+    return "none"
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +626,7 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
             f"got {s_prime.length}")
     sigma_n = nterm_subsums(s, n)
     h = stabilizer(sigma_n)
-    report = hypothesis_check(g, h, n, mode)
-    if not report.satisfied:
+    if hypothesis_check(g, h, n, mode) == "none":
         raise HypothesesUnmetError(
             f"no hypothesis item holds for H of order {h.order}, n={n}, "
             f"G={g.spec_string()} (mode {mode})")

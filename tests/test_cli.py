@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -251,6 +252,28 @@ def test_usage_error_exit_2(capsys):
     assert run(["group", "info", "abc"]) == 2
     assert run(["nonsense-verb"]) == 2
     assert run(["subsums", "-g", "8", "-s", SEQ_A]) == 2   # -n omitted
+
+
+def _over_cap_report(tmp_path):
+    out = tmp_path / "cert.json"
+    run(["maincert", "-g", "4", "-s", "0^6;2^6", "--sprime", "0^5;2^5",
+         "-n", "5", "--format", "json", "--out", str(out)])
+    out.write_text(json.dumps({**json.loads(out.read_text()), "group": "10000000"}))
+    return str(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "info", "1000000000000000003"],
+    ["subsums", "-g", "1000000", "-s", "0", "-n", "1"],
+    None,
+], ids=["group-info-prime", "subsums-1e6", "verify-1e7"])
+def test_order_over_cap_exit_2(argv, tmp_path, capsys):
+    # refused by make_group before any factoring or per-element table
+    argv = argv or ["verify", _over_cap_report(tmp_path)]
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the cap 4096" in capsys.readouterr().err
 
 
 def test_audit_jobs_out_of_range_exit_2(capsys):

@@ -12,6 +12,7 @@ from subsumlab.groups import (
     GroupSubset,
     Subgroup,
     abelian_groups_of_order,
+    is_prime,
     parse_element,
     parse_group,
     stabilizer,
@@ -111,7 +112,8 @@ def test_lemma31_postconditions(inst, data):
     t, t_prime = lemma31_complete(s, s_prime, n, k)
     assert t.length + t_prime.length == s_prime.length
     assert t.max_multiplicity() <= k <= t.length
-    assert t_prime.max_multiplicity() <= n - k <= t_prime.length or n == k
+    assert t_prime.max_multiplicity() <= n - k <= t_prime.length
+    assert n > k or t_prime.length == 0
     assert all(a + b <= m for a, b, m in zip(t.mult, t_prime.mult, s.mult))
 
 
@@ -345,20 +347,52 @@ def test_partition_precondition_errors():
 def test_hypothesis_worked_instances():
     g = parse_group("8")
     h = Subgroup(GroupSubset.from_indices(g, [0, 4]))
-    assert hypothesis_check(g, h, 5).item_satisfied == "item1"
-    assert hypothesis_check(g, h, 2).item_satisfied == "none"
+    assert hypothesis_check(g, h, 5) == "item1"
+    assert hypothesis_check(g, h, 2) == "none"
+    assert hypothesis_check(g, h, 4, "full-group") == "item1"
+    assert hypothesis_check(g, h, 3, "full-group") == "none"
     full = Subgroup(GroupSubset(g, g.full_mask))
-    assert hypothesis_check(g, full, 1).item_satisfied == "full-H"
+    assert hypothesis_check(g, full, 1) == "full-H"
     triv = Subgroup(GroupSubset.from_indices(g, [0]))
-    assert hypothesis_check(g, triv, 1).item_satisfied == "trivial-H"
+    assert hypothesis_check(g, triv, 1) == "trivial-H"
 
 
-def test_hypothesis_report_quotient_field():
-    g = parse_group("8")
-    h = Subgroup(GroupSubset.from_indices(g, [0, 4]))
-    rep = hypothesis_check(g, h, 5)
-    assert rep.quotient.quotient_spec.spec_string() == "4"
-    assert rep.H is h
+def _full_group_item2(n, q):
+    """The paper's full-group item 2, as hypothesis_check once coded it."""
+    return n >= q.exponent - 1 and (q.rank == 1 or is_prime(q.exponent))
+
+
+def _full_group_item3(n, q):
+    """The paper's full-group item 3, as hypothesis_check once coded it."""
+    return n >= 1 and (q.exponent <= 3 or q.invariant_factors == (4,))
+
+
+def test_full_group_items_2_and_3_need_item_1():
+    """The argument in hypothesis_check's docstring, as arithmetic: over every
+    G/H of order q in 2..16, |H| = h in 2..4, and every n <= 2q, N <= q, e
+    with (A) (N-1)n + e + 2 <= q and (B) Nnh + e >= n + qh - 1, each step
+    holds, and the paper's full-group item 2 or 3 holds only where item 1
+    (n >= exp(G/H)) does.  n > 2q needs no check (item 1 holds), nor e >=
+    q + n - 1 ((A) fails)."""
+    tuples = 0
+    for q_order in range(2, 17):
+        for q in abelian_groups_of_order(q_order):
+            for h in range(2, 5):
+                for n in range(1, 2 * q_order + 1):
+                    for big_n in range(q_order + 1):
+                        for e in range(q_order + n - 1):
+                            if ((big_n - 1) * n + e + 2 > q_order
+                                    or big_n * n * h + e < n + q_order * h - 1):
+                                continue
+                            tuples += 1
+                            assert big_n >= 1
+                            if big_n == 1:
+                                assert n > q_order
+                            else:
+                                assert e + 3 <= n <= q_order - 2 - e
+                            assert n >= q.exponent or not (
+                                _full_group_item2(n, q) or _full_group_item3(n, q))
+    assert tuples == 6716
 
 
 # ---------------------------------------------------------------------------
