@@ -258,7 +258,7 @@ def _cmd_verify(args) -> tuple:
     if cert.theorem == "partition":
         ok, violations = partition_verify(cert, s, s_prime, n)
     else:
-        ok, violations = main_verify(cert, g, s, s_prime, n, cert.mode)
+        ok, violations = main_verify(cert, g, s, s_prime, n)
     result = {"theorem": cert.theorem, "case": cert.case_tag, "holds": ok}
     return (g.spec_string(),
             {"report": args.report, "S": s_text, "S_prime": s_prime_text, "n": n},

@@ -36,6 +36,7 @@ from .sequences import (
 from .setpartitions import (
     HypothesesUnmetError,
     InternalError,
+    clause_iib_violations,
     main_pipeline,
     partition_solve,
 )
@@ -78,14 +79,9 @@ def clause_iib_fails(g: GroupSpec, s: GSequence, n: int, h: Subgroup) -> bool:
     must leave few enough terms outside.  Checked for every coset.
     """
     sigma = nterm_subsums(s, n).size
-    order_h = h.order
-    index = g.order // order_h
-    for alpha in quotient_cached(g, h).representatives:
-        e = s.count_outside(g.translate_mask(h.carrier.bits, alpha))
-        if (e <= index - 2 and (e + 1) * order_h <= s.length - n
-                and sigma >= (e + 1) * order_h):
-            return False
-    return True
+    return all(clause_iib_violations(
+        sigma, s.count_outside(g.translate_mask(h.carrier.bits, alpha)), h, s.length - n, "H")
+        for alpha in quotient_cached(g, h).representatives)
 
 
 def _sequence_over_mask(g: GroupSpec, mask: int, n: int) -> GSequence:

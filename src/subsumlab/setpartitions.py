@@ -68,6 +68,10 @@ class HypothesesUnmetError(PartitionError):
     """None of the main-theorem hypothesis items holds for the instance."""
 
 
+# the hypothesis ladders main_pipeline and hypothesis_check know
+MODES = ("standard", "full-group")
+
+
 class SetPartition:
     """Ordered list of nonempty subsets of a common group."""
 
@@ -126,7 +130,7 @@ class Certificate:
     e_K: int = 0
     k: int = 0                          # n - e_K in case II
     bounds: dict = field(default_factory=dict)
-    mode: str = "standard"
+    mode: str = "standard"             # one of MODES
     theorem: str = "main"               # "partition" or "main"
     verified: bool = False
 
@@ -190,7 +194,7 @@ class Certificate:
         check(isinstance(data["parts"], list), "parts is not a list")
         check(data.get("case") in ("I", "II"), f"case {data.get('case')!r} is not I or II")
         check(data.get("theorem", "main") in ("partition", "main"), "unknown theorem")
-        check(data.get("mode", "standard") in ("standard", "full-group"), "unknown mode")
+        check(data.get("mode", "standard") in MODES, "unknown mode")
         check(isinstance(data.get("bounds", {}), dict), "bounds is not an object")
         for name in ("e_H", "e_K", "k"):
             check(type(data.get(name, 0)) is int, f"{name} is not an integer")
@@ -587,6 +591,8 @@ def hypothesis_check(g: GroupSpec, h: Subgroup, n: int,
     q - 1 > q - 2 - e; for prime exponent p and a = (q-1)/(p-1), (A) gives
     N <= a, but (A) and (B) give N(p-1)(h-1) >= q(h-1) + 1, so N > a.
     """
+    if mode not in MODES:
+        raise PartitionError(f"unknown mode {mode!r}")
     if h.carrier.group != g:
         raise PartitionError("subgroup over a different group")
     if h.is_trivial:
@@ -615,7 +621,7 @@ def hypothesis_check(g: GroupSpec, h: Subgroup, n: int,
 def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
                   mode: str = "standard") -> Certificate:
     """Certificate for the strengthened partition conclusion, fully verified."""
-    if mode not in ("standard", "full-group"):
+    if mode not in MODES:
         raise PartitionError(f"unknown mode {mode!r}")
     if s.group != g:
         raise PartitionError("sequence over a different group")
@@ -631,7 +637,7 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
             f"no hypothesis item holds for H of order {h.order}, n={n}, "
             f"G={g.spec_string()} (mode {mode})")
     cert = _pipeline_cert(g, s, s_prime, n, mode, sigma_n, h)
-    ok, violations = main_verify(cert, g, s, s_prime, n, mode)
+    ok, violations = main_verify(cert, g, s, s_prime, n)
     if not ok:
         raise InternalError(
             "pipeline certificate failed verification",
@@ -683,10 +689,27 @@ def _pipeline_cert(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
                        theorem="main", mode=mode, bounds={"sum_size": sigma_n.size})
 
 
+def clause_iib_violations(sigma_size: int, e: int, sub: Subgroup, room: int,
+                          name: str) -> list[str]:
+    """The inequalities of clause (ii)(b) that sub (H or K, as name says)
+    breaks, e terms of S lying outside alpha + sub: |Sigma_n| >= (e+1)|sub|,
+    e <= |G/sub| - 2 and (e+1)|sub| <= room = |S'| - n."""
+    size = (e + 1) * sub.order
+    violations = []
+    if sigma_size < size:
+        violations.append(f"(ii)(b): |Sigma_n|={sigma_size} < (e_{name}+1)|{name}|={size}")
+    if e > sub.group.order // sub.order - 2:
+        violations.append(f"(ii)(b): e_{name}={e} > |G/{name}|-2")
+    if size > room:
+        violations.append(f"(ii)(b): e_{name} exceeds (|S'|-n)/|{name}| - 1")
+    return violations
+
+
 def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
-                s_prime: GSequence, n: int, mode: str = "standard"
-                ) -> tuple[bool, list[str]]:
-    """Re-check every clause of a main-pipeline certificate from scratch."""
+                s_prime: GSequence, n: int) -> tuple[bool, list[str]]:
+    """Re-check every clause of a main-pipeline certificate, in cert.mode, from scratch."""
+    if cert.mode not in MODES:
+        return False, [f"unknown mode {cert.mode!r}"]
     violations, sigma_n, sum_a, h = _common_violations(cert, g, s, s_prime, n, "main")
     if sigma_n is None:
         return False, violations
@@ -695,9 +718,9 @@ def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
         bound = min(g.order, s_prime.length - n + 1)
         if sum_a.size < bound:
             violations.append(f"case (i): |sum|={sum_a.size} < min(|G|, |S'|-n+1)={bound}")
-        if mode == "full-group" and sigma_n.bits != g.full_mask:
+        if cert.mode == "full-group" and sigma_n.bits != g.full_mask:
             violations.append("full-group mode: Sigma_n(S) != G")
-        if mode == "full-group" and sum_a.bits != g.full_mask:
+        if cert.mode == "full-group" and sum_a.bits != g.full_mask:
             violations.append("full-group mode: sum of parts != G")
         return not violations, violations
 
@@ -732,18 +755,8 @@ def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
         violations.append(f"(ii)(b): recorded e_H={cert.e_H} != recomputed {e_h}")
     if cert.e_K != e_k:
         violations.append(f"(ii)(b): recorded e_K={cert.e_K} != recomputed {e_k}")
-    if sigma_n.size < (e_h + 1) * h.order:
-        violations.append(f"(ii)(b): |Sigma_n|={sigma_n.size} < (e_H+1)|H|={(e_h + 1) * h.order}")
-    if e_h > g.order // h.order - 2:
-        violations.append(f"(ii)(b): e_H={e_h} > |G/H|-2")
-    if (e_h + 1) * h.order > s_prime.length - n:
-        violations.append("(ii)(b): e_H exceeds (|S'|-n)/|H| - 1")
-    if sigma_n.size < (e_k + 1) * k_sub.order:
-        violations.append(f"(ii)(b): |Sigma_n|={sigma_n.size} < (e_K+1)|K|={(e_k + 1) * k_sub.order}")
-    if e_k > g.order // k_sub.order - 2:
-        violations.append(f"(ii)(b): e_K={e_k} > |G/K|-2")
-    if (e_k + 1) * k_sub.order > s_prime.length - n:
-        violations.append("(ii)(b): e_K exceeds (|S'|-n)/|K| - 1")
+    for e, sub, name in ((e_h, h, "H"), (e_k, k_sub, "K")):
+        violations += clause_iib_violations(sigma_n.size, e, sub, s_prime.length - n, name)
     # (c)
     k_prime = n - e_k
     if cert.k != k_prime:

@@ -228,7 +228,7 @@ def test_pinned_case2_instances_verify(spec, seq, n, modes):
         cert = main_pipeline(g, s, s, n, mode)
         assert cert.case_tag == "II" and cert.verified and cert.mode == mode
         assert cert.K.order == 4
-        assert main_verify(cert, g, s, s, n, mode) == (True, [])
+        assert main_verify(cert, g, s, s, n) == (True, [])
 
 
 def test_spread_outside_terms_matches_full_recompute_oracle(monkeypatch):
@@ -357,6 +357,13 @@ def test_hypothesis_worked_instances():
     assert hypothesis_check(g, triv, 1) == "trivial-H"
 
 
+def test_hypothesis_check_rejects_unknown_mode():
+    g = parse_group("4")
+    h = Subgroup(GroupSubset.from_indices(g, [0, 2]))
+    with pytest.raises(PartitionError, match="unknown mode 'bogus'"):
+        hypothesis_check(g, h, 1, "bogus")
+
+
 def _full_group_item2(n, q):
     """The paper's full-group item 2, as hypothesis_check once coded it."""
     return n >= q.exponent - 1 and (q.rank == 1 or is_prime(q.exponent))
@@ -456,7 +463,7 @@ def test_main_pipeline_certificate_always_verifies(inst):
         cert = main_pipeline(g, s, s_prime, n)
     except HypothesesUnmetError:
         return
-    ok, violations = main_verify(cert, g, s, s_prime, n, cert.mode)
+    ok, violations = main_verify(cert, g, s, s_prime, n)
     assert ok, violations
     if cert.case_tag == "I":
         assert cert.partition.sum_subset().size >= \
@@ -476,8 +483,24 @@ def test_certificate_dict_roundtrip():
     # every field comes back except verified: parsing verifies nothing
     assert data["verified"] is True and back.verified is False
     assert back.to_dict() == {**data, "verified": False}
-    ok, violations = main_verify(back, g, s, s_prime, 5, back.mode)
+    ok, violations = main_verify(back, g, s, s_prime, 5)
     assert ok, violations
+
+
+def test_main_verify_reads_full_group_mode_from_certificate():
+    # Sigma_2(0;1;2) = {1,2,3} is not all of C4: re-labelled full-group, the
+    # case-I certificate claims clauses it breaks
+    g = parse_group("4")
+    s = parse_sequence(g, "0;1;2")
+    cert = main_pipeline(g, s, s, 2)
+    assert cert.case_tag == "I" and nterm_subsums(s, 2).size == 3
+    assert main_verify(cert, g, s, s, 2) == (True, [])
+    relabelled = copy.copy(cert)
+    relabelled.mode = "full-group"
+    assert main_verify(relabelled, g, s, s, 2) == (False, [
+        "full-group mode: Sigma_n(S) != G", "full-group mode: sum of parts != G"])
+    relabelled.mode = "bogus"
+    assert main_verify(relabelled, g, s, s, 2) == (False, ["unknown mode 'bogus'"])
 
 
 @pytest.mark.parametrize("claimed", [True, "yes"])
@@ -495,7 +518,7 @@ def test_main_verify_rejects_wrong_alpha():
     data = cert.to_dict()
     data["alpha"] = "1"
     bad = Certificate.from_dict(g, data)
-    ok, violations = main_verify(bad, g, s, s_prime, 5, bad.mode)
+    ok, violations = main_verify(bad, g, s, s_prime, 5)
     assert not ok and violations
 
 
@@ -507,7 +530,7 @@ def test_main_verify_rejects_non_subgroup_k():
     data.update(K=["(1,0,0,0)", "(0,1,0,0)", "(0,0,1,0)", "(1,1,1,0)"],
                 alpha="(1,0,0,0)", e_K=1, k=3)
     bad = Certificate.from_dict(g, data)
-    ok, violations = main_verify(bad, g, s, s, 4, bad.mode)
+    ok, violations = main_verify(bad, g, s, s, 4)
     assert not ok
     assert violations == ["(ii): K is not a subgroup: subgroup must contain 0"]
 
@@ -519,7 +542,7 @@ def test_verifiers_check_recorded_fields():
     data = main_pipeline(g, s, s_prime, 5).to_dict()
     for bad_h in (["1", "3"], None):
         bad = Certificate.from_dict(g, {**data, "H": bad_h})
-        ok, violations = main_verify(bad, g, s, s_prime, 5, bad.mode)
+        ok, violations = main_verify(bad, g, s, s_prime, 5)
         assert not ok and violations, bad_h
 
     g = parse_group("8")
@@ -830,11 +853,11 @@ def test_mutated_certificates_are_rejected_or_verified(spec, seq, seq_prime, n, 
         if back is None:
             outcomes["malformed"] += 1
             continue
-        # read the theorem and mode from the record, as subsumlab verify does
+        # read the theorem from the record, as subsumlab verify does
         if back.theorem == "partition":
             ok, violations = partition_verify(back, s, s_prime, n)
         else:
-            ok, violations = main_verify(back, g, s, s_prime, n, back.mode)
+            ok, violations = main_verify(back, g, s, s_prime, n)
         assert type(ok) is bool and ok == (not violations), data
         assert all(isinstance(v, str) for v in violations), data
         outcomes["verified" if ok else "rejected"] += 1

@@ -1,14 +1,22 @@
 """Instance-level bound checkers and the structural sumset classifier."""
 
+import hashlib
+import itertools
+import json
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subsumlab import verifiers
 from subsumlab.groups import (
     GroupSubset,
     abelian_groups_of_order,
     affine_span,
+    enumerate_subgroups,
     iterated_sumset,
     parse_group,
+    subgroup_generated,
 )
 from subsumlab.sequences import GSequence, nterm_subsums, parse_sequence
 from subsumlab.verifiers import (
@@ -194,6 +202,88 @@ def test_cor1_sweep_small_groups_no_fallthrough():
                         continue
                     rep = check_cor1(a, n)
                     assert rep.holds, (g.spec_string(), bits, n, rep.detail)
+
+
+def _cyclic_complements_by_closure(g, h):
+    """Reference: the x != 0 of order exp(G) whose closure <x> meets H in 0,
+    when |H| exp(G) = |G|."""
+    if h.order * g.exponent != g.order:
+        return []
+    return [x for x in range(1, g.order) if g.element_order(x) == g.exponent
+            and subgroup_generated(GroupSubset.singleton(g, x)).carrier.bits
+            & h.carrier.bits == 1]
+
+
+def test_cyclic_complements_match_closure_definition():
+    pairs = with_complement = 0
+    for order in range(1, 33):
+        for g in abelian_groups_of_order(order):
+            for h in enumerate_subgroups(g):
+                expect = _cyclic_complements_by_closure(g, h)
+                assert verifiers._cyclic_complements(g, h) == expect, (g, h)
+                pairs += 1
+                with_complement += bool(expect)
+    assert (pairs, with_complement) == (1030, 179)
+
+
+def _fingerprint_corpus():
+    """(A, n) for every A containing 0 with |A| <= 5 and full affine span, in
+    2x2x4, 4x4 and 2x8, at n in {exp-1, exp, exp+1} with n >= 3."""
+    for spec in ("2x2x4", "4x4", "2x8"):
+        g = parse_group(spec)
+        for rest in itertools.chain.from_iterable(
+                itertools.combinations(range(1, g.order), r) for r in range(5)):
+            a = GroupSubset.from_indices(g, (0, *rest))
+            if affine_span(a).is_full:
+                for n in (g.exponent - 1, g.exponent, g.exponent + 1):
+                    if n >= 3:
+                        yield spec, a, n
+
+
+def test_classifier_fingerprint():
+    # pins every report, witnesses included: the subgroup list order, ascending
+    # g0 and itertools.permutations order fix each first-match witness
+    digest = hashlib.sha256()
+    templates = Counter()
+    for spec, a, n in _fingerprint_corpus():
+        reports = [("cor1", check_cor1(a, n))]
+        if n * a.size > a.group.order:
+            reports.append(("cor2", check_cor2(a, n)))
+        for name, rep in reports:
+            assert rep.holds, (spec, a.format(), n, rep.detail)
+            digest.update(json.dumps(rep.to_dict(), sort_keys=True).encode())
+            if "template" in rep.witnesses:
+                templates[spec, name, rep.witnesses["template"]] += 1
+    assert templates == {
+        ("2x2x4", "cor1", "1(b)"): 128, ("2x2x4", "cor1", "1(a)"): 96,
+        ("2x2x4", "cor1", "2(a)"): 280,
+        ("4x4", "cor1", "1(b)"): 192, ("4x4", "cor1", "2(a)"): 180,
+        ("2x8", "cor1", "2(b)"): 24, ("2x8", "cor2", "2(b)"): 24,
+    }
+    assert digest.hexdigest() == \
+        "939ae6cdc91fb933d1d49ca72e2b03fbdbd02353142fe9a3e38d6b7f70d61f69"
+
+
+@pytest.mark.parametrize("check, spec, elems, n, template", [
+    (check_cor1, "3x3", "(1,0);(2,0);(0,1)", 3, "1(b)"),
+    (check_cor1, "2x2x4", "(0,0,0);(1,0,0);(0,0,1);(0,1,1)", 4, "1(a)"),
+    (check_cor1, "4x4", "(0,0);(1,0);(2,0);(3,0);(0,1)", 3, "2(a)"),
+    (check_cor1, "2x8", "(0,0);(1,0);(0,7)", 7, "2(b)"),
+    (check_cor2, "2x8", "(0,0);(1,0);(0,7)", 7, "2(b)"),
+    (check_cor1, "4", "0;1", 5, None),
+])
+def test_classifier_lists_subgroups_at_most_once(monkeypatch, check, spec, elems, n,
+                                                 template):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return enumerate_subgroups(g)
+    monkeypatch.setattr(verifiers, "enumerate_subgroups", counting)
+    g = parse_group(spec)
+    rep = check(parse_sequence(g, elems).support(), n)
+    assert rep.holds and rep.witnesses.get("template") == template
+    assert len(calls) == (template is not None)
 
 
 def test_cor2_worked_instances():
