@@ -8,6 +8,7 @@ rows, one row per chosen-count.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import warnings
 from dataclasses import dataclass
@@ -95,12 +96,13 @@ class GSequence:
 
     def terms(self) -> Iterator[int]:
         """Each term once per multiplicity, ascending element index."""
-        for idx, m in enumerate(self.mult):
-            for _ in range(m):
+        for idx in self.support_indices():
+            for _ in range(self.mult[idx]):
                 yield idx
 
     def support_indices(self) -> Iterator[int]:
-        return (i for i, m in enumerate(self.mult) if m)
+        """supp(S) ascending, one Python step per support element, not per |G|."""
+        return itertools.compress(range(len(self.mult)), self.mult)
 
     def support(self) -> GroupSubset:
         return GroupSubset.from_indices(self.group, self.support_indices())
@@ -120,15 +122,13 @@ class GSequence:
         return GSequence(self.group, list(map(operator.sub, self.mult, other.mult)))
 
     def count_outside(self, mask: int) -> int:
-        return sum(m for i, m in enumerate(self.mult) if not (mask >> i) & 1)
+        return sum(self.mult[i] for i in self.support_indices() if not (mask >> i) & 1)
 
     def format(self) -> str:
         lits = self.group.literals()
         parts = []
-        for idx, m in enumerate(self.mult):
-            if not m:
-                continue
-            lit = lits[idx]
+        for idx in self.support_indices():
+            lit, m = lits[idx], self.mult[idx]
             parts.append(lit if m == 1 else f"{lit}^{m}")
         return ";".join(parts)
 
@@ -196,9 +196,8 @@ def _subsum_rows(s: GSequence, cap: int, target: int) -> list[int]:
     rows = [0] * (cap + 1)
     rows[0] = 1
     seen, left = 0, s.length
-    for idx, m in enumerate(s.mult):
-        if not m:
-            continue
+    for idx in s.support_indices():
+        m = s.mult[idx]
         left -= m
         shifts = [idx]  # t*idx for t = 1..min(m, cap), as a running sum
         for _ in range(1, min(m, cap)):
@@ -229,9 +228,8 @@ def push_forward(s: GSequence, q: QuotientStructure) -> GSequence:
         raise SequenceError("quotient structure over a different group")
     mult = [0] * q.quotient_spec.order
     images = q.images
-    for idx, m in enumerate(s.mult):
-        if m:
-            mult[images[idx]] += m
+    for idx in s.support_indices():
+        mult[images[idx]] += s.mult[idx]
     return GSequence._derived(q.quotient_spec, tuple(mult), s.length)
 
 

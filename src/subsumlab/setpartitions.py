@@ -19,7 +19,8 @@ supp(S)" and Step A translate.  It has two exits, case I from the solver and
 Step B (K = H); _pipeline_cert argues why the paper's trivial span and span
 reduction need none.  Steps C-E, past Step B, are not coded: no instance has
 been found that needs them, and main_verify checks the claims of Steps A and
-B on every certificate.
+B on every certificate.  A case-I request builds no quotient (hypothesis_check
+reads |G/H| and exp(G/H) off H); only the case-II profile maps S to G/H.
 
 Each public solver verifies the certificate it returns exactly once, with the
 independent verifier for its theorem (partition_verify, main_verify); a
@@ -51,7 +52,7 @@ from .groups import (
     Subgroup,
     iter_bits,
     parse_element,
-    quotient_cached,
+    smallest_prime_divisor,
     stabilizer,
     sum_masks,
     sum_of_masks,
@@ -103,7 +104,7 @@ class SetPartition:
         for p in self.parts:
             for i in p.indices():
                 mult[i] += 1
-        return GSequence(self.group, mult)
+        return GSequence._derived(self.group, tuple(mult), sum(mult))
 
     def sum_subset(self, upto: int | None = None) -> GroupSubset:
         """Sum of the first `upto` parts (all parts by default); {0} for none."""
@@ -230,11 +231,8 @@ def make_setpartition(s: GSequence, n: int) -> SetPartition:
     if n < 1:
         raise PartitionError("need at least one part")
     bits = [0] * n
-    ptr = 0
-    for g, m in enumerate(s.mult):
-        for _ in range(m):
-            bits[ptr] |= 1 << g
-            ptr = (ptr + 1) % n
+    for t, g in enumerate(s.terms()):
+        bits[t % n] |= 1 << g
     return SetPartition(s.group, [GroupSubset(s.group, b) for b in bits])
 
 
@@ -334,7 +332,7 @@ def _improve(s: GSequence, parts: list[int], best: int) -> int:
     for b in parts:
         for i in iter_bits(b):
             used[i] += 1
-    spare = [u for u, (m, c) in enumerate(zip(s.mult, used)) if m > c]
+    spare = [u for u in s.support_indices() if s.mult[u] > used[u]]
 
     def moves():
         for i, part in enumerate(parts):
@@ -483,7 +481,7 @@ def _case2_violations(cert: Certificate, sum_a: GroupSubset, s: GSequence,
     if sum_a.size < bound:
         violations.append(f"case 2 bound: |sum|={sum_a.size} < {bound}")
     used = cert.partition.underlying_sequence().mult
-    if any(m > u and not (z >> i) & 1 for i, (m, u) in enumerate(zip(s.mult, used))):
+    if any(s.mult[i] > used[i] and not (z >> i) & 1 for i in s.support_indices()):
         violations.append("leftover terms outside phi^-1(X)")
     for i, p in enumerate(cert.partition.parts):
         if (p.bits & ~z).bit_count() > 1:
@@ -571,6 +569,14 @@ def hypothesis_check(g: GroupSpec, h: Subgroup, n: int,
     """The hypothesis item (G, H, n) satisfies: "trivial-H", "full-H",
     "item1" to "item4", or "none".
 
+    The items see G/H only through q = |G/H| and exp(G/H), so no quotient is
+    built.  The e with e*G <= H are the multiples of exp(G/H), and e*G <= H
+    iff e*e_i, of index (e mod m_i) strides[i], lies in H for each standard
+    generator e_i; so dividing exp(G) by each of its prime factors in turn,
+    while that keeps every e*e_i in H, leaves exp(G/H).  The invariant
+    factors of G/H multiply to q and end in exp(G/H): G/H is cyclic iff
+    q = exp(G/H) (item 4), and C2 x C_exp iff q = 2 exp(G/H) (item 3).
+
     Full-group mode answers item1 (n >= exp(G/H)) or none, which is the
     paper's answer for the H main_pipeline asks about: H = H(Sigma_n(S)) of
     an S' with h(S') <= n and |S'| >= n + |G| - 1.  There the paper's items 2
@@ -599,17 +605,22 @@ def hypothesis_check(g: GroupSpec, h: Subgroup, n: int,
         return "trivial-H"
     if h.is_full:
         return "full-H"
-    q = quotient_cached(g, h).quotient_spec
-    exp_q = q.exponent
+    bits, q = h.carrier.bits, g.order // h.order
+    exp_q = rest = g.exponent
+    while rest > 1:
+        p = smallest_prime_divisor(rest)
+        rest //= p
+        if all((bits >> (exp_q // p % m * s)) & 1 for m, s in zip(g.invariant_factors, g.strides)):
+            exp_q //= p
     if mode != "standard":      # full-group
         return "item1" if n >= exp_q else "none"
     if n >= exp_q + 1:
         return "item1"
     if n >= exp_q > h.order:
         return "item2"
-    if n >= exp_q and q.invariant_factors == (2, exp_q):
+    if n >= exp_q and q == 2 * exp_q:
         return "item3"
-    if q.rank == 1 and n >= exp_q - 1:
+    if q == exp_q and n >= exp_q - 1:
         return "item4"
     return "none"
 

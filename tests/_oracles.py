@@ -5,7 +5,9 @@ enumeration over explicit element tuples; no bitmask tricks, no DP, no
 sharing of code paths with the library implementations under test.  The
 exceptions are improve_oracle and spread_outside_terms_oracle, reference
 copies of the hill climb's move step and of the case-II repair that re-sum
-every part per candidate move with the library's sum_masks.
+every part per candidate move with the library's sum_masks, and the dense_*
+references, which walk all |G| multiplicities where the library walks
+supp(S) only.
 """
 
 from __future__ import annotations
@@ -183,3 +185,35 @@ def spread_outside_terms_oracle(g: GroupSpec, parts: list[int], z: int,
                 break
         else:
             return None
+
+
+# ---------------------------------------------------------------------------
+# dense references for the loops that run over supp(S)
+
+
+def dense_terms(s: GSequence) -> list[int]:
+    return [i for i, m in enumerate(s.mult) for _ in range(m)]
+
+
+def dense_count_outside(s: GSequence, mask: int) -> int:
+    return sum(m for i, m in enumerate(s.mult) if not (mask >> i) & 1)
+
+
+def dense_format(s: GSequence) -> str:
+    return ";".join(s.group.format_element(i) + (f"^{m}" if m > 1 else "")
+                    for i, m in enumerate(s.mult) if m)
+
+
+def dense_round_robin(s: GSequence, n: int) -> list[int]:
+    """Part bitmasks of make_setpartition: term t of S, ascending, into part t mod n."""
+    bits = [0] * n
+    for t, i in enumerate(dense_terms(s)):
+        bits[t % n] |= 1 << i
+    return bits
+
+
+def dense_push_forward(s: GSequence, images: list[int], q_order: int) -> list[int]:
+    mult = [0] * q_order
+    for i, m in enumerate(s.mult):
+        mult[images[i]] += m
+    return mult

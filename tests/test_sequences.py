@@ -22,9 +22,19 @@ from subsumlab.sequences import (
     subsum_profile,
     subsum_table,
 )
-from subsumlab.groups import quotient_cached
+from subsumlab.groups import quotient_cached, subgroup_generated
+from subsumlab.setpartitions import make_setpartition
 
-from _oracles import all_subsums_oracle, davenport_oracle, nterm_subsums_oracle
+from _oracles import (
+    all_subsums_oracle,
+    davenport_oracle,
+    dense_count_outside,
+    dense_format,
+    dense_push_forward,
+    dense_round_robin,
+    dense_terms,
+    nterm_subsums_oracle,
+)
 
 GROUPS = [parse_group(s) for s in ["2", "5", "8", "2x2", "2x4", "3x3", "12"]]
 
@@ -208,6 +218,58 @@ def test_push_forward_coset_merge():
     phi = push_forward(s, q)
     assert phi.length == 4
     assert phi.mult[q.image(0)] == 4
+
+
+SUPPORT_GROUPS = [parse_group(s) for s in
+                  ["1", "2", "6", "2x2", "3x9", "64", "2x4x8", "1024", "2x4x8x16", "32x32",
+                   "4x4x4x4x4", "2x2x2x2x2x2x2x2x2x2"]]
+
+
+@st.composite
+def sparse_sequence(draw):
+    """S over a group of order up to 1024, on a support of 1-6 elements."""
+    g = draw(st.sampled_from(SUPPORT_GROUPS))
+    supp = draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=6, unique=True))
+    return GSequence.from_pairs(g, [(i, draw(st.integers(1, 5))) for i in supp])
+
+
+@given(sparse_sequence(), st.data())
+def test_support_loops_match_dense_references(s, data):
+    """The loops over supp(S) give what a walk over all |G| multiplicities
+    gives: terms, format, count_outside, make_setpartition (and the
+    underlying sequence of its partition) and push_forward."""
+    g = s.group
+    assert list(s.support_indices()) == [i for i, m in enumerate(s.mult) if m]
+    assert list(s.terms()) == dense_terms(s)
+    assert s.format() == dense_format(s)
+    assert parse_sequence(g, s.format()) == s
+    for mask in (0, g.full_mask, data.draw(st.integers(0, g.full_mask))):
+        assert s.count_outside(mask) == dense_count_outside(s, mask)
+    n = data.draw(st.integers(s.max_multiplicity(), s.length))
+    partition = make_setpartition(s, n)
+    assert [p.bits for p in partition.parts] == dense_round_robin(s, n)
+    under = partition.underlying_sequence()
+    assert under == s and under.length == s.length
+    h = subgroup_generated(GroupSubset.from_indices(g, [data.draw(st.integers(0, g.order - 1))]))
+    q = quotient_cached(g, h)
+    phi = push_forward(s, q)
+    assert list(phi.mult) == dense_push_forward(s, q.images, q.quotient_spec.order)
+    assert phi.length == s.length
+
+
+def test_support_loops_on_one_element_supports():
+    for g in SUPPORT_GROUPS:
+        q = quotient_cached(g, subgroup_generated(GroupSubset.from_indices(g, [g.order // 2])))
+        for idx in {0, g.order // 3, g.order - 1}:
+            for m in (1, 4):
+                s = GSequence.from_pairs(g, [(idx, m)])
+                assert list(s.terms()) == [idx] * m == dense_terms(s)
+                assert s.format() == dense_format(s)
+                assert s.count_outside(1 << idx) == 0
+                assert s.count_outside(g.full_mask & ~(1 << idx)) == m
+                assert [p.bits for p in make_setpartition(s, m).parts] == [1 << idx] * m
+                assert list(push_forward(s, q).mult) == dense_push_forward(
+                    s, q.images, q.quotient_spec.order)
 
 
 def test_profile_worked_instance():

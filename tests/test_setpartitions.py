@@ -7,14 +7,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subsumlab import sequences, setpartitions
+from subsumlab import groups, sequences, setpartitions
 from subsumlab.groups import (
     GroupSubset,
     Subgroup,
     abelian_groups_of_order,
+    enumerate_subgroups,
     is_prime,
     parse_element,
     parse_group,
+    quotient_cached,
+    quotient_decompose,
     stabilizer,
     subgroup_generated,
     sum_of_masks,
@@ -362,6 +365,69 @@ def test_hypothesis_check_rejects_unknown_mode():
     h = Subgroup(GroupSubset.from_indices(g, [0, 2]))
     with pytest.raises(PartitionError, match="unknown mode 'bogus'"):
         hypothesis_check(g, h, 1, "bogus")
+
+
+def _hypothesis_item_by_quotient(g, h, n, mode):
+    """hypothesis_check as it read G/H off quotient_spec before it worked
+    from |G/H| and exp(G/H) alone."""
+    if h.is_trivial:
+        return "trivial-H"
+    if h.is_full:
+        return "full-H"
+    q = quotient_cached(g, h).quotient_spec
+    exp_q = q.exponent
+    if mode != "standard":
+        return "item1" if n >= exp_q else "none"
+    if n >= exp_q + 1:
+        return "item1"
+    if n >= exp_q > h.order:
+        return "item2"
+    if n >= exp_q and q.invariant_factors == (2, exp_q):
+        return "item3"
+    if q.rank == 1 and n >= exp_q - 1:
+        return "item4"
+    return "none"
+
+
+def test_hypothesis_check_matches_quotient_spec_predicates():
+    """Every (G, H) with |G| <= 32, both modes, n <= 2 exp(G) + 2: the
+    quotient-free check gives the quotient_spec answer, and every item is hit."""
+    pairs = calls = 0
+    hits = set()
+    for order in range(1, 33):
+        for g in abelian_groups_of_order(order):
+            for h in enumerate_subgroups(g):
+                pairs += 1
+                for mode in setpartitions.MODES:
+                    for n in range(1, 2 * g.exponent + 3):
+                        item = hypothesis_check(g, h, n, mode)
+                        assert item == _hypothesis_item_by_quotient(g, h, n, mode), \
+                            (g.spec_string(), h.carrier.format(), n, mode)
+                        hits.add(item)
+                        calls += 1
+    assert (pairs, calls) == (1030, 27300)
+    assert hits == {"trivial-H", "full-H", "item1", "item2", "item3", "item4", "none"}
+
+
+def test_case_one_pipeline_builds_no_quotient(monkeypatch):
+    built = []
+
+    def counting_decompose(g, h):
+        built.append((g, h))
+        return quotient_decompose(g, h)
+
+    groups.quotient_cached.cache_clear()
+    monkeypatch.setattr(groups, "quotient_decompose", counting_decompose)
+    g = parse_group("8")
+    s = parse_sequence(g, "5^5;7^5")
+    cert = main_pipeline(g, s, s, 7)
+    assert cert.case_tag == "I" and cert.verified
+    assert stabilizer(nterm_subsums(s, 7)).order == 4
+    assert built == []
+    # case II profiles S over G/H, so the counter sees that quotient
+    c4 = parse_group("4")
+    cert = main_pipeline(c4, parse_sequence(c4, "0^6;2^6"), parse_sequence(c4, "0^5;2^5"), 5)
+    assert cert.case_tag == "II" and len(built) == 1
 
 
 def _full_group_item2(n, q):
