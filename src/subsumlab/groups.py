@@ -13,7 +13,10 @@ m_i e_i together with a few generators of H: QuotientStructure keeps the
 image of every element and the least element of every coset, and
 quotient_decompose checks that the map is onto G/H with kernel exactly H.
 
-Everything here is exact and immutable; make_group caps |G| at 4096.
+There is one GroupSpec per invariant factor chain: GroupSpec(factors)
+returns it, make_group reads the chain of any factor list off the same Smith
+form, and groups are compared with `is`.  Everything here is exact and
+immutable; make_group caps |G| at 4096.
 """
 
 from __future__ import annotations
@@ -31,8 +34,17 @@ class GroupError(ValueError):
     """Invalid group construction or mismatched-group operation."""
 
 
+# the one GroupSpec of each invariant factor chain
+_SPECS: dict[tuple[int, ...], "GroupSpec"] = {}
+
+
 class GroupSpec:
-    """A finite abelian group given by its invariant factor chain."""
+    """A finite abelian group given by its invariant factor chain.
+
+    GroupSpec(factors) returns the one object for its chain, so two groups
+    are the same exactly when they are the same object (`is`); copy,
+    deepcopy and pickle give that object back too.
+    """
 
     __slots__ = (
         "invariant_factors", "order", "exponent", "rank", "strides",
@@ -40,13 +52,17 @@ class GroupSpec:
         "_literals", "_literal_index",
     )
 
-    def __init__(self, invariant_factors: Sequence[int]):
+    def __new__(cls, invariant_factors: Sequence[int]) -> "GroupSpec":
         factors = tuple(invariant_factors)
+        spec = _SPECS.get(factors)
+        if spec is not None:
+            return spec
         if not factors or any(m < 1 for m in factors):
             raise GroupError(f"invariant factors must be positive: {factors}")
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise GroupError(f"not a divisibility chain: {factors}")
+        self = object.__new__(cls)
         self.invariant_factors = factors
         self.order = math.prod(factors)
         self.exponent = factors[-1]
@@ -64,14 +80,13 @@ class GroupSpec:
         self._order_cache: list[int] | None = None
         self._literals: list[str] | None = None
         self._literal_index: dict[str, int] | None = None
+        # a thread that registered the chain first wins
+        return _SPECS.setdefault(factors, self)
 
-    # -- identity / formatting ------------------------------------------------
+    def __reduce__(self):
+        return GroupSpec, (self.invariant_factors,)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupSpec) and self.invariant_factors == other.invariant_factors
-
-    def __hash__(self) -> int:
-        return hash(self.invariant_factors)
+    # -- formatting -----------------------------------------------------------
 
     def __repr__(self) -> str:
         return f"GroupSpec({list(self.invariant_factors)})"
@@ -246,7 +261,7 @@ class GroupSubset:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GroupSubset)
-                and other.group == self.group and other.bits == self.bits)
+                and other.group is self.group and other.bits == self.bits)
 
     def __hash__(self) -> int:
         return hash((self.group, self.bits))
@@ -283,10 +298,10 @@ class Subgroup:
         if not isinstance(other, Subgroup):
             return NotImplemented
         a, b = self.carrier, other.carrier
-        return a.bits == b.bits and (a.group is b.group or a.group == b.group)
+        return a.bits == b.bits and a.group is b.group
 
     def __hash__(self) -> int:
-        return hash((self.carrier.group.invariant_factors, self.carrier.bits))
+        return hash((self.carrier.group, self.carrier.bits))
 
     @property
     def group(self) -> GroupSpec:
@@ -314,7 +329,7 @@ class Subgroup:
 def _check_same_group(a, b) -> None:
     ga = a.group if hasattr(a, "group") else a
     gb = b.group if hasattr(b, "group") else b
-    if ga != gb:
+    if ga is not gb:
         raise GroupError(f"mixed groups: {ga!r} vs {gb!r}")
 
 
@@ -345,35 +360,13 @@ def _prime_power_split(m: int) -> dict[int, int]:
     return out
 
 
-def _normalize_factors(factors: Sequence[int]) -> tuple[int, ...]:
-    """Invariant-factor chain of C_{f1} x ... x C_{fk} via elementary divisors
-    (positive factors: make_group checks them)."""
-    by_prime: dict[int, list[int]] = {}
-    for f in factors:
-        for p, a in _prime_power_split(f).items():
-            by_prime.setdefault(p, []).append(a)
-    if not by_prime:
-        return (1,)
-    rank = max(len(v) for v in by_prime.values())
-    chain = [1] * rank
-    for p, exps in by_prime.items():
-        exps = sorted(exps, reverse=True)
-        for i, a in enumerate(exps):
-            chain[i] *= p ** a  # largest prime powers into the last factor
-    chain.reverse()
-    return tuple(chain)
-
-
-@functools.lru_cache(maxsize=None)
-def _interned_spec(factors: tuple[int, ...]) -> GroupSpec:
-    return GroupSpec(factors)
-
-
 def make_group(factors: Sequence[int]) -> GroupSpec:
-    """Build a GroupSpec, normalizing arbitrary factor lists (e.g. [4,2] -> [2,4]).
+    """The GroupSpec of C_{f1} x ... x C_{fk} for positive factors f_i in any
+    order (e.g. [4,2] -> [2,4], [6,10] -> [2,30]): its chain is the Smith form
+    of diag(f_1, ..., f_k) without the 1s.
 
-    |G| > DEFAULT_ORDER_CAP is refused before normalizing, which trial-divides,
-    and before GroupSpec allocates O(|G|) tables.
+    |G| > DEFAULT_ORDER_CAP is refused before normalizing and before
+    GroupSpec allocates O(|G|) tables.
     """
     if not factors:
         raise GroupError("empty factor list")
@@ -382,7 +375,9 @@ def make_group(factors: Sequence[int]) -> GroupSpec:
     order = math.prod(factors)
     if order > DEFAULT_ORDER_CAP:
         raise GroupError(f"group order {order} exceeds the cap {DEFAULT_ORDER_CAP}")
-    return _interned_spec(_normalize_factors(tuple(factors)))
+    k = len(factors)
+    d, _ = _smith_columns([[f if j == i else 0 for j in range(k)] for i, f in enumerate(factors)])
+    return GroupSpec(tuple(x for x in d if x > 1) or (1,))
 
 
 def parse_group(text: str) -> GroupSpec:
@@ -637,7 +632,7 @@ def _quotient_generators(g: GroupSpec, hbits: int) -> tuple[GroupSpec, list[int]
     rows += [list(g.coords(x)) for x in _least_generators(g, hbits)]
     d, v = _smith_columns(rows)
     keep = [j for j in range(g.rank) if d[j] > 1]
-    spec = _interned_spec(tuple(d[j] for j in keep) or (1,))
+    spec = GroupSpec(tuple(d[j] for j in keep) or (1,))
     return spec, [sum(row[j] % d[j] * s for j, s in zip(keep, spec.strides)) for row in v]
 
 
@@ -740,32 +735,17 @@ def abelian_groups_of_order(m: int) -> list[GroupSpec]:
     if m < 1:
         raise GroupError("order must be positive")
 
-    def partitions(a: int) -> list[list[int]]:
-        out = []
+    def partitions(a: int, largest: int) -> Iterator[list[int]]:
+        """Partitions of a into parts <= largest, in reverse lexicographic order."""
+        if a == 0:
+            yield []
+        for first in range(min(a, largest), 0, -1):
+            for rest in partitions(a - first, first):
+                yield [first, *rest]
 
-        def rec(rest: int, maxpart: int, acc: list[int]) -> None:
-            if rest == 0:
-                out.append(list(acc))
-                return
-            for p in range(min(rest, maxpart), 0, -1):
-                acc.append(p)
-                rec(rest - p, p, acc)
-                acc.pop()
-
-        rec(a, a, [])
-        return out
-
-    primes = _prime_power_split(m)
-    specs = [[]]
-    for p, a in primes.items():
-        new = []
-        for part in partitions(a):
-            powers = [p ** e for e in part]  # descending
-            for base in specs:
-                merged = list(base)
-                while len(merged) < len(powers):
-                    merged.insert(0, 1)
-                padded = [1] * (len(merged) - len(powers)) + powers[::-1]
-                new.append([x * y for x, y in zip(merged, padded)])
-        specs = new
-    return [make_group(s if s else [1]) for s in specs]
+    # a choice of one partition of each prime's exponent; product varies its
+    # last argument fastest, and the listing the first prime
+    choices = [[[p ** e for e in part] for part in partitions(a, a)]
+               for p, a in reversed(_prime_power_split(m).items())]
+    return [make_group([f for powers in combo for f in powers] or [1])
+            for combo in itertools.product(*choices)]

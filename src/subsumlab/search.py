@@ -74,12 +74,14 @@ def clause_iib_fails(g: GroupSpec, s: GSequence, n: int, h: Subgroup) -> bool:
     with S' = S.
 
     Necessary condition for the structured conclusion: some H-coset alpha+H
-    must leave few enough terms outside.  Checked for every coset.
+    must leave few enough terms outside.  Only the cosets of the alpha in
+    supp(S) are checked: a coset that holds no term of S has e_H = |S|, and
+    (|S|+1)|H| > |S| - n breaks the third inequality, so it never passes.
     """
     sigma = nterm_subsums(s, n).size
     return all(clause_iib_violations(
         sigma, s.count_outside(g.translate_mask(h.carrier.bits, alpha)), h, s.length - n, "H")
-        for alpha in quotient_cached(g, h).representatives)
+        for alpha in s.support_indices())
 
 
 def _sequence_over_mask(g: GroupSpec, mask: int, n: int) -> GSequence:
@@ -98,7 +100,7 @@ def gen_example(kind: str, g: GroupSpec, h: Subgroup,
     ord(g + K) | ord(g + H) | d, and k(g + H) in K/H gives d | k, so the sum
     is direct, of order |K/H| d = |G/H|.
     """
-    if h.carrier.group != g:
+    if h.carrier.group is not g:
         raise SearchError("subgroup over a different group")
     q = quotient_cached(g, h)
     spec = q.quotient_spec
@@ -118,7 +120,7 @@ def gen_example(kind: str, g: GroupSpec, h: Subgroup,
     elif kind in ("B", "C"):
         if k is None or gen_elem is None:
             raise SearchError(f"example {kind} needs K and a complement generator")
-        if k.carrier.group != g or h.carrier.bits & ~k.carrier.bits:
+        if k.carrier.group is not g or h.carrier.bits & ~k.carrier.bits:
             raise SearchError("need H <= K <= G")
         qk = quotient_cached(g, k)
         if qk.quotient_spec.order != exp_q \

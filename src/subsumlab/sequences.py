@@ -86,7 +86,7 @@ class GSequence:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GSequence)
-                and other.group == self.group and other.mult == self.mult)
+                and other.group is self.group and other.mult == self.mult)
 
     def __hash__(self) -> int:
         return hash((self.group, self.mult))
@@ -111,7 +111,7 @@ class GSequence:
         return max(self.mult, default=0)
 
     def is_subsequence_of(self, other: "GSequence") -> bool:
-        if other.group is not self.group and other.group != self.group:
+        if other.group is not self.group:
             raise SequenceError("mixed groups")
         return all(map(operator.le, self.mult, other.mult))
 
@@ -224,7 +224,7 @@ def all_subsums(s: GSequence) -> GroupSubset:
 
 def push_forward(s: GSequence, q: QuotientStructure) -> GSequence:
     """phi_H(S) as a sequence over the quotient spec."""
-    if q.parent != s.group:
+    if q.parent is not s.group:
         raise SequenceError("quotient structure over a different group")
     mult = [0] * q.quotient_spec.order
     images = q.images
@@ -249,11 +249,7 @@ class SubsumProfile:
     bound_primary: int        # ((N-1)n + e + 1)|H|
     bound_alt: int            # (sum_x min(n, v_x(phi(S))) - n + 1)|H|
     phi: GSequence            # phi_H(S) over quotient_spec
-
-    @property
-    def Z_mask(self) -> int:
-        """Bitmask of phi_H^{-1}(X) in the parent group."""
-        return self.quotient.preimage_mask(self.X.bits)
+    Z_mask: int               # phi_H^{-1}(X) in the parent group
 
 
 def _dump(s: GSequence, n: int) -> dict:
@@ -295,7 +291,8 @@ def subsum_profile(s: GSequence, n: int, ref_len: int,
         raise InternalError("subsum bound forms disagree (internal inconsistency)",
                             {**_dump(s, n), "ref_len": ref_len})
     return SubsumProfile(h, q, GroupSubset(q.quotient_spec, x_bits), big_n, e, rho,
-                         n, ref_len, sig, bound_primary, bound_alt, phi_s)
+                         n, ref_len, sig, bound_primary, bound_alt, phi_s,
+                         q.preimage_mask(x_bits))
 
 
 def build_s_star(s: GSequence, profile: SubsumProfile, n: int) -> GSequence:

@@ -1,5 +1,8 @@
 """Setpartitions: constructive partition solver and main certificate pipeline.
 
+A SetPartition keeps its group once and each part as a bitmask over that
+group's element indices, the form every local search and verifier works on.
+
 partition_solve realizes the two-case partition dichotomy for n-term subsums
 (large part-sum, or all parts concentrated on the high-multiplicity cosets).
 It has one path per case.  Case I is a hill climb on the sum of parts.  Case
@@ -74,16 +77,15 @@ MODES = ("standard", "full-group")
 
 
 class SetPartition:
-    """Ordered list of nonempty subsets of a common group."""
+    """Ordered list of nonempty subsets of one group, each a bitmask over its
+    element indices."""
 
     __slots__ = ("group", "parts")
 
-    def __init__(self, group: GroupSpec, parts: Sequence[GroupSubset]):
+    def __init__(self, group: GroupSpec, parts: Sequence[int]):
         for p in parts:
-            if p.group != group:
-                raise PartitionError("part from a different group")
-            if p.bits == 0:
-                raise PartitionError("empty part")
+            if not 0 < p <= group.full_mask:
+                raise PartitionError("part is empty or outside the group")
         self.group = group
         self.parts = tuple(parts)
 
@@ -93,23 +95,24 @@ class SetPartition:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SetPartition)
-                and other.group == self.group and other.parts == self.parts)
+                and other.group is self.group and other.parts == self.parts)
 
     def __repr__(self) -> str:
-        inner = " | ".join("{" + p.format() + "}" for p in self.parts)
+        lits = self.group.literals()
+        inner = " | ".join("{" + ",".join(lits[i] for i in iter_bits(p)) + "}" for p in self.parts)
         return f"SetPartition({self.group.spec_string()}, {inner})"
 
     def underlying_sequence(self) -> GSequence:
         mult = [0] * self.group.order
         for p in self.parts:
-            for i in p.indices():
+            for i in iter_bits(p):
                 mult[i] += 1
         return GSequence._derived(self.group, tuple(mult), sum(mult))
 
     def sum_subset(self, upto: int | None = None) -> GroupSubset:
         """Sum of the first `upto` parts (all parts by default); {0} for none."""
         parts = self.parts if upto is None else self.parts[:upto]
-        return GroupSubset(self.group, sum_of_masks(self.group, [p.bits for p in parts]))
+        return GroupSubset(self.group, sum_of_masks(self.group, parts))
 
 
 @dataclass
@@ -138,16 +141,16 @@ class Certificate:
     def to_dict(self) -> dict:
         lits = self.partition.group.literals()
 
-        def subset(sub: GroupSubset) -> list[str]:
-            return [lits[i] for i in sub.indices()]
+        def subset(bits: int) -> list[str]:
+            return [lits[i] for i in iter_bits(bits)]
 
         return {
             "case": self.case_tag,
             "theorem": self.theorem,
             "mode": self.mode,
             "parts": [subset(p) for p in self.partition.parts],
-            "H": subset(self.H.carrier) if self.H else None,
-            "K": subset(self.K.carrier) if self.K else None,
+            "H": subset(self.H.carrier.bits) if self.H else None,
+            "K": subset(self.K.carrier.bits) if self.K else None,
             "alpha": lits[self.alpha] if self.alpha is not None else None,
             "e_H": self.e_H,
             "e_K": self.e_K,
@@ -186,9 +189,12 @@ class Certificate:
                   f"{text!r} is not a canonical element of {group.spec_string()}")
             return idx
 
-        def subset(elems, name: str) -> GroupSubset:
+        def subset(elems, name: str) -> int:
             check(isinstance(elems, list), f"{name} is not a list")
-            return GroupSubset.from_indices(group, [element(e) for e in elems])
+            bits = 0
+            for e in elems:
+                bits |= 1 << element(e)
+            return bits
 
         check(isinstance(data, dict), f"expected an object, got {type(data).__name__}")
         check("parts" in data, "missing 'parts'")
@@ -204,8 +210,8 @@ class Certificate:
         return cls(
             case_tag=data["case"],
             partition=parts,
-            H=Subgroup(subset(data["H"], "H")) if data.get("H") else None,
-            K=Subgroup(subset(data["K"], "K")) if data.get("K") else None,
+            H=Subgroup(GroupSubset(group, subset(data["H"], "H"))) if data.get("H") else None,
+            K=Subgroup(GroupSubset(group, subset(data["K"], "K"))) if data.get("K") else None,
             alpha=(element(data["alpha"])
                    if data.get("alpha") is not None else None),
             e_H=data.get("e_H", 0),
@@ -233,7 +239,7 @@ def make_setpartition(s: GSequence, n: int) -> SetPartition:
     bits = [0] * n
     for t, g in enumerate(s.terms()):
         bits[t % n] |= 1 << g
-    return SetPartition(s.group, [GroupSubset(s.group, b) for b in bits])
+    return SetPartition(s.group, bits)
 
 
 def _greedy_mult(mult: Sequence[int], per_elem_cap: int, room: int
@@ -290,7 +296,7 @@ def lemma31_complete(s: GSequence, s_prime: GSequence, n: int, k: int
 
 
 def _validate_instance(s: GSequence, s_prime: GSequence, n: int) -> None:
-    if s_prime.group != s.group:
+    if s_prime.group is not s.group:
         raise PartitionError("S and S' over different groups")
     if not s_prime.is_subsequence_of(s):
         raise PartitionError("S' must be a subsequence of S")
@@ -312,7 +318,7 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int
     best never exceeds |Sigma_n(S)| <= |G|, so a climb makes at most |G| - 1
     moves.
     """
-    parts = [p.bits for p in make_setpartition(s_prime, n).parts]
+    parts = list(make_setpartition(s_prime, n).parts)
     best = sum_of_masks(s.group, parts).bit_count()
     while best < target and (lifted := _improve(s, parts, best)):
         best = lifted
@@ -428,14 +434,14 @@ def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset,
     # |Sigma_n(S)| >= |S'| - n + 1; otherwise climb toward Sigma_n itself
     parts_bits, best = _hill_climb(s, s_prime, n, min(target1, sigma_n.size))
     if best >= target1:
-        partition = SetPartition(g, [GroupSubset(g, b) for b in parts_bits])
+        partition = SetPartition(g, parts_bits)
         return Certificate("I", partition, theorem="partition",
                            bounds={"sum_size": best, "case1_bound": target1}), None
 
     profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n, h=h)
     bits = _spread_outside_terms(g, parts_bits, profile.Z_mask, sigma_n.bits)
     if bits is not None:
-        partition = SetPartition(g, [GroupSubset(g, b) for b in bits])
+        partition = SetPartition(g, bits)
         sum_a = partition.sum_subset()
         cert = Certificate(
             "II", partition, H=profile.H, theorem="partition",
@@ -484,9 +490,9 @@ def _case2_violations(cert: Certificate, sum_a: GroupSubset, s: GSequence,
     if any(s.mult[i] > used[i] and not (z >> i) & 1 for i in s.support_indices()):
         violations.append("leftover terms outside phi^-1(X)")
     for i, p in enumerate(cert.partition.parts):
-        if (p.bits & ~z).bit_count() > 1:
+        if (p & ~z).bit_count() > 1:
             violations.append(f"part {i + 1} has more than one element outside phi^-1(X)")
-        if z & ~sum_masks(s.group, h_bits, p.bits):
+        if z & ~sum_masks(s.group, h_bits, p):
             violations.append(f"phi^-1(X) not contained in part {i + 1} + H")
     return violations
 
@@ -509,7 +515,7 @@ def _common_violations(cert: Certificate, g: GroupSpec, s: GSequence,
     of parts, H(Sigma_n(S)) or None when neither H nor case II asks for it).
     """
     partition = cert.partition
-    if partition.group != g or s.group != g:
+    if partition.group is not g or s.group is not g:
         return ["certificate/instance group mismatch"], None, None, None
     if partition.n != n:
         return [f"expected {n} parts, found {partition.n}"], None, None, None
@@ -599,7 +605,7 @@ def hypothesis_check(g: GroupSpec, h: Subgroup, n: int,
     """
     if mode not in MODES:
         raise PartitionError(f"unknown mode {mode!r}")
-    if h.carrier.group != g:
+    if h.carrier.group is not g:
         raise PartitionError("subgroup over a different group")
     if h.is_trivial:
         return "trivial-H"
@@ -634,7 +640,7 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
     """Certificate for the strengthened partition conclusion, fully verified."""
     if mode not in MODES:
         raise PartitionError(f"unknown mode {mode!r}")
-    if s.group != g:
+    if s.group is not g:
         raise PartitionError("sequence over a different group")
     _validate_instance(s, s_prime, n)
     if mode == "full-group" and s_prime.length < n + g.order - 1:
@@ -694,7 +700,7 @@ def _pipeline_cert(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
     z = profile.Z_mask
     alpha = next(i for i in iter_bits(z) if s.mult[i])
     # the k parts inside z first, each in the solver's order
-    parts = sorted(solved.partition.parts, key=lambda p: bool(p.bits & ~z))
+    parts = sorted(solved.partition.parts, key=lambda p: bool(p & ~z))
     return Certificate("II", SetPartition(g, parts), H=h, K=h, alpha=alpha,
                        e_H=profile.e, e_K=profile.e, k=n - profile.e,
                        theorem="main", mode=mode, bounds={"sum_size": sigma_n.size})
@@ -773,9 +779,9 @@ def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
     if cert.k != k_prime:
         violations.append(f"recorded k={cert.k} != n - e_K = {k_prime}")
     for i, p in enumerate(partition.parts):
-        if not p.bits & coset_k:
+        if not p & coset_k:
             violations.append(f"(ii)(c): part {i + 1} misses alpha+K")
-        outside = (p.bits & ~coset_k).bit_count()
+        outside = (p & ~coset_k).bit_count()
         if i < k_prime and outside:
             violations.append(f"(ii)(c): part {i + 1} escapes alpha+K")
         if i >= k_prime and outside != 1:

@@ -66,7 +66,7 @@ def check_kneser(parts: list[GroupSubset]) -> CheckReport:
         raise CheckError("need at least one summand")
     g = parts[0].group
     for p in parts:
-        if p.group != g:
+        if p.group is not g:
             raise CheckError("summands over different groups")
         if p.bits == 0:
             raise CheckError("empty summand")
@@ -109,7 +109,7 @@ def check_subsum_kneser(s: GSequence, n: int, profile=None) -> CheckReport:
 def check_pigeonhole(a: GroupSubset, b: GroupSubset) -> CheckReport:
     """Overlap bound r_{A+B}(x) >= |A|+|B|-|G| on all of G, plus the
     coset corollary when both sets sit inside a single coset."""
-    if a.group != b.group:
+    if a.group is not b.group:
         raise CheckError("sets over different groups")
     if a.bits == 0 or b.bits == 0:
         raise CheckError("empty set")

@@ -111,6 +111,63 @@ def davenport_oracle(g: GroupSpec) -> int:
         d += 1
 
 
+def _prime_powers(m: int) -> list[tuple[int, int]]:
+    """(p, a) for each prime p dividing m, p ascending, p^a exactly dividing m."""
+    out = []
+    p = 2
+    while m > 1:
+        a = 0
+        while m % p == 0:
+            m //= p
+            a += 1
+        if a:
+            out.append((p, a))
+        p += 1
+    return out
+
+
+def normalize_factors_oracle(factors) -> tuple[int, ...]:
+    """Invariant-factor chain of C_{f1} x ... x C_{fk} from its elementary
+    divisors: each prime's largest power goes into the last factor, its next
+    largest into the one before, and so on."""
+    by_prime: dict[int, list[int]] = {}
+    for f in factors:
+        for p, a in _prime_powers(f):
+            by_prime.setdefault(p, []).append(a)
+    if not by_prime:
+        return (1,)
+    chain = [1] * max(len(v) for v in by_prime.values())
+    for p, exps in by_prime.items():
+        for i, a in enumerate(sorted(exps, reverse=True)):
+            chain[i] *= p ** a
+    return tuple(reversed(chain))
+
+
+def abelian_groups_oracle(m: int) -> list[tuple[int, ...]]:
+    """Invariant-factor chains of the abelian groups of order m, listed as
+    abelian_groups_of_order lists them: each prime's exponent partitions are
+    merged in turn into the chains built from the smaller primes, which vary
+    fastest."""
+    def partitions(a: int, largest: int):
+        if a == 0:
+            yield []
+        for first in range(min(a, largest), 0, -1):
+            for rest in partitions(a - first, first):
+                yield [first] + rest
+
+    chains: list[list[int]] = [[]]
+    for p, a in _prime_powers(m):
+        merged_chains = []
+        for part in partitions(a, a):
+            powers = [p ** e for e in reversed(part)]  # ascending
+            for base in chains:
+                base = [1] * (len(powers) - len(base)) + base
+                padded = [1] * (len(base) - len(powers)) + powers
+                merged_chains.append([x * y for x, y in zip(base, padded)])
+        chains = merged_chains
+    return [tuple(c) or (1,) for c in chains]
+
+
 def subset(g: GroupSpec, indices) -> GroupSubset:
     return GroupSubset.from_indices(g, indices)
 

@@ -1,7 +1,10 @@
 """Group arithmetic, subsets, subgroups, quotients -- checked against the
 brute-force oracles in _oracles.py and by algebraic property tests."""
 
+import copy
 import itertools
+import math
+import pickle
 import random
 
 import pytest
@@ -33,8 +36,10 @@ from subsumlab.groups import (
 )
 
 from _oracles import (
+    abelian_groups_oracle,
     affine_span_oracle,
     iterated_sumset_oracle,
+    normalize_factors_oracle,
     representation_count_oracle,
     stabilizer_oracle,
     stabilizer_scan,
@@ -273,6 +278,37 @@ def test_enumerate_subgroups_known_counts():
     assert len(enumerate_subgroups(parse_group("2x4"))) == 8
 
 
+def test_one_groupspec_per_chain():
+    g = make_group([4, 2])
+    c2x8 = parse_group("2x8")
+    order_2 = subgroup_generated(GroupSubset.singleton(c2x8, c2x8.index((0, 4))))
+    q = quotient_decompose(c2x8, order_2)  # 2x8 / <(0,4)> = 2x4
+    h = Subgroup(GroupSubset(g, 0b11))
+    same = [parse_group("2x4"), GroupSpec((2, 4)), GroupSpec([2, 4]), q.quotient_spec,
+            copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g)),
+            copy.deepcopy(h).group, pickle.loads(pickle.dumps(h)).group]
+    assert all(other is g for other in same)
+    with pytest.raises(GroupError):
+        GroupSpec((4, 2))
+
+
+def test_make_group_matches_elementary_divisors():
+    lists = [f for k in (1, 2, 3) for f in itertools.product(range(1, 25), repeat=k)
+             if math.prod(f) <= 4096]
+    assert len(lists) == 12400
+    for factors in lists:
+        assert make_group(factors).invariant_factors == normalize_factors_oracle(factors), factors
+
+
+def test_abelian_groups_of_order_matches_prime_by_prime_merge():
+    total = 0
+    for m in range(1, 4097):
+        chains = [g.invariant_factors for g in abelian_groups_of_order(m)]
+        assert chains == abelian_groups_oracle(m), m
+        total += len(chains)
+    assert total == 8983
+
+
 def test_abelian_groups_of_order_counts():
     # partition-counting: order 16 -> 5 groups, order 8 -> 3, prime -> 1
     assert len(abelian_groups_of_order(16)) == 5
@@ -388,10 +424,10 @@ def test_subgroup_equality_is_group_and_carrier_bits():
         assert same == (a.carrier == b.carrier)
         if same:
             assert hash(a) == hash(b)
-    # an equal group built apart from the interned one
+    # GroupSpec built directly gives back the spec parse_group returns
     h = Subgroup(GroupSubset(parse_group("8"), 0b10001))
     twin = Subgroup(GroupSubset(GroupSpec((8,)), 0b10001))
-    assert twin.group is not h.group and twin == h and hash(twin) == hash(h)
+    assert twin.group is h.group and twin == h and hash(twin) == hash(h)
     assert h != h.carrier
 
     # {0} in C4 and in C2xC2: one bitmask, two groups, two cache entries

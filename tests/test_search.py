@@ -17,6 +17,7 @@ from subsumlab.groups import (
 )
 from subsumlab import search, setpartitions
 from subsumlab.sequences import SequenceError, nterm_subsums, parse_sequence
+from subsumlab.setpartitions import clause_iib_violations
 from subsumlab.search import (
     AuditConfig,
     SearchError,
@@ -111,6 +112,30 @@ def test_example_expected_fields_match_bruteforce():
     assert inst.expected["sigma_size"] == \
         len(nterm_subsums_oracle(inst.S, inst.n))
     assert inst.expected["iib_fails"] is True
+
+
+def _iib_fails_over_every_coset(g, s, n, h) -> bool:
+    """clause_iib_fails with alpha over the least element of every coset of
+    H, the reference for its loop over supp(S)."""
+    sigma = nterm_subsums(s, n).size
+    return all(clause_iib_violations(
+        sigma, s.count_outside(g.translate_mask(h.carrier.bits, alpha)), h, s.length - n, "H")
+        for alpha in quotient_cached(g, h).representatives)
+
+
+def test_clause_iib_fails_checks_only_cosets_meeting_supp_s():
+    # every (G, S, n, H) with |G| <= 8, |S| <= 5, n admissible, H any subgroup
+    cfg = AuditConfig(exhaustive_group_cap=8, exhaustive_len_cap=5)
+    subgroups = {}
+    count = holds = 0
+    for g, s, n in exhaustive_instances(cfg):
+        for h in subgroups.setdefault(g, enumerate_subgroups(g)):
+            fails = clause_iib_fails(g, s, n, h)
+            assert fails == _iib_fails_over_every_coset(g, s, n, h), \
+                (g.spec_string(), s.format(), n, h.carrier.bits)
+            count += 1
+            holds += not fails
+    assert (count, holds) == (132517, 171)
 
 
 # ---------------------------------------------------------------------------

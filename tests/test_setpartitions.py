@@ -28,6 +28,7 @@ from subsumlab.setpartitions import (
     HypothesesUnmetError,
     InternalError,
     PartitionError,
+    SetPartition,
     hypothesis_check,
     lemma31_complete,
     main_pipeline,
@@ -66,14 +67,22 @@ def test_make_setpartition_round_robin():
     g = parse_group("4")
     s = parse_sequence(g, "0^2;1^2")
     sp = make_setpartition(s, 2)
-    assert [set(p.indices()) for p in sp.parts] == [{0, 1}, {0, 1}]
+    assert list(sp.parts) == [0b11, 0b11]
     assert sp.underlying_sequence() == s
 
     singles = make_setpartition(parse_sequence(g, "0^3"), 3)
-    assert all(set(p.indices()) == {0} for p in singles.parts)
+    assert all(p == 0b1 for p in singles.parts)
 
     with pytest.raises(PartitionError):
         make_setpartition(parse_sequence(g, "0^3"), 2)
+
+
+def test_setpartition_parts_are_nonempty_masks_of_the_group():
+    g = parse_group("2x4")
+    assert SetPartition(g, [0b1, g.full_mask]).parts == (0b1, g.full_mask)
+    for bad in (0, 1 << g.order, g.full_mask + 1, -1):
+        with pytest.raises(PartitionError):
+            SetPartition(g, [0b1, bad])
 
 
 @given(solver_instance())
@@ -81,7 +90,7 @@ def test_make_setpartition_invariants(inst):
     g, _, s_prime, n = inst
     sp = make_setpartition(s_prime, n)
     assert sp.n == n
-    assert all(p.bits for p in sp.parts)
+    assert all(sp.parts)
     assert sp.underlying_sequence() == s_prime
 
 
@@ -157,7 +166,7 @@ def test_improve_matches_full_recompute_oracle():
         if s_prime.max_multiplicity() > s_prime.length // 2:
             continue
         n = rng.randint(max(2, s_prime.max_multiplicity()), s_prime.length)
-        parts = [p.bits for p in make_setpartition(s_prime, n).parts]
+        parts = list(make_setpartition(s_prime, n).parts)
         oracle_parts = parts[:]
         best = sum_of_masks(g, parts).bit_count()
         climbs += 1
@@ -325,8 +334,8 @@ def test_partition_verify_rejects_tampering():
     assert cert.case_tag == "II"
     # move everything into part 0's coset structure: breaks the
     # at-most-one-outside rule by planting a foreign element
-    bad_parts = [GroupSubset(g, p.bits) for p in cert.partition.parts]
-    bad_parts[0] = GroupSubset.from_indices(g, [2, 3, 6])
+    bad_parts = list(cert.partition.parts)
+    bad_parts[0] = 1 << 2 | 1 << 3 | 1 << 6
     tampered = Certificate(cert.case_tag,
                            type(cert.partition)(g, bad_parts),
                            H=cert.H, theorem="partition")
@@ -933,7 +942,7 @@ def test_mutated_certificates_are_rejected_or_verified(spec, seq, seq_prime, n, 
 def test_certificate_from_dict_range_checks_coordinates():
     g = parse_group("2x4")
     record = {"case": "I", "parts": [["(1,3)", "(0,0)"]]}
-    assert Certificate.from_dict(g, record).partition.parts[0].size == 2
+    assert Certificate.from_dict(g, record).partition.parts[0].bit_count() == 2
     for literal in ("(2,0)", "(0,4)", "(0,-1)", "(1,3,0)", "1"):
         with pytest.raises(PartitionError):
             Certificate.from_dict(g, {"case": "I", "parts": [[literal]]})
