@@ -422,17 +422,25 @@ def sum_masks(g: GroupSpec, a: int, b: int) -> int:
     if a.bit_count() < b.bit_count():
         a, b = b, a
     out = 0
-    for i in iter_bits(b):
-        out |= g.translate_mask(a, i)
+    while b:
+        low = b & -b
+        out |= g.translate_mask(a, low.bit_length() - 1)
+        b ^= low
     return out
 
 
 def sum_of_masks(g: GroupSpec, masks: Iterable[int]) -> int:
-    """Bitmask of the n-fold sum of the given bitmasks; {0} for none."""
-    acc = 1
+    """Bitmask of the n-fold sum of the given bitmasks; {0} for none.  The
+    singletons only translate, so their elements are summed and applied once."""
+    acc, shift = 1, 0
     for b in masks:
-        acc = sum_masks(g, acc, b)
-    return acc
+        if b & (b - 1):
+            acc = sum_masks(g, acc, b)
+        elif b:
+            shift = g.add(shift, b.bit_length() - 1)
+        else:
+            return 0
+    return g.translate_mask(acc, shift) if shift else acc
 
 
 def sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:

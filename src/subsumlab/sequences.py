@@ -111,6 +111,8 @@ class GSequence:
         return max(self.mult, default=0)
 
     def is_subsequence_of(self, other: "GSequence") -> bool:
+        if other is self:
+            return True
         if other.group is not self.group:
             raise SequenceError("mixed groups")
         return all(map(operator.le, self.mult, other.mult))
@@ -185,12 +187,15 @@ def nterm_subsums(s: GSequence, n: int) -> GroupSubset:
 
 
 def _subsum_rows(s: GSequence, cap: int, target: int) -> list[int]:
-    """Bounded-knapsack DP, one support element at a time, rows descending.
+    """Bounded-knapsack DP, one 0/1 bundle of copies at a time, rows descending.
 
+    An element of multiplicity m enters as bundles of 1, 2, 4, ... copies and
+    a clipped last one, min(m, cap) copies in all; every t <= min(m, cap) is
+    a sum of distinct bundles, so a row costs O(log m) translations, not O(m).
     Row j, the sums of j of the terms seen so far, is updated only while it
     is reachable (j <= terms seen) and can still reach row target
     (j >= target - terms left), so rows target..cap come out exact; an
-    update reads only rows that were exact one element earlier.
+    update reads only rows that were exact one bundle earlier.
     """
     g = s.group
     rows = [0] * (cap + 1)
@@ -199,15 +204,16 @@ def _subsum_rows(s: GSequence, cap: int, target: int) -> list[int]:
     for idx in s.support_indices():
         m = s.mult[idx]
         left -= m
-        shifts = [idx]  # t*idx for t = 1..min(m, cap), as a running sum
-        for _ in range(1, min(m, cap)):
-            shifts.append(g.add(shifts[-1], idx))
-        for j in range(min(cap, seen + m), max(0, target - left - 1), -1):
-            acc = rows[j]
-            for t in range(max(1, j - seen), min(m, j) + 1):
-                acc |= g.translate_mask(rows[j - t], shifts[t - 1])
-            rows[j] = acc
-        seen += m
+        m, b, shift = min(m, cap), 1, idx   # shift = b*idx, by doubling
+        while m:
+            if b > m:
+                b, shift = m, g.scale(m, idx)
+            m -= b
+            for j in range(min(cap, seen + b), max(b, target - left - m) - 1, -1):
+                rows[j] |= g.translate_mask(rows[j - b], shift)
+            seen += b
+            if m:
+                b, shift = 2 * b, g.add(shift, shift)
     return rows
 
 

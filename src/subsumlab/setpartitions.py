@@ -12,8 +12,9 @@ moves to a part that holds none, as long as the sum of parts stays Sigma_n(S).
 Both local searches only list their candidate moves, in a fixed order, and
 hand them to one loop, _first_move, which scores each move and applies the
 first one that passes: a larger sum in the climb, the sum Sigma_n(S) in the
-repair.  A move changes at most two parts, so the loop sums the other parts
-once per part pair.
+repair.  A move changes at most two parts, so the loop keeps prefix and
+suffix sums of the parts other than the first, and the sum of the other parts
+costs one set-sum per part pair.
 
 main_pipeline realizes the strengthened conclusion under the exponent-style
 hypotheses in G's own coordinates, never translating S, Sigma_n(S) or the
@@ -46,6 +47,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 from .groups import (
@@ -103,11 +106,8 @@ class SetPartition:
         return f"SetPartition({self.group.spec_string()}, {inner})"
 
     def underlying_sequence(self) -> GSequence:
-        mult = [0] * self.group.order
-        for p in self.parts:
-            for i in iter_bits(p):
-                mult[i] += 1
-        return GSequence._derived(self.group, tuple(mult), sum(mult))
+        return GSequence._derived(self.group, tuple(_counts(self.group, self.parts)),
+                                  sum(p.bit_count() for p in self.parts))
 
     def sum_subset(self, upto: int | None = None) -> GroupSubset:
         """Sum of the first `upto` parts (all parts by default); {0} for none."""
@@ -205,11 +205,12 @@ class Certificate:
         check(isinstance(data.get("bounds", {}), dict), "bounds is not an object")
         for name in ("e_H", "e_K", "k"):
             check(type(data.get(name, 0)) is int, f"{name} is not an integer")
-        parts = SetPartition(group, [subset(p, f"part {i + 1}")
-                                     for i, p in enumerate(data["parts"])])
+        parts = [subset(p, f"part {i + 1}") for i, p in enumerate(data["parts"])]
+        for i, bits in enumerate(parts):
+            check(bits != 0, f"part {i + 1} is empty")
         return cls(
             case_tag=data["case"],
-            partition=parts,
+            partition=SetPartition(group, parts),
             H=Subgroup(GroupSubset(group, subset(data["H"], "H"))) if data.get("H") else None,
             K=Subgroup(GroupSubset(group, subset(data["K"], "K"))) if data.get("K") else None,
             alpha=(element(data["alpha"])
@@ -227,6 +228,15 @@ class Certificate:
 # basic construction
 
 
+def _counts(g: GroupSpec, parts: Iterable[int]) -> list[int]:
+    """The multiplicity vector of the parts' underlying sequence."""
+    used = [0] * g.order
+    for p in parts:
+        for i in iter_bits(p):
+            used[i] += 1
+    return used
+
+
 def make_setpartition(s: GSequence, n: int) -> SetPartition:
     """Round-robin n-setpartition with underlying sequence exactly S."""
     h = s.max_multiplicity()
@@ -236,10 +246,18 @@ def make_setpartition(s: GSequence, n: int) -> SetPartition:
         raise PartitionError(f"n={n} exceeds |S|={s.length}")
     if n < 1:
         raise PartitionError("need at least one part")
+    return SetPartition(s.group, _round_robin(s, n, s.support_indices()))
+
+
+def _round_robin(s: GSequence, n: int, supp: Iterable[int]) -> list[int]:
+    """Term t of S, ascending, into part t mod n; supp is an ascending superset of supp(S)."""
     bits = [0] * n
-    for t, g in enumerate(s.terms()):
-        bits[t % n] |= 1 << g
-    return SetPartition(s.group, bits)
+    t = 0
+    for i in supp:
+        for _ in range(s.mult[i]):
+            bits[t % n] |= 1 << i
+            t += 1
+    return bits
 
 
 def _greedy_mult(mult: Sequence[int], per_elem_cap: int, room: int
@@ -316,29 +334,29 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int
     Returns part bitmasks and the achieved sum size.  The climb needs no move
     cap: every applied move raises best by at least 1, from best >= 1, and
     best never exceeds |Sigma_n(S)| <= |G|, so a climb makes at most |G| - 1
-    moves.
+    moves.  supp(S), a superset of supp(S'), is listed once for all of them.
     """
-    parts = list(make_setpartition(s_prime, n).parts)
+    supp = list(s.support_indices())
+    parts = _round_robin(s_prime, n, supp)
     best = sum_of_masks(s.group, parts).bit_count()
-    while best < target and (lifted := _improve(s, parts, best)):
+    while best < target and (lifted := _improve(s, parts, best, supp)):
         best = lifted
     return parts, best
 
 
-def _improve(s: GSequence, parts: list[int], best: int) -> int:
+def _improve(s: GSequence, parts: list[int], best: int,
+             supp: Optional[list[int]] = None) -> int:
     """Apply the first move that lifts |sum of parts| above best to parts.
 
     For each part i in turn: replace an element of part i by an unused term
     of S; then, for each other part j and each element e of part i that j
     lacks, transfer e to j, or swap e with an element of j that i lacks.
-    Returns the lifted sum size, or 0 when no move improves.
+    supp, when given, is supp(S) as a list.  Returns the lifted sum size, or
+    0 when no move improves.
     """
     g = s.group
-    used = [0] * g.order
-    for b in parts:
-        for i in iter_bits(b):
-            used[i] += 1
-    spare = [u for u in s.support_indices() if s.mult[u] > used[u]]
+    used = _counts(g, parts)
+    spare = [u for u in supp or s.support_indices() if s.mult[u] > used[u]]
 
     def moves():
         for i, part in enumerate(parts):
@@ -389,17 +407,26 @@ def _first_move(g: GroupSpec, parts: list[int], moves: Iterable[tuple[int, int, 
     return that sum (a bitmask; 0 when no move passes).
 
     A move (i, j, cand_i, cand_j) makes part i cand_i and part j cand_j; j =
-    -1 changes part i alone (a term of it replaced by a spare term).  A move
-    changes parts i and j only, so the sum of the other parts is taken once
-    per (i, j), on that pair's first move.
+    -1 changes part i alone (a term of it replaced by a spare term).  The
+    sum of the other parts is taken once per (i, j): from the prefix sums of
+    the parts other than i, built on i's first move, and their suffix sums,
+    built on i's first pair move, it costs one set-sum.
     """
+    add = partial(sum_masks, g)
     rest: dict[tuple[int, int], int] = {}
+    i_pre = -1
     for i, j, cand_i, cand_j in moves:
         if (i, j) not in rest:
-            rest[i, j] = sum_of_masks(g, [b for k, b in enumerate(parts) if k != i and k != j])
-        total = sum_masks(g, rest[i, j], cand_i)
+            if i != i_pre:
+                others = parts[:i] + parts[i + 1:]
+                i_pre, pre, suf = i, [1, *accumulate(others, add)], None
+            if j >= 0 and suf is None:
+                suf = [*accumulate(reversed(others), add)][::-1] + [1]
+            k = j - (j > i)     # j's position among the others
+            rest[i, j] = pre[-1] if j < 0 else add(pre[k], suf[k + 1])
+        total = add(rest[i, j], cand_i)
         if j >= 0:
-            total = sum_masks(g, total, cand_j)
+            total = add(total, cand_j)
         if accept(total):
             parts[i] = cand_i
             if j >= 0:
@@ -486,7 +513,7 @@ def _case2_violations(cert: Certificate, sum_a: GroupSubset, s: GSequence,
     bound = _case2_bound(s_prime_len, n, profile)
     if sum_a.size < bound:
         violations.append(f"case 2 bound: |sum|={sum_a.size} < {bound}")
-    used = cert.partition.underlying_sequence().mult
+    used = _counts(s.group, cert.partition.parts)
     if any(s.mult[i] > used[i] and not (z >> i) & 1 for i in s.support_indices()):
         violations.append("leftover terms outside phi^-1(X)")
     for i, p in enumerate(cert.partition.parts):
@@ -520,11 +547,12 @@ def _common_violations(cert: Certificate, g: GroupSpec, s: GSequence,
     if partition.n != n:
         return [f"expected {n} parts, found {partition.n}"], None, None, None
     violations: list[str] = []
-    sa = partition.underlying_sequence()
-    if not sa.is_subsequence_of(s):
+    used = _counts(g, partition.parts)
+    if any(used[i] > s.mult[i] for i in iter_bits(reduce(operator.or_, partition.parts, 0))):
         violations.append("S(A) is not a subsequence of S")
-    if sa.length != s_prime.length:
-        violations.append(f"|S(A)|={sa.length} != |S'|={s_prime.length}")
+    length = sum(p.bit_count() for p in partition.parts)
+    if length != s_prime.length:
+        violations.append(f"|S(A)|={length} != |S'|={s_prime.length}")
     if violations:
         return violations, None, None, None
     sigma_n = nterm_subsums(s, n)
@@ -757,17 +785,19 @@ def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
         violations.append("(ii): K not contained in H(Sigma_n(S))")
     if h.is_full:
         violations.append("(ii): H(Sigma_n(S)) must be proper")
-    # (a)
+    # (a), then (b), from one listing of supp(S); S(A) | S was checked
     if sum_a != sigma_n:
         violations.append("(ii)(a): sum of parts != Sigma_n(S)")
     coset_k = g.translate_mask(k_sub.carrier.bits, alpha)
-    leftover = s.remove(partition.underlying_sequence())
-    if any(not (coset_k >> i) & 1 for i in leftover.support_indices()):
+    supp = list(s.support_indices())
+    out_k = [i for i in supp if not (coset_k >> i) & 1]
+    used = _counts(g, partition.parts)
+    if any(s.mult[i] > used[i] for i in out_k):
         violations.append("(ii)(a): leftover terms outside alpha+K")
     # (b)
     coset_h = g.translate_mask(h.carrier.bits, alpha)
-    e_h = s.count_outside(coset_h)
-    e_k = s.count_outside(coset_k)
+    e_h = sum(s.mult[i] for i in supp if not (coset_h >> i) & 1)
+    e_k = sum(s.mult[i] for i in out_k)
     if cert.e_H != e_h:
         violations.append(f"(ii)(b): recorded e_H={cert.e_H} != recomputed {e_h}")
     if cert.e_K != e_k:

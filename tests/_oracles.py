@@ -5,9 +5,10 @@ enumeration over explicit element tuples; no bitmask tricks, no DP, no
 sharing of code paths with the library implementations under test.  The
 exceptions are improve_oracle and spread_outside_terms_oracle, reference
 copies of the hill climb's move step and of the case-II repair that re-sum
-every part per candidate move with the library's sum_masks, and the dense_*
-references, which walk all |G| multiplicities where the library walks
-supp(S) only.
+every part per candidate move with the library's sum_masks;
+subsum_rows_oracle, the n-term subsum DP with one pass per copy count t
+where the library bundles copies; and the dense_* references, which walk all
+|G| multiplicities where the library walks supp(S) only.
 """
 
 from __future__ import annotations
@@ -71,6 +72,29 @@ def nterm_subsums_oracle(s: GSequence, n: int) -> set[int]:
             total = g.add(total, terms[i])
         out.add(total)
     return out
+
+
+def subsum_rows_oracle(s: GSequence, cap: int, target: int) -> list[int]:
+    """sequences._subsum_rows before it bundled copies: for each support
+    element of multiplicity m, row j takes every t <= min(m, j) copies in
+    turn, under the same reachability window, so rows target..cap are exact."""
+    g = s.group
+    rows = [0] * (cap + 1)
+    rows[0] = 1
+    seen, left = 0, s.length
+    for idx in s.support_indices():
+        m = s.mult[idx]
+        left -= m
+        shifts = [idx]  # t*idx for t = 1..min(m, cap), as a running sum
+        for _ in range(1, min(m, cap)):
+            shifts.append(g.add(shifts[-1], idx))
+        for j in range(min(cap, seen + m), max(0, target - left - 1), -1):
+            acc = rows[j]
+            for t in range(max(1, j - seen), min(m, j) + 1):
+                acc |= g.translate_mask(rows[j - t], shifts[t - 1])
+            rows[j] = acc
+        seen += m
+    return rows
 
 
 def all_subsums_oracle(s: GSequence) -> set[int]:

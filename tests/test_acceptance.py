@@ -8,13 +8,11 @@ justification are recorded in CHANGES.md.
 
 import json
 import time
-from itertools import combinations_with_replacement
 
 import pytest
 
 from subsumlab.groups import (
     GroupSubset,
-    Subgroup,
     abelian_groups_of_order,
     affine_span,
     enumerate_subgroups,
@@ -26,7 +24,6 @@ from subsumlab.sequences import (
     GSequence,
     davenport_bruteforce,
     nterm_subsums,
-    subsum_profile,
 )
 from subsumlab.setpartitions import lemma31_complete
 from subsumlab.search import (

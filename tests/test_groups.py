@@ -31,6 +31,7 @@ from subsumlab.groups import (
     stabilizer,
     subgroup_generated,
     sum_masks,
+    sum_of_masks,
     sumset,
     verify_subgroup,
 )
@@ -146,6 +147,35 @@ def test_sumset_matches_oracle(gs1, gs2):
     out = sumset(subset(g, a), subset(g, b))
     assert set(out.indices()) == sumset_oracle(g, a, b)
     assert sum_masks(g, subset(g, a).bits, subset(g, b).bits) == out.bits
+
+
+def _fold_sum_masks(g, masks):
+    acc = 1
+    for b in masks:
+        acc = sum_masks(g, acc, b)
+    return acc
+
+
+def test_sum_of_masks_matches_plain_fold():
+    # singleton parts are folded into one translation; empty, repeated and
+    # mixed parts must still give the plain left fold of sum_masks
+    rng = random.Random(430)
+    for g in GROUPS + [parse_group(s) for s in ("1024", "2x2x2x2x2x2x2x2x2x2", "4x4x4x4x4")]:
+        assert sum_of_masks(g, []) == 1
+        for _ in range(40):
+            masks = []
+            for _ in range(rng.randint(1, 6)):
+                kind = rng.random()
+                if kind < 0.4:
+                    masks.append(1 << rng.randrange(g.order))
+                elif kind < 0.5:
+                    masks.append(0)
+                elif kind < 0.6 and masks:
+                    masks.append(rng.choice(masks))
+                else:
+                    masks.append(subset(g, rng.sample(range(g.order), min(g.order, 3))).bits)
+            assert sum_of_masks(g, masks) == _fold_sum_masks(g, masks), (g, masks)
+            assert sum_of_masks(g, iter(masks)) == _fold_sum_masks(g, masks)
 
 
 @given(group_and_subset(), st.integers(0, 5))

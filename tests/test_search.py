@@ -7,7 +7,6 @@ import pytest
 
 from subsumlab.groups import (
     GroupSubset,
-    Subgroup,
     abelian_groups_of_order,
     enumerate_subgroups,
     parse_group,
@@ -16,7 +15,7 @@ from subsumlab.groups import (
     subgroup_generated,
 )
 from subsumlab import search, setpartitions
-from subsumlab.sequences import SequenceError, nterm_subsums, parse_sequence
+from subsumlab.sequences import SequenceError, nterm_subsums
 from subsumlab.setpartitions import clause_iib_violations
 from subsumlab.search import (
     AuditConfig,

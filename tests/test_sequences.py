@@ -1,13 +1,14 @@
 """Sequence parsing, n-term subsum DP, profile bookkeeping, Davenport."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subsumlab import sequences
-from subsumlab.groups import GroupSubset, Subgroup, parse_group
+from subsumlab.groups import GroupSubset, Subgroup, abelian_groups_of_order, parse_group
 from subsumlab.search import AuditConfig, exhaustive_instances
 from subsumlab.sequences import (
     GSequence,
@@ -34,6 +35,7 @@ from _oracles import (
     dense_round_robin,
     dense_terms,
     nterm_subsums_oracle,
+    subsum_rows_oracle,
 )
 
 GROUPS = [parse_group(s) for s in ["2", "5", "8", "2x2", "2x4", "3x3", "12"]]
@@ -176,6 +178,39 @@ def test_nterm_subsums_matches_table_rows_seeded_1024():
     # every row below the cap is exact, too
     for cap in (0, 1, s.length // 2, s.length - 1):
         assert subsum_table(s, cap) == rows[:cap + 1]
+
+
+def test_bundled_dp_matches_per_copy_oracle_exhaustive():
+    # every sequence with 1 <= |S| <= 8 over every group of order <= 8: all
+    # rows at target 0, and row n at target n for every n
+    count = 0
+    for order in range(1, 9):
+        for g in abelian_groups_of_order(order):
+            for length in range(1, 9):
+                for terms in itertools.combinations_with_replacement(range(order), length):
+                    s = GSequence.from_terms(g, terms)
+                    count += 1
+                    assert sequences._subsum_rows(s, length, 0) == \
+                        subsum_rows_oracle(s, length, 0), (g, terms)
+                    for n in range(length + 1):
+                        assert sequences._subsum_rows(s, n, n)[n] == \
+                            subsum_rows_oracle(s, n, n)[n], (g, terms, n)
+    assert count == 50_533
+
+
+def test_bundled_dp_matches_per_copy_oracle_seeded_large():
+    # multiplicities up to 30, which split into clipped bundles, on groups up
+    # to order 1024; rows target..cap must agree for any cap
+    rng = random.Random(2020)
+    specs = ["1024", "2x2x2x2x2x2x2x2x2x2", "4x4x4x4x4", "2x4x8x16", "32x32", "12", "3x9"]
+    for _ in range(300):
+        g = parse_group(rng.choice(specs))
+        s = GSequence.from_pairs(g, [(rng.randrange(g.order), rng.randint(1, 30))
+                                     for _ in range(rng.randint(1, 6))])
+        cap = rng.randint(0, s.length)
+        target = rng.choice([0, cap])
+        got, want = sequences._subsum_rows(s, cap, target), subsum_rows_oracle(s, cap, target)
+        assert got[target:] == want[target:], (g, s, cap, target)
 
 
 def test_nterm_subsums_memo_keys_on_group():

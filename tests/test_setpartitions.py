@@ -19,7 +19,6 @@ from subsumlab.groups import (
     quotient_cached,
     quotient_decompose,
     stabilizer,
-    subgroup_generated,
     sum_of_masks,
 )
 from subsumlab.sequences import GSequence, nterm_subsums, parse_sequence
@@ -38,7 +37,7 @@ from subsumlab.setpartitions import (
     partition_verify,
 )
 
-from _oracles import improve_oracle, nterm_subsums_oracle, spread_outside_terms_oracle
+from _oracles import improve_oracle, spread_outside_terms_oracle
 
 GROUPS = [parse_group(s) for s in ["2", "4", "7", "8", "2x2", "2x4", "3x3", "9"]]
 
@@ -610,6 +609,45 @@ def test_main_verify_rejects_non_subgroup_k():
     assert violations == ["(ii): K is not a subgroup: subgroup must contain 0"]
 
 
+# hand-made certificates for the clauses the verifiers check in one pass over
+# supp(S) or over the parts' union: (C4 S, S', n, record edits, verifier,
+# the exact violation list)
+_C4_STEP_B = ("0^6;2^6", "0^5;2^5", 5)
+CLAUSE_TEXTS = [
+    # S(A) holds 1, which S lacks, and one term too few
+    (*_C4_STEP_B, {"parts": [["0"], ["0"], ["0", "2"], ["0", "2"], ["0", "1", "2"]]}, "main",
+     ["S(A) is not a subsequence of S", "|S(A)|=9 != |S'|=10"]),
+    ("0^2;2^2", "0^2;2^2", 2, {"case": "I", "parts": [["0", "1"], ["0", "2"]]}, "partition",
+     ["S(A) is not a subsequence of S"]),
+    # three parts hold 0, which S has twice
+    ("0^2;2^2", "0^2;2^2", 3, {"case": "I", "parts": [["0"], ["0"], ["0", "2"]]}, "partition",
+     ["S(A) is not a subsequence of S"]),
+    # S has a 1 that no part uses
+    ("0^6;2^6;1", "0^5;2^5", 5, {}, "main",
+     ["recorded H={0,2} != H(Sigma_n(S))={0,1,2,3}", "(ii): H(Sigma_n(S)) must be proper",
+      "(ii)(a): sum of parts != Sigma_n(S)", "(ii)(a): leftover terms outside alpha+K",
+      "(ii)(b): recorded e_K=0 != recomputed 1", "(ii)(b): e_H=0 > |G/H|-2",
+      "(ii)(b): e_K=1 > |G/K|-2", "recorded k=5 != n - e_K = 4",
+      "(ii)(c): part 5 must have exactly one element outside alpha+K"]),
+    (*_C4_STEP_B, {"e_H": 1}, "main", ["(ii)(b): recorded e_H=1 != recomputed 0"]),
+    (*_C4_STEP_B, {"e_K": 1}, "main", ["(ii)(b): recorded e_K=1 != recomputed 0"]),
+    (*_C4_STEP_B, {"e_H": 2, "e_K": 3, "k": 2}, "main",
+     ["(ii)(b): recorded e_H=2 != recomputed 0", "(ii)(b): recorded e_K=3 != recomputed 0",
+      "recorded k=2 != n - e_K = 5"]),
+]
+
+
+@pytest.mark.parametrize("seq, seq_prime, n, edits, verifier, expected", CLAUSE_TEXTS)
+def test_verifier_clause_texts(seq, seq_prime, n, edits, verifier, expected):
+    g, data = _valid_record()
+    cert = Certificate.from_dict(g, {**data, **edits})
+    s, s_prime = parse_sequence(g, seq), parse_sequence(g, seq_prime)
+    if verifier == "main":
+        assert main_verify(cert, g, s, s_prime, n) == (False, expected)
+    else:
+        assert partition_verify(cert, s, s_prime, n) == (False, expected)
+
+
 def test_verifiers_check_recorded_fields():
     g = parse_group("4")
     s = parse_sequence(g, "0^6;2^6")
@@ -838,6 +876,7 @@ def _valid_record():
     (lambda d: {**d, "alpha": "x"}, "bad element literal"),
     (lambda d: {**d, "mode": "loose"}, "unknown mode"),
     (lambda d: {**d, "bounds": [1]}, "bounds is not an object"),
+    (lambda d: {**d, "parts": [["0"], []]}, "^malformed certificate: part 2 is empty$"),
 ])
 def test_certificate_from_dict_rejects_malformed(mutate, message):
     g, data = _valid_record()

@@ -6,7 +6,7 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from subsumlab import verifiers
 from subsumlab.groups import (
@@ -18,7 +18,7 @@ from subsumlab.groups import (
     parse_group,
     subgroup_generated,
 )
-from subsumlab.sequences import GSequence, nterm_subsums, parse_sequence
+from subsumlab.sequences import GSequence, parse_sequence
 from subsumlab.verifiers import (
     CheckError,
     check_cor1,
