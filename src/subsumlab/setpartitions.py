@@ -12,9 +12,9 @@ moves to a part that holds none, as long as the sum of parts stays Sigma_n(S).
 Both local searches only list their candidate moves, in a fixed order, and
 hand them to one loop, _first_move, which scores each move and applies the
 first one that passes: a larger sum in the climb, the sum Sigma_n(S) in the
-repair.  A move changes at most two parts, so the loop keeps prefix and
-suffix sums of the parts other than the first, and the sum of the other parts
-costs one set-sum per part pair.
+repair.  A move changes at most two parts, i and j, so the loop keeps prefix
+and suffix sums of the parts other than i, and the sum of the parts other
+than i and j costs one set-sum per pair.
 
 main_pipeline realizes the strengthened conclusion under the exponent-style
 hypotheses in G's own coordinates, never translating S, Sigma_n(S) or the
