@@ -77,10 +77,6 @@ class GSequence:
             mult[idx] += count
         return cls(group, mult)
 
-    @classmethod
-    def from_terms(cls, group: GroupSpec, terms: Sequence[int]) -> "GSequence":
-        return cls.from_pairs(group, [(t, 1) for t in terms])
-
     def __len__(self) -> int:
         return self.length
 
@@ -93,12 +89,6 @@ class GSequence:
 
     def __repr__(self) -> str:
         return f"GSequence({self.group.spec_string()}, {self.format()!r})"
-
-    def terms(self) -> Iterator[int]:
-        """Each term once per multiplicity, ascending element index."""
-        for idx in self.support_indices():
-            for _ in range(self.mult[idx]):
-                yield idx
 
     def support_indices(self) -> Iterator[int]:
         """supp(S) ascending, one Python step per support element, not per |G|."""
@@ -116,12 +106,6 @@ class GSequence:
         if other.group is not self.group:
             raise SequenceError("mixed groups")
         return all(map(operator.le, self.mult, other.mult))
-
-    def remove(self, other: "GSequence") -> "GSequence":
-        """self with the terms of other removed; other | self required."""
-        if not other.is_subsequence_of(self):
-            raise SequenceError("removal of a non-subsequence")
-        return GSequence(self.group, list(map(operator.sub, self.mult, other.mult)))
 
     def count_outside(self, mask: int) -> int:
         return sum(self.mult[i] for i in self.support_indices() if not (mask >> i) & 1)
@@ -241,7 +225,8 @@ def push_forward(s: GSequence, q: QuotientStructure) -> GSequence:
 
 @dataclass
 class SubsumProfile:
-    """Bookkeeping (H, X, e, rho) for the n-term subsum bound."""
+    """Bookkeeping (H, X, e, rho) for the n-term subsum bound, whose one
+    value is bound_primary."""
 
     H: Subgroup
     quotient: QuotientStructure
@@ -253,7 +238,6 @@ class SubsumProfile:
     ref_len: int
     sigma_n: GroupSubset
     bound_primary: int        # ((N-1)n + e + 1)|H|
-    bound_alt: int            # (sum_x min(n, v_x(phi(S))) - n + 1)|H|
     phi: GSequence            # phi_H(S) over quotient_spec
     Z_mask: int               # phi_H^{-1}(X) in the parent group
 
@@ -271,7 +255,8 @@ def subsum_profile(s: GSequence, n: int, ref_len: int,
     ref_len is |S| for the plain subsum bound and |S'| when profiling against
     a distinguished subsequence.  sigma, when given, must equal Sigma_n(S),
     and h, when given, must equal H(sigma): callers that already hold them
-    pass them to avoid recompute.
+    pass them to avoid recompute.  The capped form of the bound, (sum_x
+    min(n, v_x(phi(S))) - n + 1)|H|, is bound_primary: the sum is N*n + e.
     """
     if not 1 <= n <= s.length:
         raise SequenceError(f"n={n} outside [1, |S|={s.length}]")
@@ -279,30 +264,27 @@ def subsum_profile(s: GSequence, n: int, ref_len: int,
     h = h if h is not None else stabilizer(sig)
     q = quotient_cached(s.group, h)
     phi_s = push_forward(s, q)
-    # one pass: X = {x : v_x >= n}, e = terms outside X, capped = sum min(n, v_x)
-    x_bits = e = capped = 0
+    # one pass: X = {x : v_x >= n}, e = terms outside X
+    x_bits = e = 0
     for idx, m in enumerate(phi_s.mult):
         if m >= n:
             x_bits |= 1 << idx
-            capped += n
         else:
             e += m
-            capped += m
     big_n = x_bits.bit_count()
     order_h = h.order
     rho = big_n * order_h * n + e - ref_len
     bound_primary = ((big_n - 1) * n + e + 1) * order_h
-    bound_alt = (capped - n + 1) * order_h
-    if bound_primary != bound_alt:
-        raise InternalError("subsum bound forms disagree (internal inconsistency)",
-                            {**_dump(s, n), "ref_len": ref_len})
     return SubsumProfile(h, q, GroupSubset(q.quotient_spec, x_bits), big_n, e, rho,
-                         n, ref_len, sig, bound_primary, bound_alt, phi_s,
+                         n, ref_len, sig, bound_primary, phi_s,
                          q.preimage_mask(x_bits))
 
 
 def build_s_star(s: GSequence, profile: SubsumProfile, n: int) -> GSequence:
-    """S*: every term of phi_H^{-1}(X) raised to multiplicity exactly n."""
+    """S*: every term of phi_H^{-1}(X) raised to multiplicity exactly n.
+
+    |S*| = |S| + rho needs no check: with no term lost, S* is n copies of
+    each of the N|H| elements of Z plus the e terms outside Z."""
     if profile.n != n or profile.ref_len != s.length:
         raise SequenceError("profile was not computed from (S, n) with ref_len=|S|")
     # S* differs from S only on Z, so one pass over Z gives the lost-terms
@@ -315,8 +297,6 @@ def build_s_star(s: GSequence, profile: SubsumProfile, n: int) -> GSequence:
             raise InternalError("S* construction lost terms of S", _dump(s, n))
         grown += n - m
         mult[idx] = n
-    if grown != profile.rho:
-        raise InternalError("|S*| != |S| + rho", _dump(s, n))
     star = GSequence._derived(s.group, tuple(mult), s.length + grown)
     if grown:
         # Sigma_n(S) <= Sigma_n(S*) already holds (S | S*), and Sigma_n(S) is

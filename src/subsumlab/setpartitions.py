@@ -105,10 +105,6 @@ class SetPartition:
         inner = " | ".join("{" + ",".join(lits[i] for i in iter_bits(p)) + "}" for p in self.parts)
         return f"SetPartition({self.group.spec_string()}, {inner})"
 
-    def underlying_sequence(self) -> GSequence:
-        return GSequence._derived(self.group, tuple(_counts(self.group, self.parts)),
-                                  sum(p.bit_count() for p in self.parts))
-
     def sum_subset(self, upto: int | None = None) -> GroupSubset:
         """Sum of the first `upto` parts (all parts by default); {0} for none."""
         parts = self.parts if upto is None else self.parts[:upto]
@@ -474,9 +470,9 @@ def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset,
             "II", partition, H=profile.H, theorem="partition",
             e_H=profile.e, k=n - profile.e,
             bounds={"sum_size": sum_a.size,
-                    "case2_bound": _case2_bound(s_prime.length, n, profile),
+                    "case2_bound": profile.bound_primary,
                     "rho": profile.rho, "N": profile.N, "e": profile.e})
-        if not _case2_violations(cert, sum_a, s, s_prime.length, n, profile):
+        if not _case2_violations(cert, sum_a, s, n, profile):
             return cert, profile
     raise InternalError(
         "partition theorem: neither case could be witnessed",
@@ -484,20 +480,16 @@ def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset,
          "S_prime": s_prime.format(), "n": n})
 
 
-def _case2_bound(s_prime_len: int, n: int, profile: SubsumProfile) -> int:
-    """|S'| - (n-1)|H| + e(|H|-1) + rho, the case-II lower bound on |sum A_i|."""
-    order_h = profile.H.order
-    return (s_prime_len - (n - 1) * order_h
-            + profile.e * (order_h - 1) + profile.rho)
-
-
 def _case2_violations(cert: Certificate, sum_a: GroupSubset, s: GSequence,
-                      s_prime_len: int, n: int, profile: SubsumProfile) -> list[str]:
+                      n: int, profile: SubsumProfile) -> list[str]:
     """The case-II clauses of the partition theorem that cert breaks.
 
     profile = subsum_profile(S, n, |S'|) and sum_a = the sum of cert's parts:
     the solver passes the ones it holds, partition_verify freshly computed
-    ones.  The recorded H is checked by _common_violations.
+    ones.  The recorded H is checked by _common_violations.  The case-II
+    bound |S'| - (n-1)|H| + e(|H|-1) + rho is bound_primary, the |S'| terms
+    cancelling in rho = N|H|n + e - |S'|.  rho >= 0 holds: S(A) | S and
+    |S(A)| = |S'| hold here, and n parts that are sets give |S'| <= N|H|n + e.
     """
     violations: list[str] = []
     z = profile.Z_mask
@@ -506,13 +498,10 @@ def _case2_violations(cert: Certificate, sum_a: GroupSubset, s: GSequence,
         violations.append(f"recorded e_H={cert.e_H} != e={profile.e}")
     if cert.k != n - profile.e:
         violations.append(f"recorded k={cert.k} != n - e = {n - profile.e}")
-    if profile.rho < 0:
-        violations.append(f"rho={profile.rho} < 0")
     if sum_a != profile.sigma_n:
         violations.append("case 2 requires sum of parts == Sigma_n(S)")
-    bound = _case2_bound(s_prime_len, n, profile)
-    if sum_a.size < bound:
-        violations.append(f"case 2 bound: |sum|={sum_a.size} < {bound}")
+    if sum_a.size < profile.bound_primary:
+        violations.append(f"case 2 bound: |sum|={sum_a.size} < {profile.bound_primary}")
     used = _counts(s.group, cert.partition.parts)
     if any(s.mult[i] > used[i] and not (z >> i) & 1 for i in s.support_indices()):
         violations.append("leftover terms outside phi^-1(X)")
@@ -588,7 +577,7 @@ def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
             violations.append(f"case 1 bound: |sum|={sum_a.size} < {bound}")
     elif cert.case_tag == "II":
         profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n, h=h)
-        violations += _case2_violations(cert, sum_a, s, s_prime.length, n, profile)
+        violations += _case2_violations(cert, sum_a, s, n, profile)
     else:
         violations.append(f"unknown case tag {cert.case_tag!r}")
     return not violations, violations
@@ -709,8 +698,8 @@ def _pipeline_cert(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
         comes from case II, where it is Sigma_n; so H = span, N = 1, e = 0,
         alpha = s0, and Step B gives H = K = span.
     (3) At the case-I exit, bound <= sum size <= |span|: no min with |span|.
-    (4) Case II with trivial H has |Sigma_n| >= |S'| - n + 1 + rho, so it
-        leaves by the case-I exit.
+    (4) Case II with trivial H has |Sigma_n| >= bound_primary = |S'| - n + 1
+        + rho, so it leaves by the case-I exit.
     (5) The solver checked case II: no leftover term outside z and at most
         one outside term per part, so the e_H = profile.e outside terms sit
         in e_H parts and k parts lie inside z.  z is not empty: N = 0 puts

@@ -7,8 +7,9 @@ exceptions are improve_oracle and spread_outside_terms_oracle, reference
 copies of the hill climb's move step and of the case-II repair that re-sum
 every part per candidate move with the library's sum_masks;
 subsum_rows_oracle, the n-term subsum DP with one pass per copy count t
-where the library bundles copies; and the dense_* references, which walk all
-|G| multiplicities where the library walks supp(S) only.
+where the library bundles copies; the dense_* references, which walk all
+|G| multiplicities where the library walks supp(S) only; and from_terms,
+remove and underlying_sequence, sequence helpers only the tests need.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from itertools import combinations, product
 from typing import Optional
 
 from subsumlab.groups import GroupSpec, GroupSubset, Subgroup, iter_bits, sum_masks
-from subsumlab.sequences import GSequence
+from subsumlab.sequences import GSequence, SequenceError
+from subsumlab.setpartitions import SetPartition
 
 
 def add_coords(factors, a, b):
@@ -64,7 +66,7 @@ def affine_span_oracle(g: GroupSpec, a: set[int]) -> set[int]:
 
 def nterm_subsums_oracle(s: GSequence, n: int) -> set[int]:
     g = s.group
-    terms = list(s.terms())
+    terms = dense_terms(s)
     out = set()
     for combo in combinations(range(len(terms)), n):
         total = 0
@@ -269,10 +271,33 @@ def spread_outside_terms_oracle(g: GroupSpec, parts: list[int], z: int,
 
 
 # ---------------------------------------------------------------------------
+# sequence helpers only the tests use
+
+
+def from_terms(g: GroupSpec, terms) -> GSequence:
+    """The sequence holding each listed element index once per listing."""
+    return GSequence.from_pairs(g, [(t, 1) for t in terms])
+
+
+def remove(s: GSequence, other: GSequence) -> GSequence:
+    """s with the terms of other removed; other | s required."""
+    if not other.is_subsequence_of(s):
+        raise SequenceError("removal of a non-subsequence")
+    return GSequence(s.group, [a - b for a, b in zip(s.mult, other.mult)])
+
+
+def underlying_sequence(partition: SetPartition) -> GSequence:
+    """S(A): each element once per part that holds it."""
+    g = partition.group
+    return GSequence(g, [sum((p >> i) & 1 for p in partition.parts) for i in range(g.order)])
+
+
+# ---------------------------------------------------------------------------
 # dense references for the loops that run over supp(S)
 
 
 def dense_terms(s: GSequence) -> list[int]:
+    """Each term once per multiplicity, ascending element index."""
     return [i for i, m in enumerate(s.mult) for _ in range(m)]
 
 

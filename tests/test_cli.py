@@ -1,15 +1,13 @@
 """Command-line interface: envelopes, exit codes, round-trips."""
 
 import json
-import math
 import os
 import tempfile
 import time
-from types import SimpleNamespace
 
 import pytest
 
-from subsumlab import cli, sequences, setpartitions
+from subsumlab import cli, setpartitions
 from subsumlab.cli import run
 
 SEQ_A = "0^2;4^2;1^2;5^2"
@@ -322,21 +320,17 @@ def test_library_value_error_exit_3(monkeypatch, tmp_path, capsys):
 
 
 def test_library_inconsistency_check_exit_3(monkeypatch, tmp_path, capsys):
-    # the two forms of the subsum bound agree on every integer push-forward;
-    # a NaN multiplicity, false under every comparison, makes them disagree
-    real = sequences.push_forward
-
-    def skewed(s, q):
-        return SimpleNamespace(mult=(math.nan,) + real(s, q).mult[1:])
-
-    monkeypatch.setattr(sequences, "push_forward", skewed)
+    # partition_solve checks its certificate with partition_verify; a
+    # rejection there is the library contradicting itself, not a verdict
+    monkeypatch.setattr(setpartitions, "partition_verify",
+                        lambda *args: (False, ["rejected by test"]))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    assert run(["subsums", "-g", "8", "-s", SEQ_A, "-n", "2"]) == 3
+    assert run(["partition", "-g", "8", "-s", SEQ_A, "-n", "2"]) == 3
     err = capsys.readouterr().err
-    assert "internal error: subsum bound forms disagree" in err
+    assert "internal error: partition certificate failed verification" in err
     (dump,) = tmp_path.glob("subsumlab-dump-*.json")
     assert json.loads(dump.read_text())["dump"] == {
-        "group": "8", "S": "0^2;1^2;4^2;5^2", "n": 2, "ref_len": 8}
+        "case": "II", "violations": ["rejected by test"]}
 
 
 @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{"], ids=["json", "utf8"])

@@ -1,7 +1,9 @@
-"""Source hygiene: no module under src/ or tests/ imports a name it never uses.
+"""Source hygiene: no module under src/ or tests/ imports a name it never
+uses, and src/ defines nothing that only the tests use.
 
-The project configures no linter, so this AST scan stands in for the one
-rule it needs.  A package __init__.py is skipped: re-exporting is its job.
+The project configures no linter, so these AST scans stand in for the two
+rules it needs.  A package __init__.py is skipped by the import scan:
+re-exporting is its job.
 """
 
 from __future__ import annotations
@@ -39,3 +41,60 @@ def test_no_unused_imports_in_src_and_tests():
             if path.name != "__init__.py" and (names := unused_imports(path.read_text())):
                 found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, bool]]:
+    """(name, is_method) for every function and class the module defines,
+    nested ones included; dunder methods, which Python calls, are skipped."""
+    out = []
+
+    def visit(node: ast.AST, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    out.append((child.name, in_class and isinstance(child, ast.FunctionDef)))
+                visit(child, isinstance(child, ast.ClassDef))
+            else:
+                visit(child, in_class)
+
+    visit(tree, False)
+    return out
+
+
+def unreferenced_definitions(src: dict[str, str], users: list[str]) -> list[str]:
+    """'module: name' for each definition in the src modules that no src
+    module or user module reads.  A function or class counts as read when
+    its name is loaded, read as an attribute or imported (so the package
+    __init__.py's re-exports count); a method only when an attribute of that
+    name is read.  Matching by name is loose: GSequence.remove slipped
+    through while it lived in src/, because perfbench's os.remove reads an
+    attribute of the same name."""
+    names: set[str] = set()
+    attrs: set[str] = set()
+    for source in [*src.values(), *users]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return sorted(f"{module}: {name}" for module, source in src.items()
+                  for name, is_method in definitions(ast.parse(source))
+                  if name not in attrs and (is_method or name not in names))
+
+
+def test_scan_finds_definitions_only_tests_use():
+    # a local variable named terms is no use of the method terms
+    src = {"m": "class C:\n    def used(self): pass\n    def terms(self): pass\n"
+                "    def __eq__(self, o): pass\n"
+                "def helper(terms): return terms\ndef dead(): pass\n"}
+    assert unreferenced_definitions(src, ["C().used()\nhelper([])\n"]) == ["m: dead", "m: terms"]
+
+
+def test_no_definitions_in_src_that_only_tests_use():
+    src = {str(path.relative_to(ROOT)): path.read_text()
+           for path in sorted((ROOT / "src").rglob("*.py"))}
+    users = [path.read_text() for top in ("scripts", "perfbench")
+             for path in sorted((ROOT / top).rglob("*.py")) if "tests" not in path.parts]
+    assert unreferenced_definitions(src, users) == []

@@ -207,7 +207,7 @@ def test_audit_aggregate_excludes_worker_count():
 @pytest.mark.parametrize("target", ["subsum_profile", "build_s_star"])
 def test_audit_records_sequence_error_as_failure(target, monkeypatch):
     def broken(*args, **kwargs):
-        raise SequenceError("subsum bound forms disagree (internal inconsistency)")
+        raise SequenceError("injected by test (internal inconsistency)")
 
     monkeypatch.setattr(search, target, broken)
     cfg = _small_cfg(random_samples=20)

@@ -33,9 +33,11 @@ from _oracles import (
     dense_format,
     dense_push_forward,
     dense_round_robin,
-    dense_terms,
+    from_terms,
     nterm_subsums_oracle,
+    remove,
     subsum_rows_oracle,
+    underlying_sequence,
 )
 
 GROUPS = [parse_group(s) for s in ["2", "5", "8", "2x2", "2x4", "3x3", "12"]]
@@ -47,7 +49,7 @@ def group_and_sequence(draw, min_len=1, max_len=8):
     length = draw(st.integers(min_len, max_len))
     terms = draw(st.lists(st.integers(0, g.order - 1),
                           min_size=length, max_size=length))
-    return g, GSequence.from_terms(g, terms)
+    return g, from_terms(g, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +103,13 @@ def test_user_input_never_reaches_the_trusted_constructor():
 def test_remove_undoes_adding_terms(gs, data):
     g, s = gs
     terms = data.draw(st.lists(st.integers(0, g.order - 1), max_size=5))
-    t = GSequence.from_terms(g, terms)
+    t = from_terms(g, terms)
     combined = GSequence(g, [a + b for a, b in zip(s.mult, t.mult)])
-    assert combined.remove(t) == s
+    assert remove(combined, t) == s
     assert combined.length == s.length + t.length
     too_many = GSequence(g, [combined.mult[0] + 1, *combined.mult[1:]])
     with pytest.raises(SequenceError):
-        s.remove(too_many)
+        remove(s, too_many)
 
 
 def test_seq_stats():
@@ -188,7 +190,7 @@ def test_bundled_dp_matches_per_copy_oracle_exhaustive():
         for g in abelian_groups_of_order(order):
             for length in range(1, 9):
                 for terms in itertools.combinations_with_replacement(range(order), length):
-                    s = GSequence.from_terms(g, terms)
+                    s = from_terms(g, terms)
                     count += 1
                     assert sequences._subsum_rows(s, length, 0) == \
                         subsum_rows_oracle(s, length, 0), (g, terms)
@@ -271,11 +273,10 @@ def sparse_sequence(draw):
 @given(sparse_sequence(), st.data())
 def test_support_loops_match_dense_references(s, data):
     """The loops over supp(S) give what a walk over all |G| multiplicities
-    gives: terms, format, count_outside, make_setpartition (and the
-    underlying sequence of its partition) and push_forward."""
+    gives: format, count_outside, make_setpartition (and the underlying
+    sequence of its partition) and push_forward."""
     g = s.group
     assert list(s.support_indices()) == [i for i, m in enumerate(s.mult) if m]
-    assert list(s.terms()) == dense_terms(s)
     assert s.format() == dense_format(s)
     assert parse_sequence(g, s.format()) == s
     for mask in (0, g.full_mask, data.draw(st.integers(0, g.full_mask))):
@@ -283,7 +284,7 @@ def test_support_loops_match_dense_references(s, data):
     n = data.draw(st.integers(s.max_multiplicity(), s.length))
     partition = make_setpartition(s, n)
     assert list(partition.parts) == dense_round_robin(s, n)
-    under = partition.underlying_sequence()
+    under = underlying_sequence(partition)
     assert under == s and under.length == s.length
     h = subgroup_generated(GroupSubset.from_indices(g, [data.draw(st.integers(0, g.order - 1))]))
     q = quotient_cached(g, h)
@@ -298,7 +299,6 @@ def test_support_loops_on_one_element_supports():
         for idx in {0, g.order // 3, g.order - 1}:
             for m in (1, 4):
                 s = GSequence.from_pairs(g, [(idx, m)])
-                assert list(s.terms()) == [idx] * m == dense_terms(s)
                 assert s.format() == dense_format(s)
                 assert s.count_outside(1 << idx) == 0
                 assert s.count_outside(g.full_mask & ~(1 << idx)) == m
@@ -313,7 +313,7 @@ def test_profile_worked_instance():
     p = subsum_profile(s, 2, s.length)
     assert p.H.order == 2 and set(p.H.carrier.indices()) == {0, 4}
     assert p.N == 2 and p.e == 0 and p.rho == 0
-    assert p.bound_primary == p.bound_alt == 6
+    assert p.bound_primary == 6
     assert p.sigma_n.size == 6
 
 
@@ -322,8 +322,17 @@ def test_profile_bound_forms_agree_and_z(gs, data):
     g, s = gs
     n = data.draw(st.integers(1, s.length))
     p = subsum_profile(s, n, s.length)
-    assert p.bound_primary == p.bound_alt
-    assert p.rho == p.N * p.H.order * n + p.e - s.length
+    oh = p.H.order
+    # N, e and the capped form read off phi_H(S); every form is bound_primary
+    assert p.N == sum(v >= n for v in p.phi.mult)
+    assert p.e == sum(v for v in p.phi.mult if v < n)
+    capped = sum(min(n, v) for v in p.phi.mult)
+    assert (capped - n + 1) * oh == p.bound_primary
+    assert p.rho == p.N * oh * n + p.e - s.length
+    assert (s.length - n + 1) - (n - p.e - 1) * (oh - 1) + p.rho == p.bound_primary
+    assert s.length - (n - 1) * oh + p.e * (oh - 1) + p.rho == p.bound_primary
+    if n >= s.max_multiplicity():
+        assert p.rho >= 0
     # e counts exactly the terms outside phi^-1(X)
     assert s.count_outside(p.Z_mask) == p.e
 
@@ -357,6 +366,13 @@ def test_s_star_derived_push_forward_exhaustive(monkeypatch):
                                                     exhaustive_len_cap=6)):
         p = subsum_profile(s, n, s.length)
         assert p.phi == push_forward(s, p.quotient) and p.phi.length == s.length
+        # the case-II bound |S'| - (n-1)|H| + e(|H|-1) + rho is bound_primary
+        # for every |S'|, rho taken at ref_len = |S'|
+        for s_prime_len in range(n, s.length + 1):
+            q = subsum_profile(s, n, s_prime_len, sigma=p.sigma_n, h=p.H)
+            oh = q.H.order
+            assert s_prime_len - (n - 1) * oh + q.e * (oh - 1) + q.rho \
+                == q.bound_primary == p.bound_primary
         dp_inputs.clear()
         star = build_s_star(s, p, n)
         instances += 1
@@ -379,19 +395,15 @@ def test_s_star_internal_errors_carry_the_instance():
     with pytest.raises(InternalError, match="^S\\* construction lost terms of S$") as err:
         build_s_star(s, subsum_profile(s, 2, s.length), 2)
     assert err.value.dump == {"group": "4", "S": "0^3;1", "n": 2}
-    # S* = 0^2;4^2;1 grows by rho = 1; a tampered rho or Sigma_n is caught
+    # S* = 0^2;4^2;1 grows by rho = 1; a tampered Sigma_n is caught
     g = parse_group("8")
     s = parse_sequence(g, "0^2;4;1")
     p = subsum_profile(s, 2, s.length)
     assert build_s_star(s, p, 2).length == s.length + p.rho == 5
-    dump = {"group": "8", "S": "0^2;1;4", "n": 2}
-    with pytest.raises(InternalError, match=r"^\|S\*\| != \|S\| \+ rho$") as err:
-        build_s_star(s, dataclasses.replace(p, rho=p.rho + 1), 2)
-    assert err.value.dump == dump
     wider = GroupSubset(g, p.sigma_n.bits | 0b100)
     with pytest.raises(InternalError, match=r"^Sigma_n\(S\*\) != Sigma_n\(S\)$") as err:
         build_s_star(s, dataclasses.replace(p, sigma_n=wider), 2)
-    assert err.value.dump == dump
+    assert err.value.dump == {"group": "8", "S": "0^2;1;4", "n": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from subsumlab.groups import (
     parse_group,
     subgroup_generated,
 )
-from subsumlab.sequences import GSequence, parse_sequence
+from subsumlab.sequences import parse_sequence
 from subsumlab.verifiers import (
     CheckError,
     check_cor1,
@@ -29,7 +29,7 @@ from subsumlab.verifiers import (
     check_subsum_kneser,
 )
 
-from _oracles import subset
+from _oracles import from_terms, subset
 
 GROUPS = [parse_group(s) for s in ["2", "5", "6", "8", "2x2", "2x4", "3x3"]]
 
@@ -52,7 +52,7 @@ def sequence_instance(draw, max_len=8):
     length = draw(st.integers(1, max_len))
     terms = draw(st.lists(st.integers(0, g.order - 1),
                           min_size=length, max_size=length))
-    s = GSequence.from_terms(g, terms)
+    s = from_terms(g, terms)
     n = draw(st.integers(s.max_multiplicity(), s.length))
     return g, s, n
 
@@ -80,6 +80,9 @@ def test_kneser_never_violated(gp):
     rep = check_kneser(parts)
     assert rep.holds
     assert rep.lhs >= rep.rhs
+    # the form with holes, sum |A_i| - (n-1)|H| + rho, is the same bound
+    w = rep.witnesses
+    assert rep.rhs == sum(p.size for p in parts) - (len(parts) - 1) * w["H_order"] + w["rho"]
 
 
 def test_subsum_kneser_worked_instances():
