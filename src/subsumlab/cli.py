@@ -17,14 +17,16 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 from typing import Any, Optional
 
+# a verb imports setpartitions or search in its handler, so group, sumset,
+# subsums and davenport load neither (nor verifiers, nor dataclasses)
 from .groups import (
     GroupError,
     GroupSpec,
     GroupSubset,
+    InputError,
     iterated_sumset,
     parse_element,
     parse_group,
@@ -33,37 +35,15 @@ from .groups import (
     sumset,
 )
 from .sequences import (
-    GSequence,
+    InternalError,
     SequenceError,
     davenport_bruteforce,
     nterm_subsums,
     parse_sequence,
     subsum_profile,
 )
-from .setpartitions import (
-    Certificate,
-    HypothesesUnmetError,
-    InternalError,
-    PartitionError,
-    main_verify,
-    main_pipeline,
-    partition_solve,
-    partition_verify,
-)
-from .search import (
-    AuditConfig,
-    SearchError,
-    gen_example,
-    hunt_unique_expression,
-    run_audit,
-)
-from .verifiers import CheckError
 
 SCHEMA = "subsum-lab/1"
-
-# input errors only: a bare ValueError from the library is a bug (exit 3)
-_USAGE_ERRORS = (GroupError, SequenceError, PartitionError, SearchError,
-                 CheckError, json.JSONDecodeError, UnicodeDecodeError, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +127,7 @@ def _cmd_group(args) -> tuple:
 
 
 def _parse_subset(g: GroupSpec, text: str) -> GroupSubset:
-    seq = parse_sequence(g, text)
-    return seq.support()
+    return parse_sequence(g, text).support()
 
 
 def _cmd_sumset(args) -> tuple:
@@ -194,19 +173,15 @@ def _cmd_subsums(args) -> tuple:
     return g.spec_string(), {"S": s.format(), "n": args.n}, result, True, []
 
 
-def _cert_report(cert: Certificate, s: GSequence, s_prime: GSequence, n: int) -> tuple:
-    inputs = {
-        "S": s.format(),
-        "S_prime": s_prime.format(),
-        "n": n,
-        "mode": cert.mode,
-    }
+def _cert_report(cert, s, s_prime, n: int) -> tuple:
+    inputs = {"S": s.format(), "S_prime": s_prime.format(), "n": n, "mode": cert.mode}
     result = {"certificate": cert.to_dict(),
               "sum_of_parts_size": cert.partition.sum_subset().size}
     return s.group.spec_string(), inputs, result, cert.verified, []
 
 
 def _cmd_partition(args) -> tuple:
+    from .setpartitions import partition_solve
     g = parse_group(args.group)
     s = parse_sequence(g, args.seq)
     s_prime = parse_sequence(g, args.sprime) if args.sprime else s
@@ -214,6 +189,7 @@ def _cmd_partition(args) -> tuple:
 
 
 def _cmd_maincert(args) -> tuple:
+    from .setpartitions import main_pipeline
     g = parse_group(args.group)
     s = parse_sequence(g, args.seq)
     if not args.sprime:
@@ -224,30 +200,31 @@ def _cmd_maincert(args) -> tuple:
 
 
 def _report_field(envelope: dict, path: str, kind: type) -> Any:
-    """The value at a dotted path of a report envelope; PartitionError naming
-    the field unless it is present with type exactly kind (a JSON true is no
+    """The value at a dotted path of a report envelope; InputError naming the
+    field unless it is present with type exactly kind (a JSON true is no
     int)."""
     value: Any = envelope
     for name in path.split("."):
         if not isinstance(value, dict) or name not in value:
-            raise PartitionError(f"report has no field {path!r}")
+            raise InputError(f"report has no field {path!r}")
         value = value[name]
     if type(value) is not kind:
-        raise PartitionError(f"report field {path!r} must be of type {kind.__name__}, "
-                             f"got {value!r}")
+        raise InputError(f"report field {path!r} must be of type {kind.__name__}, "
+                         f"got {value!r}")
     return value
 
 
 def _cmd_verify(args) -> tuple:
+    from .setpartitions import Certificate, main_verify, partition_verify
     if args.report == "-":
         envelope = json.load(sys.stdin)
     else:
         with open(args.report) as fh:
             envelope = json.load(fh)
     if not isinstance(envelope, dict):
-        raise PartitionError(f"report is a JSON {type(envelope).__name__}, not an object")
+        raise InputError(f"report is a JSON {type(envelope).__name__}, not an object")
     if envelope.get("schema") != SCHEMA:
-        raise PartitionError(f"unknown schema {envelope.get('schema')!r}")
+        raise InputError(f"unknown schema {envelope.get('schema')!r}")
     g = parse_group(_report_field(envelope, "group", str))
     s_text = _report_field(envelope, "inputs.S", str)
     s_prime_text = _report_field(envelope, "inputs.S_prime", str)
@@ -266,6 +243,7 @@ def _cmd_verify(args) -> tuple:
 
 
 def _cmd_example(args) -> tuple:
+    from .search import gen_example
     g = parse_group(args.group)
     h = subgroup_generated(_parse_subset(g, args.h))
     k = subgroup_generated(_parse_subset(g, args.k)) if args.k else None
@@ -280,15 +258,12 @@ def _cmd_example(args) -> tuple:
 
 
 def _cmd_audit(args) -> tuple:
+    from .search import AuditConfig, SearchError, run_audit
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise SearchError(f"--jobs must lie in [1, {cpus}], got {args.jobs}")
-    kwargs = dict(
-        max_group_order=args.max_order,
-        seed=args.seed,
-        jobs=args.jobs,
-        random_samples=args.samples,
-    )
+    kwargs = dict(max_group_order=args.max_order, seed=args.seed, jobs=args.jobs,
+                  random_samples=args.samples)
     if args.group_cap is not None:
         kwargs["exhaustive_group_cap"] = args.group_cap
     if args.len_cap is not None:
@@ -301,9 +276,9 @@ def _cmd_audit(args) -> tuple:
 
 
 def _cmd_hunt(args) -> tuple:
+    from .search import hunt_unique_expression
     g = parse_group(args.group)
-    report = hunt_unique_expression(g, args.n,
-                                    canonicalize=not args.no_canonicalize,
+    report = hunt_unique_expression(g, args.n, canonicalize=not args.no_canonicalize,
                                     budget=args.budget)
     # hits are reported, never asserted: exit 0 either way
     return g.spec_string(), {"n": args.n}, report.to_dict(), True, []
@@ -423,12 +398,14 @@ def run(argv: list[str]) -> int:
         group, inputs, result, verified, violations = args.handler(args)
         _emit(args, args.verb, group, inputs, result, verified, violations, t0)
         return 0 if verified else 1
-    except HypothesesUnmetError as exc:
-        print(f"no: {exc}", file=sys.stderr)
-        return 1
     except InternalError as exc:
         return _internal_error(str(exc), exc.dump)
-    except _USAGE_ERRORS as exc:
+    # input errors only: a bare ValueError from the library is a bug (exit 3);
+    # HypothesesUnmetError is the one InputError that is a verdict (exit 1)
+    except InputError as exc:
+        print(f"{'no' if exc.exit_code == 1 else 'error'}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, not a verdict: exit 3, never 1
@@ -439,6 +416,7 @@ def run(argv: list[str]) -> int:
 
 def _internal_error(message: str, dump: dict) -> int:
     """Write a reproduction dump, report it on stderr and return exit code 3."""
+    import tempfile  # only here, to keep it off the startup path
     fd, path = tempfile.mkstemp(prefix="subsumlab-dump-", suffix=".json")
     with open(fd, "w") as fh:
         json.dump({"error": message, "dump": dump}, fh, indent=2)

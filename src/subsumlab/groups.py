@@ -24,13 +24,20 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ORDER_CAP = 4096
 
 
-class GroupError(ValueError):
+class InputError(ValueError):
+    """Base of the library's input errors, so the CLI maps each to its exit
+    code without importing the module that defines it: 2, a usage error,
+    except for HypothesesUnmetError's verdict 1."""
+
+    exit_code = 2
+
+
+class GroupError(InputError):
     """Invalid group construction or mismatched-group operation."""
 
 
@@ -67,12 +74,7 @@ class GroupSpec:
         self.order = math.prod(factors)
         self.exponent = factors[-1]
         self.rank = len(factors)
-        strides = []
-        s = 1
-        for m in factors:
-            strides.append(s)
-            s *= m
-        self.strides = tuple(strides)
+        self.strides = tuple(math.prod(factors[:i]) for i in range(self.rank))
         self.full_mask = (1 << self.order) - 1
         self._rot_cache: dict[tuple[int, int], tuple[int, int, int, int]] = {}
         self._plans: list[tuple | None] = [None] * self.order
@@ -284,15 +286,17 @@ class GroupSubset:
         return self.bits & ~other.bits == 0
 
 
-@dataclass(frozen=True, eq=False)
 class Subgroup:
     """A verified subgroup; carrier is closed under addition and contains 0.
 
-    Equal, and hashed alike, exactly when group and carrier bits match: the
-    dataclass meaning, without its per-call tuple and GroupSubset compare,
-    since quotient_cached looks a Subgroup up on every profile."""
+    Equal, and hashed alike, exactly when group and carrier bits match,
+    without a per-call tuple or GroupSubset compare, since quotient_cached
+    looks a Subgroup up on every profile."""
 
-    carrier: GroupSubset
+    __slots__ = ("carrier",)
+
+    def __init__(self, carrier: GroupSubset):
+        self.carrier = carrier
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
@@ -644,16 +648,17 @@ def _quotient_generators(g: GroupSpec, hbits: int) -> tuple[GroupSpec, list[int]
     return spec, [sum(row[j] % d[j] * s for j, s in zip(keep, spec.strides)) for row in v]
 
 
-@dataclass
 class QuotientStructure:
-    """G/H as a GroupSpec: the image of every element of G, and the least
-    element of every coset of H."""
+    """G/H as a GroupSpec: images maps each element of G to its quotient_spec
+    index, and representatives each quotient_spec index to the least element
+    of its coset of H."""
 
-    parent: GroupSpec
-    subgroup: Subgroup
-    images: list[int] = field(repr=False)           # element index -> quotient_spec index
-    representatives: list[int] = field(repr=False)  # quotient_spec index -> least coset element
-    quotient_spec: GroupSpec
+    __slots__ = ("parent", "subgroup", "images", "representatives", "quotient_spec")
+
+    def __init__(self, parent: GroupSpec, subgroup: Subgroup, images: list[int],
+                 representatives: list[int], quotient_spec: GroupSpec):
+        self.parent, self.subgroup, self.images = parent, subgroup, images
+        self.representatives, self.quotient_spec = representatives, quotient_spec
 
     def image(self, element_index: int) -> int:
         """Image of a parent element in quotient_spec coordinates."""

@@ -16,6 +16,7 @@ from typing import Iterator, Optional
 from .groups import (
     GroupSpec,
     GroupSubset,
+    InputError,
     Subgroup,
     abelian_groups_of_order,
     quotient_cached,
@@ -41,7 +42,7 @@ from .setpartitions import (
 from .verifiers import check_lemma_extra, check_subsum_kneser
 
 
-class SearchError(ValueError):
+class SearchError(InputError):
     """Bad example parameters or audit configuration."""
 
 

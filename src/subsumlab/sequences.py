@@ -11,13 +11,13 @@ from __future__ import annotations
 import itertools
 import operator
 import warnings
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .groups import (
     GroupError,
     GroupSpec,
     GroupSubset,
+    InputError,
     Subgroup,
     QuotientStructure,
     iter_bits,
@@ -26,8 +26,10 @@ from .groups import (
     stabilizer,
 )
 
+DEFAULT_ROW_CAP = 2 ** 16   # rows of the Sigma_n DP; see _subsum_rows
 
-class SequenceError(ValueError):
+
+class SequenceError(InputError):
     """Invalid sequence operation (bad lengths, mismatched groups, ...)."""
 
 
@@ -180,7 +182,12 @@ def _subsum_rows(s: GSequence, cap: int, target: int) -> list[int]:
     is reachable (j <= terms seen) and can still reach row target
     (j >= target - terms left), so rows target..cap come out exact; an
     update reads only rows that were exact one bundle earlier.
+    cap > DEFAULT_ROW_CAP is refused before allocation: 2**16 + 1 rows of at
+    most 4096 bits take about 36 MB, and every n-threshold of the theorem
+    (|G|/p - 1, d*(G), exp(G) + 1, ...) is at most |G| + 1 <= 4097.
     """
+    if cap > DEFAULT_ROW_CAP:
+        raise SequenceError(f"Sigma_j DP up to j = {cap} exceeds the row cap {DEFAULT_ROW_CAP}")
     g = s.group
     rows = [0] * (cap + 1)
     rows[0] = 1
@@ -223,23 +230,21 @@ def push_forward(s: GSequence, q: QuotientStructure) -> GSequence:
     return GSequence._derived(q.quotient_spec, tuple(mult), s.length)
 
 
-@dataclass
 class SubsumProfile:
     """Bookkeeping (H, X, e, rho) for the n-term subsum bound, whose one
-    value is bound_primary."""
+    value is bound_primary = ((N-1)n + e + 1)|H|.  X is a subset of
+    quotient_spec, phi is phi_H(S) over quotient_spec and Z_mask is
+    phi_H^{-1}(X) in the parent group."""
 
-    H: Subgroup
-    quotient: QuotientStructure
-    X: GroupSubset            # subset of quotient_spec
-    N: int
-    e: int
-    rho: int
-    n: int
-    ref_len: int
-    sigma_n: GroupSubset
-    bound_primary: int        # ((N-1)n + e + 1)|H|
-    phi: GSequence            # phi_H(S) over quotient_spec
-    Z_mask: int               # phi_H^{-1}(X) in the parent group
+    __slots__ = ("H", "quotient", "X", "N", "e", "rho", "n", "ref_len", "sigma_n",
+                 "bound_primary", "phi", "Z_mask")
+
+    def __init__(self, H: Subgroup, quotient: QuotientStructure, X: GroupSubset, N: int,
+                 e: int, rho: int, n: int, ref_len: int, sigma_n: GroupSubset,
+                 bound_primary: int, phi: GSequence, Z_mask: int):
+        self.H, self.quotient, self.X, self.N, self.e, self.rho = H, quotient, X, N, e, rho
+        self.n, self.ref_len, self.sigma_n, self.bound_primary = n, ref_len, sigma_n, bound_primary
+        self.phi, self.Z_mask = phi, Z_mask
 
 
 def _dump(s: GSequence, n: int) -> dict:

@@ -55,6 +55,7 @@ from .groups import (
     GroupError,
     GroupSpec,
     GroupSubset,
+    InputError,
     Subgroup,
     iter_bits,
     parse_element,
@@ -67,12 +68,14 @@ from .groups import (
 from .sequences import GSequence, InternalError, SubsumProfile, nterm_subsums, subsum_profile
 
 
-class PartitionError(ValueError):
+class PartitionError(InputError):
     """Precondition violated for a setpartition operation."""
 
 
 class HypothesesUnmetError(PartitionError):
     """None of the main-theorem hypothesis items holds for the instance."""
+
+    exit_code = 1
 
 
 # the hypothesis ladders main_pipeline and hypothesis_check know

@@ -1,7 +1,9 @@
 """Instance-level checkers for the sumset and subsequence-sum bounds.
 
 Each checker recomputes both sides of its inequality from scratch and
-returns a CheckReport; none of them trusts caller-supplied values.  The
+returns a CheckReport, except that check_subsum_kneser and check_lemma_extra
+take a caller's subsum profile to save the recompute: one whose (n, ref_len)
+does not match the call raises CheckError, the rest of it is trusted.  The
 structural classifiers (check_cor1 / check_cor2) match small-sumset
 violations against the known coset templates by exhaustive instantiation
 over one list of G's subgroups per call.  Measured on one Xeon core under
@@ -19,6 +21,7 @@ from typing import Optional
 from .groups import (
     GroupSpec,
     GroupSubset,
+    InputError,
     Subgroup,
     affine_span,
     enumerate_subgroups,
@@ -37,7 +40,7 @@ from .groups import (
 from .sequences import GSequence, subsum_profile
 
 
-class CheckError(ValueError):
+class CheckError(InputError):
     """Checker preconditions violated (inapplicable instance)."""
 
 
@@ -95,6 +98,8 @@ def check_subsum_kneser(s: GSequence, n: int, profile=None) -> CheckReport:
                          f"n={n}, |S|={s.length})")
     if profile is None:
         profile = subsum_profile(s, n, s.length)
+    elif (profile.n, profile.ref_len) != (n, s.length):
+        raise CheckError("profile was not computed from (S, n) with ref_len=|S|")
     holds = profile.sigma_n.size >= profile.bound_primary
     return CheckReport(
         "subsum_kneser", holds, profile.sigma_n.size, profile.bound_primary,
@@ -365,6 +370,8 @@ def check_lemma_extra(s: GSequence, s_prime: GSequence, n: int,
         raise CheckError("need h(S') <= n <= |S'|")
     if profile is None:
         profile = subsum_profile(s, n, s_prime.length)
+    elif (profile.n, profile.ref_len) != (n, s_prime.length):
+        raise CheckError("profile was not computed from (S, n) with ref_len=|S'|")
     small = profile.sigma_n.size < s_prime.length - n + 1
     if not small:
         return CheckReport("lemma_extra", True, profile.sigma_n.size,

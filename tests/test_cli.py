@@ -2,8 +2,11 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
@@ -274,6 +277,52 @@ def test_order_over_cap_exit_2(argv, tmp_path, capsys):
     assert "exceeds the cap 4096" in capsys.readouterr().err
 
 
+def test_length_over_row_cap_exit_2(capsys):
+    # refused by the Sigma_n DP before it allocates a row per n
+    start = time.perf_counter()
+    assert run(["subsums", "-g", "2", "-s", "0^1000000000000;1",
+                "-n", "1000000000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the row cap 65536" in capsys.readouterr().err
+
+
+def _loaded_modules(code: str, *argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code with argv."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_verbs_load_only_their_modules(tmp_path):
+    report = tmp_path / "cert.json"
+    assert run(["maincert", "-g", "4", "-s", "0^6;2^6", "--sprime", "0^5;2^5",
+                "-n", "5", "--format", "json", "--out", str(report)]) == 0
+    solver_free = ("subsumlab.setpartitions", "subsumlab.search", "subsumlab.verifiers",
+                   "dataclasses")
+    search_free = ("subsumlab.search", "subsumlab.verifiers")
+    verbs = [
+        (["group", "info", "2x4"], solver_free),
+        (["sumset", "-g", "8", "-s", "0;1", "-n", "3"], solver_free),
+        (["subsums", "-g", "8", "-s", SEQ_A, "-n", "2"], solver_free),
+        (["partition", "-g", "8", "-s", SEQ_A, "-n", "2"], search_free),
+        (["maincert", "-g", "4", "-s", "0^6;2^6", "--sprime", "0^5;2^5", "-n", "5"],
+         search_free),
+        (["verify", str(report)], search_free),
+    ]
+    code = ("import json, sys\nfrom subsumlab.cli import run\n"
+            "assert run(sys.argv[1:]) == 0\nprint(json.dumps(sorted(sys.modules)))")
+    for argv, absent in verbs:
+        loaded = _loaded_modules(code, *argv, "--out", str(tmp_path / "out.txt"))
+        assert "subsumlab.sequences" in loaded, argv[0]
+        assert loaded.isdisjoint(absent), (argv[0], sorted(loaded & set(absent)))
+    # the package's public API still loads every library module
+    api = _loaded_modules("import json, sys\nfrom subsumlab import cli\n"
+                          "print(json.dumps(sorted(sys.modules)))")
+    assert {f"subsumlab.{m}" for m in ("groups", "sequences", "setpartitions",
+                                       "search", "verifiers")} <= api
+
+
 def test_audit_jobs_out_of_range_exit_2(capsys):
     # each value is rejected before any worker pool starts
     for jobs in (0, -1, (os.cpu_count() or 1) + 1):
@@ -309,7 +358,7 @@ def test_library_value_error_exit_3(monkeypatch, tmp_path, capsys):
     # a bare ValueError raised inside the library is a bug, not a usage error
     def broken(*args, **kwargs):
         raise ValueError("solver inconsistency")
-    monkeypatch.setattr(cli, "main_pipeline", broken)
+    monkeypatch.setattr(setpartitions, "main_pipeline", broken)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     assert run(["maincert", "-g", "4", "-s", "0^6;2^6", "--sprime", "0^5;2^5",
                 "-n", "5"]) == 3

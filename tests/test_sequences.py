@@ -1,6 +1,6 @@
 """Sequence parsing, n-term subsum DP, profile bookkeeping, Davenport."""
 
-import dataclasses
+import copy
 import itertools
 import random
 
@@ -401,8 +401,10 @@ def test_s_star_internal_errors_carry_the_instance():
     p = subsum_profile(s, 2, s.length)
     assert build_s_star(s, p, 2).length == s.length + p.rho == 5
     wider = GroupSubset(g, p.sigma_n.bits | 0b100)
+    tampered = copy.copy(p)
+    tampered.sigma_n = wider
     with pytest.raises(InternalError, match=r"^Sigma_n\(S\*\) != Sigma_n\(S\)$") as err:
-        build_s_star(s, dataclasses.replace(p, sigma_n=wider), 2)
+        build_s_star(s, tampered, 2)
     assert err.value.dump == {"group": "8", "S": "0^2;1;4", "n": 2}
 
 

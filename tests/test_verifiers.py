@@ -18,7 +18,7 @@ from subsumlab.groups import (
     parse_group,
     subgroup_generated,
 )
-from subsumlab.sequences import parse_sequence
+from subsumlab.sequences import parse_sequence, subsum_profile
 from subsumlab.verifiers import (
     CheckError,
     check_cor1,
@@ -340,6 +340,22 @@ def test_lemma_extra_never_violated(inst):
     _, s, n = inst
     rep = check_lemma_extra(s, s, n)
     assert rep.holds, rep.detail
+
+
+def test_supplied_profile_must_match_the_call():
+    # a profile for another n or reference length is refused, not trusted
+    g = parse_group("8")
+    s = parse_sequence(g, "0^2;4^2;1^2;5^2")
+    s_prime = parse_sequence(g, "0^2;4^2;1^2")
+    p = subsum_profile(s, 2, s.length)
+    assert check_subsum_kneser(s, 2, p).holds
+    assert check_lemma_extra(s, s, 2, p).holds
+    for bad in (subsum_profile(s, 3, s.length), subsum_profile(s, 2, s_prime.length)):
+        with pytest.raises(CheckError, match="^profile was not computed from"):
+            check_subsum_kneser(s, 2, bad)
+    for bad in (p, subsum_profile(s, 3, s_prime.length)):
+        with pytest.raises(CheckError, match="^profile was not computed from"):
+            check_lemma_extra(s, s_prime, 2, bad)
 
 
 # ---------------------------------------------------------------------------
