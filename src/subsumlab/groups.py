@@ -180,14 +180,17 @@ class GroupSpec:
             self._rot_cache[key] = params
         return params
 
-    def translate_mask(self, mask: int, b: int) -> int:
-        """Bitmask of {x + b : x in mask}: one masked rotation per nonzero
-        coordinate of b, from b's plan (its _rot_params), built on first use."""
+    def translate_plan(self, b: int) -> tuple:
+        """The masked rotations (_rot_params) of b's nonzero coordinates, built on first use."""
         plan = self._plans[b]
         if plan is None:
             plan = self._plans[b] = tuple(
                 self._rot_params(axis, c) for axis, c in enumerate(self.coords(b)) if c)
-        for low, high, shift, keep in plan:
+        return plan
+
+    def translate_mask(self, mask: int, b: int) -> int:
+        """Bitmask of {x + b : x in mask}, by b's translate_plan."""
+        for low, high, shift, keep in self._plans[b] or self.translate_plan(b):
             mask = ((mask & low) << shift) | ((mask & high) >> keep)
         return mask
 
@@ -580,13 +583,16 @@ def affine_span(a: GroupSubset) -> Subgroup:
 
 
 def verify_subgroup(g: GroupSpec, carrier: GroupSubset) -> Subgroup:
-    """Check closure by full scan and wrap; raises GroupError when not a subgroup."""
+    """Wrap carrier K as a Subgroup, or raise GroupError.  As in stabilizer, K
+    is one iff 0 in K and K + x = K for each x of _least_generators(g, K), as
+    then <x> <= K <= sum of the <x>.  Only a reject scans K, for its least bad x."""
     _check_same_group(carrier, g)
-    if 0 not in carrier:
+    k = carrier.bits
+    if not k & 1:
         raise GroupError("subgroup must contain 0")
-    for x in carrier.indices():
-        if g.translate_mask(carrier.bits, x) != carrier.bits:
-            raise GroupError(f"not closed under addition by {g.format_element(x)}")
+    if any(g.translate_mask(k, x) != k for x in _least_generators(g, k)):
+        x = next(x for x in iter_bits(k) if g.translate_mask(k, x) != k)
+        raise GroupError(f"not closed under addition by {g.format_element(x)}")
     return Subgroup(carrier)
 
 

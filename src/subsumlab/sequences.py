@@ -9,9 +9,9 @@ rows, one row per chosen-count.
 from __future__ import annotations
 
 import itertools
-import operator
 import warnings
-from typing import Iterator, Sequence
+from array import array
+from typing import Sequence
 
 from .groups import (
     GroupError,
@@ -42,9 +42,12 @@ class InternalError(RuntimeError):
 
 
 class GSequence:
-    """Multiset of group elements with cached length."""
+    """Multiset of group elements with cached length and support.  supp(S) is
+    built on first use and kept: the bound audit never reads most supports, a
+    certify request at |G| = 1024 reads each several times.  An array("H")
+    holds it, two bytes per index < DEFAULT_ORDER_CAP = 4096, not a tuple."""
 
-    __slots__ = ("group", "mult", "length")
+    __slots__ = ("group", "mult", "length", "_supp")
 
     def __init__(self, group: GroupSpec, mult: Sequence[int]):
         if len(mult) != group.order:
@@ -54,6 +57,7 @@ class GSequence:
             raise SequenceError("negative multiplicity")
         self.group = group
         self.length = sum(self.mult)
+        self._supp = None
 
     @classmethod
     def _derived(cls, group: GroupSpec, mult: tuple[int, ...], length: int) -> "GSequence":
@@ -61,7 +65,7 @@ class GSequence:
         is a tuple of |G| non-negative ints summing to length, so __init__'s
         checks are skipped.  Input from outside goes through __init__."""
         seq = object.__new__(cls)
-        seq.group, seq.mult, seq.length = group, mult, length
+        seq.group, seq.mult, seq.length, seq._supp = group, mult, length, None
         return seq
 
     @classmethod
@@ -92,33 +96,41 @@ class GSequence:
     def __repr__(self) -> str:
         return f"GSequence({self.group.spec_string()}, {self.format()!r})"
 
-    def support_indices(self) -> Iterator[int]:
-        """supp(S) ascending, one Python step per support element, not per |G|."""
-        return itertools.compress(range(len(self.mult)), self.mult)
+    def support_indices(self) -> array:
+        """supp(S) ascending, built on first use; callers only read it."""
+        if self._supp is None:
+            self._supp = array("H", itertools.compress(range(len(self.mult)), self.mult))
+        return self._supp
 
     def support(self) -> GroupSubset:
         return GroupSubset.from_indices(self.group, self.support_indices())
 
+    # plain loops over supp(S) beat max()/all() over maps or all of mult, even at |G| = 8
     def max_multiplicity(self) -> int:
-        return max(self.mult, default=0)
+        mult, h = self.mult, 0
+        for i in self.support_indices():
+            if mult[i] > h:
+                h = mult[i]
+        return h
 
     def is_subsequence_of(self, other: "GSequence") -> bool:
         if other is self:
             return True
         if other.group is not self.group:
             raise SequenceError("mixed groups")
-        return all(map(operator.le, self.mult, other.mult))
+        mult, omult = self.mult, other.mult
+        for i in self.support_indices():
+            if mult[i] > omult[i]:
+                return False
+        return True
 
     def count_outside(self, mask: int) -> int:
         return sum(self.mult[i] for i in self.support_indices() if not (mask >> i) & 1)
 
     def format(self) -> str:
-        lits = self.group.literals()
-        parts = []
-        for idx in self.support_indices():
-            lit, m = lits[idx], self.mult[idx]
-            parts.append(lit if m == 1 else f"{lit}^{m}")
-        return ";".join(parts)
+        lits, mult = self.group.literals(), self.mult
+        return ";".join(lits[i] if mult[i] == 1 else f"{lits[i]}^{mult[i]}"
+                        for i in self.support_indices())
 
 
 def parse_sequence(group: GroupSpec, text: str) -> GSequence:
@@ -178,6 +190,8 @@ def _subsum_rows(s: GSequence, cap: int, target: int) -> list[int]:
     An element of multiplicity m enters as bundles of 1, 2, 4, ... copies and
     a clipped last one, min(m, cap) copies in all; every t <= min(m, cap) is
     a sum of distinct bundles, so a row costs O(log m) translations, not O(m).
+    Each bundle (over S's kept support) fetches its shift's translate_plan
+    once and rotates every row of its window inline, with no call per row.
     Row j, the sums of j of the terms seen so far, is updated only while it
     is reachable (j <= terms seen) and can still reach row target
     (j >= target - terms left), so rows target..cap come out exact; an
@@ -200,8 +214,12 @@ def _subsum_rows(s: GSequence, cap: int, target: int) -> list[int]:
             if b > m:
                 b, shift = m, g.scale(m, idx)
             m -= b
+            plan = g.translate_plan(shift)
             for j in range(min(cap, seen + b), max(b, target - left - m) - 1, -1):
-                rows[j] |= g.translate_mask(rows[j - b], shift)
+                moved = rows[j - b]
+                for low, high, rot, keep in plan:   # moved + shift, as translate_mask
+                    moved = ((moved & low) << rot) | ((moved & high) >> keep)
+                rows[j] |= moved
             seen += b
             if m:
                 b, shift = 2 * b, g.add(shift, shift)

@@ -245,30 +245,30 @@ def make_setpartition(s: GSequence, n: int) -> SetPartition:
         raise PartitionError(f"n={n} exceeds |S|={s.length}")
     if n < 1:
         raise PartitionError("need at least one part")
-    return SetPartition(s.group, _round_robin(s, n, s.support_indices()))
+    return SetPartition(s.group, _round_robin(s, n))
 
 
-def _round_robin(s: GSequence, n: int, supp: Iterable[int]) -> list[int]:
-    """Term t of S, ascending, into part t mod n; supp is an ascending superset of supp(S)."""
+def _round_robin(s: GSequence, n: int) -> list[int]:
+    """Term t of S, ascending, into part t mod n."""
     bits = [0] * n
     t = 0
-    for i in supp:
+    for i in s.support_indices():
         for _ in range(s.mult[i]):
             bits[t % n] |= 1 << i
             t += 1
     return bits
 
 
-def _greedy_mult(mult: Sequence[int], per_elem_cap: int, room: int
+def _greedy_mult(s: GSequence, mult: Sequence[int], per_elem_cap: int, room: int
                  ) -> tuple[tuple[int, ...], int]:
-    """Take min(v_g, per_elem_cap) of each element ascending, room terms at
-    most; returns the multiplicities taken and their total."""
+    """Take min(mult[g], per_elem_cap) of each g in supp(S) ascending (mult is 0
+    off it), room terms at most; returns the multiplicities taken and their total."""
     out = [0] * len(mult)
     taken = 0
-    for g, m in enumerate(mult):
+    for g in s.support_indices():
         if taken >= room:
             break
-        take = min(m, per_elem_cap, room - taken)
+        take = min(mult[g], per_elem_cap, room - taken)
         if take > 0:
             out[g] = take
             taken += take
@@ -302,9 +302,9 @@ def lemma31_complete(s: GSequence, s_prime: GSequence, n: int, k: int
         raise PartitionError("need h(S') <= n <= |S'|")
     if not 1 <= k <= n:
         raise PartitionError("need 1 <= k <= n")
-    t = GSequence._derived(s.group, *_greedy_mult(s.mult, k, s_prime.length - (n - k)))
+    t = GSequence._derived(s.group, *_greedy_mult(s, s.mult, k, s_prime.length - (n - k)))
     rem = list(map(operator.sub, s.mult, t.mult))
-    t_prime = GSequence._derived(s.group, *_greedy_mult(rem, n - k, s_prime.length - t.length))
+    t_prime = GSequence._derived(s.group, *_greedy_mult(s, rem, n - k, s_prime.length - t.length))
     return t, t_prime
 
 
@@ -333,29 +333,26 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int
     Returns part bitmasks and the achieved sum size.  The climb needs no move
     cap: every applied move raises best by at least 1, from best >= 1, and
     best never exceeds |Sigma_n(S)| <= |G|, so a climb makes at most |G| - 1
-    moves.  supp(S), a superset of supp(S'), is listed once for all of them.
+    moves.
     """
-    supp = list(s.support_indices())
-    parts = _round_robin(s_prime, n, supp)
+    parts = _round_robin(s_prime, n)
     best = sum_of_masks(s.group, parts).bit_count()
-    while best < target and (lifted := _improve(s, parts, best, supp)):
+    while best < target and (lifted := _improve(s, parts, best)):
         best = lifted
     return parts, best
 
 
-def _improve(s: GSequence, parts: list[int], best: int,
-             supp: Optional[list[int]] = None) -> int:
+def _improve(s: GSequence, parts: list[int], best: int) -> int:
     """Apply the first move that lifts |sum of parts| above best to parts.
 
     For each part i in turn: replace an element of part i by an unused term
     of S; then, for each other part j and each element e of part i that j
     lacks, transfer e to j, or swap e with an element of j that i lacks.
-    supp, when given, is supp(S) as a list.  Returns the lifted sum size, or
-    0 when no move improves.
+    Returns the lifted sum size, or 0 when no move improves.
     """
     g = s.group
     used = _counts(g, parts)
-    spare = [u for u in supp or s.support_indices() if s.mult[u] > used[u]]
+    spare = [u for u in s.support_indices() if s.mult[u] > used[u]]
 
     def moves():
         for i, part in enumerate(parts):
@@ -781,14 +778,13 @@ def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
     if sum_a != sigma_n:
         violations.append("(ii)(a): sum of parts != Sigma_n(S)")
     coset_k = g.translate_mask(k_sub.carrier.bits, alpha)
-    supp = list(s.support_indices())
-    out_k = [i for i in supp if not (coset_k >> i) & 1]
+    out_k = [i for i in s.support_indices() if not (coset_k >> i) & 1]
     used = _counts(g, partition.parts)
     if any(s.mult[i] > used[i] for i in out_k):
         violations.append("(ii)(a): leftover terms outside alpha+K")
     # (b)
     coset_h = g.translate_mask(h.carrier.bits, alpha)
-    e_h = sum(s.mult[i] for i in supp if not (coset_h >> i) & 1)
+    e_h = sum(s.mult[i] for i in s.support_indices() if not (coset_h >> i) & 1)
     e_k = sum(s.mult[i] for i in out_k)
     if cert.e_H != e_h:
         violations.append(f"(ii)(b): recorded e_H={cert.e_H} != recomputed {e_h}")

@@ -10,6 +10,7 @@ subsum_rows_oracle, the n-term subsum DP with one pass per copy count t
 where the library bundles copies; the dense_* references, which walk all
 |G| multiplicities where the library walks supp(S) only; and from_terms,
 remove and underlying_sequence, sequence helpers only the tests need.
+verify_subgroup_scan is the subgroup check as a scan over every element.
 """
 
 from __future__ import annotations
@@ -104,6 +105,17 @@ def all_subsums_oracle(s: GSequence) -> set[int]:
     for n in range(1, s.length + 1):
         out |= nterm_subsums_oracle(s, n)
     return out
+
+
+def verify_subgroup_scan(g: GroupSpec, k: set[int]) -> Optional[str]:
+    """verify_subgroup's verdict on K by a scan over all of K: None for a
+    subgroup, else its message, naming the least x in K with K + x != K."""
+    if 0 not in k:
+        return "subgroup must contain 0"
+    for x in sorted(k):
+        if {g.add(x, y) for y in k} != k:
+            return f"not closed under addition by {g.format_element(x)}"
+    return None
 
 
 def representation_count_oracle(g: GroupSpec, sets: list[set[int]],
@@ -308,6 +320,14 @@ def dense_count_outside(s: GSequence, mask: int) -> int:
 def dense_format(s: GSequence) -> str:
     return ";".join(s.group.format_element(i) + (f"^{m}" if m > 1 else "")
                     for i, m in enumerate(s.mult) if m)
+
+
+def dense_max_multiplicity(s: GSequence) -> int:
+    return max(s.mult, default=0)
+
+
+def dense_is_subsequence(s: GSequence, t: GSequence) -> bool:
+    return all(a <= b for a, b in zip(s.mult, t.mult))
 
 
 def dense_round_robin(s: GSequence, n: int) -> list[int]:

@@ -46,6 +46,7 @@ from _oracles import (
     stabilizer_scan,
     subset,
     sumset_oracle,
+    verify_subgroup_scan,
 )
 
 GROUPS = [parse_group(s) for s in
@@ -478,6 +479,41 @@ def test_verify_subgroup_rejects_nonsubgroup():
         verify_subgroup(g, GroupSubset.from_indices(g, [0, 1, 2]))
     with pytest.raises(GroupError):
         verify_subgroup(g, GroupSubset.from_indices(g, [1, 2]))
+
+
+def test_verify_subgroup_matches_full_scan_small():
+    # every nonempty subset of every group of order <= 12, all 2^(|G|-1)
+    # subsets holding 0 among them: same verdict and same message as a scan
+    # over all of K, and exactly the subgroups are accepted
+    for order in range(1, 13):
+        for g in abelian_groups_of_order(order):
+            accepted = 0
+            for bits in range(1, 1 << order):
+                want = verify_subgroup_scan(g, set(iter_bits(bits)))
+                try:
+                    got = verify_subgroup(g, GroupSubset(g, bits))
+                except GroupError as err:
+                    assert str(err) == want, (g, bits)
+                else:
+                    assert want is None and got.carrier.bits == bits, (g, bits)
+                    accepted += 1
+            assert accepted == len(enumerate_subgroups(g)), g
+
+
+@pytest.mark.parametrize("spec", ["32x32", "2x2048"])
+def test_verify_subgroup_on_every_subgroup_large(spec):
+    # orders 1024 and 4096: every subgroup is accepted; each small one with
+    # one more element is rejected with the full scan's message
+    g = parse_group(spec)
+    rng = random.Random(spec)
+    for h in enumerate_subgroups(g):
+        assert verify_subgroup(g, h.carrier) == h
+        if h.order <= 64:
+            bits = h.carrier.bits | 1 << rng.choice(
+                [x for x in range(g.order) if not (h.carrier.bits >> x) & 1])
+            with pytest.raises(GroupError) as err:
+                verify_subgroup(g, GroupSubset(g, bits))
+            assert str(err.value) == verify_subgroup_scan(g, set(iter_bits(bits)))
 
 
 def test_literal_tables_match_coordinates():

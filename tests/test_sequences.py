@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subsumlab import sequences
-from subsumlab.groups import GroupSubset, Subgroup, abelian_groups_of_order, parse_group
+from subsumlab.groups import (
+    DEFAULT_ORDER_CAP,
+    GroupSubset,
+    Subgroup,
+    abelian_groups_of_order,
+    iter_bits,
+    parse_group,
+)
 from subsumlab.search import AuditConfig, exhaustive_instances
 from subsumlab.sequences import (
     GSequence,
@@ -24,13 +31,15 @@ from subsumlab.sequences import (
     subsum_table,
 )
 from subsumlab.groups import quotient_cached, subgroup_generated
-from subsumlab.setpartitions import make_setpartition
+from subsumlab.setpartitions import lemma31_complete, make_setpartition
 
 from _oracles import (
     all_subsums_oracle,
     davenport_oracle,
     dense_count_outside,
     dense_format,
+    dense_is_subsequence,
+    dense_max_multiplicity,
     dense_push_forward,
     dense_round_robin,
     from_terms,
@@ -110,6 +119,11 @@ def test_remove_undoes_adding_terms(gs, data):
     too_many = GSequence(g, [combined.mult[0] + 1, *combined.mult[1:]])
     with pytest.raises(SequenceError):
         remove(s, too_many)
+    # the library's own check, on the same sequences, both ways round
+    assert s.is_subsequence_of(combined) and t.is_subsequence_of(combined)
+    assert not too_many.is_subsequence_of(s) and not too_many.is_subsequence_of(combined)
+    for a, b in itertools.permutations((s, t, combined, too_many), 2):
+        assert a.is_subsequence_of(b) == dense_is_subsequence(a, b), (a, b)
 
 
 def test_seq_stats():
@@ -215,6 +229,43 @@ def test_bundled_dp_matches_per_copy_oracle_seeded_large():
         assert got[target:] == want[target:], (g, s, cap, target)
 
 
+@pytest.mark.parametrize("spec", ["4096", "64x64", "2x2x2x2x2x2x2x2x2x2x2x2", "2x4x8x64", "32x32"])
+def test_subsum_identities_without_oracle_large(spec):
+    # |G| = 1024-4096, where no oracle reaches: for every n, the complement
+    # Sigma_n(S) = sigma(S) - Sigma_{|S|-n}(S), translation Sigma_n(S + x) =
+    # Sigma_n(S) + n x and the quotient image phi_H(Sigma_n(S)) =
+    # Sigma_n(phi_H(S)), on the full table and on the windowed DP of
+    # nterm_subsums; multiplicities up to 12 split into clipped bundles
+    g = parse_group(spec)
+    rng = random.Random(f"subsum identities {spec}")
+    for _ in range(6):
+        s = GSequence.from_pairs(g, [(rng.randrange(g.order), rng.randint(1, 12))
+                                     for _ in range(rng.randint(1, 8))])
+        length = s.length
+        sigma = 0
+        for i in s.support_indices():
+            sigma = g.add(sigma, g.scale(s.mult[i], i))
+        x = rng.randrange(g.order)
+        moved = GSequence.from_pairs(g, [(g.add(i, x), s.mult[i]) for i in s.support_indices()])
+        # a random cyclic H, and the projection onto the last direct factor:
+        # the quotient by the span of the other factors' unit vectors
+        quotients = [quotient_cached(g, subgroup_generated(GroupSubset.from_indices(g, gens)))
+                     for gens in ([rng.randrange(g.order)], g.strides[:-1])]
+        rows, moved_rows = subsum_table(s, length), subsum_table(moved, length)
+        phi_rows = [subsum_table(push_forward(s, q), length) for q in quotients]
+        windowed = rng.sample(range(length + 1), min(4, length + 1))
+        for n in range(length + 1):
+            assert rows[n] == sum(1 << g.sub(sigma, y) for y in iter_bits(rows[length - n])), (s, n)
+            assert moved_rows[n] == g.translate_mask(rows[n], g.scale(n, x)), (s, x, n)
+            for q, phi in zip(quotients, phi_rows):
+                assert phi[n] == q.image_mask(rows[n]), (s, q.subgroup, n)
+            if n in windowed:
+                assert nterm_subsums(s, n).bits == rows[n]
+                assert nterm_subsums(moved, n).bits == moved_rows[n]
+                for q, phi in zip(quotients, phi_rows):
+                    assert nterm_subsums(push_forward(s, q), n).bits == phi[n]
+
+
 def test_nterm_subsums_memo_keys_on_group():
     # one multiplicity tuple over C4 and over C2 x C2, whose Sigma_2 and
     # Sigma_3 differ: alternating calls must never return the other group's
@@ -259,7 +310,7 @@ def test_push_forward_coset_merge():
 
 SUPPORT_GROUPS = [parse_group(s) for s in
                   ["1", "2", "6", "2x2", "3x9", "64", "2x4x8", "1024", "2x4x8x16", "32x32",
-                   "4x4x4x4x4", "2x2x2x2x2x2x2x2x2x2"]]
+                   "4x4x4x4x4", "2x2x2x2x2x2x2x2x2x2", "4096", "64x64", "2x4x8x64"]]
 
 
 @st.composite
@@ -270,14 +321,36 @@ def sparse_sequence(draw):
     return GSequence.from_pairs(g, [(i, draw(st.integers(1, 5))) for i in supp])
 
 
+def assert_support_matches_dense(s: GSequence, *others: GSequence) -> None:
+    """supp(S), format, max_multiplicity and is_subsequence_of against each
+    of others, both ways round, as a walk over all |G| multiplicities gives
+    them; the support is built once and kept."""
+    supp = s.support_indices()
+    assert list(supp) == [i for i, m in enumerate(s.mult) if m]
+    assert s.support_indices() is supp
+    assert s.format() == dense_format(s)
+    assert s.max_multiplicity() == dense_max_multiplicity(s)
+    for t in others:
+        assert s.is_subsequence_of(t) == dense_is_subsequence(s, t), (s, t)
+        assert t.is_subsequence_of(s) == dense_is_subsequence(t, s), (t, s)
+
+
 @given(sparse_sequence(), st.data())
 def test_support_loops_match_dense_references(s, data):
     """The loops over supp(S) give what a walk over all |G| multiplicities
-    gives: format, count_outside, make_setpartition (and the underlying
-    sequence of its partition) and push_forward."""
+    gives: format, count_outside, max_multiplicity, is_subsequence_of,
+    make_setpartition (and the underlying sequence of its partition) and
+    push_forward; on sequences from __init__ and from _derived (push_forward,
+    build_s_star, lemma31_complete), up to |G| = 4096."""
     g = s.group
-    assert list(s.support_indices()) == [i for i, m in enumerate(s.mult) if m]
-    assert s.format() == dense_format(s)
+    # a second sequence over g: S with one multiplicity moved up or down
+    j = data.draw(st.one_of(st.sampled_from(list(s.support_indices())),
+                            st.integers(0, g.order - 1)))
+    mult = list(s.mult)
+    mult[j] = max(0, mult[j] + data.draw(st.sampled_from([-1, 1])))
+    t = GSequence(g, mult)
+    assert_support_matches_dense(s, t, GSequence.empty(g))
+    assert_support_matches_dense(t, s)
     assert parse_sequence(g, s.format()) == s
     for mask in (0, g.full_mask, data.draw(st.integers(0, g.full_mask))):
         assert s.count_outside(mask) == dense_count_outside(s, mask)
@@ -291,6 +364,20 @@ def test_support_loops_match_dense_references(s, data):
     phi = push_forward(s, q)
     assert list(phi.mult) == dense_push_forward(s, q.images, q.quotient_spec.order)
     assert phi.length == s.length
+    assert_support_matches_dense(phi, push_forward(t, q))
+    # the other _derived sequences: S* and the two halves of Lemma 3.1's split
+    star = build_s_star(s, subsum_profile(s, n, s.length), n)
+    assert_support_matches_dense(star, s, t)
+    for part in lemma31_complete(s, s, n, data.draw(st.integers(1, n))):
+        assert_support_matches_dense(part, s, t, star)
+
+
+def test_support_array_holds_every_index_below_the_order_cap():
+    g = parse_group(str(DEFAULT_ORDER_CAP))
+    s = GSequence.from_pairs(g, [(0, 1), (g.order - 1, 2)])
+    supp = s.support_indices()
+    assert list(supp) == [0, g.order - 1]
+    assert DEFAULT_ORDER_CAP <= 1 << 8 * supp.itemsize
 
 
 def test_support_loops_on_one_element_supports():

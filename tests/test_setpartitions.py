@@ -59,7 +59,7 @@ def solver_instance(draw, max_len=9):
     drop = draw(st.integers(0, min(2, s.length - 1)))
     s_prime = s
     for _ in range(drop):
-        idx = next(s_prime.support_indices())
+        idx = s_prime.support_indices()[0]
         s_prime = remove(s_prime, from_terms(g, [idx]))
     n = draw(st.integers(s_prime.max_multiplicity(), s_prime.length))
     return g, s, s_prime, n
