@@ -4,6 +4,8 @@ The audit streams a deterministic corpus (exhaustive small sequences plus a
 seeded random batch) through selected instance checkers and aggregates
 pass/fail counts.  The instance stream depends only on the config, never on
 the number of workers, so aggregates are byte-identical across job counts.
+With a bound checker on, the exhaustive walk carries the Sigma_j rows (_walk),
+and a worker call computes H once per distinct (G, Sigma_n), kept in a dict.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from .groups import (
 from .sequences import (
     GSequence,
     SequenceError,
+    add_bundle,
     build_s_star,
     nterm_subsums,
     subsum_profile,
-    subsum_table,
 )
 from .setpartitions import (
     HypothesesUnmetError,
@@ -233,28 +235,34 @@ def groups_up_to(cap: int) -> list[GroupSpec]:
     return out
 
 
-def _mult_vectors(order: int, len_cap: int) -> Iterator[tuple[int, ...]]:
-    """All multiplicity vectors with 1 <= total <= len_cap."""
-    mult = [0] * order
+def _walk(g: GroupSpec, len_cap: int, carry_rows: bool) -> Iterator[tuple]:
+    """(S, rows) for every S over g with 1 <= |S| <= len_cap, multiplicity
+    vectors in lexicographic order; rows[j] = Sigma_j(S) bits (0 past |S|)
+    when carry_rows, else None.  A child adds one copy of element pos to its
+    parent's rows, one add_bundle step, so no sequence runs a DP of its own."""
+    mult = [0] * g.order
 
-    def rec(pos: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if pos == order:
-            if remaining < len_cap:  # total >= 1
-                yield tuple(mult)
+    def rec(pos: int, left: int, rows: Optional[list]) -> Iterator[tuple]:
+        if pos == g.order:
+            if left < len_cap:  # |S| >= 1
+                yield GSequence._derived(g, tuple(mult), len_cap - left), rows
             return
-        for c in range(remaining + 1):
+        for c in range(left + 1):
             mult[pos] = c
-            yield from rec(pos + 1, remaining - c)
+            if c and carry_rows:
+                rows = rows[:]   # the parent's and c - 1's rows stay as they were
+                add_bundle(rows, g.translate_plan(pos), 1, len_cap - left + c, 1)
+            yield from rec(pos + 1, left - c, rows)
         mult[pos] = 0
 
-    yield from rec(0, len_cap)
+    yield from rec(0, len_cap, [1] + [0] * len_cap if carry_rows else None)
 
 
 def exhaustive_sequences(cfg: AuditConfig) -> Iterator[tuple[GroupSpec, GSequence]]:
     """Every sequence 1 <= |S| <= cap over every |G| <= cap, deterministic order."""
     for g in groups_up_to(cfg.exhaustive_group_cap):
-        for mult in _mult_vectors(g.order, cfg.exhaustive_len_cap):
-            yield g, GSequence(g, mult)
+        for s, _ in _walk(g, cfg.exhaustive_len_cap, False):
+            yield g, s
 
 
 def exhaustive_instances(cfg: AuditConfig) -> Iterator[tuple[GroupSpec, GSequence, int]]:
@@ -322,10 +330,9 @@ def _audit_worker(cfg: AuditConfig, worker: int, jobs: int) -> dict:
                       for name in cfg.checkers}
     violations: list = []
     instances = checks = skipped = 0
-    groups = [g for g in groups_up_to(cfg.max_group_order) if g.order >= 2]
-
     needs_profile = bool({"subsum_kneser", "s_star", "lemma_extra"}
                          & set(cfg.checkers))
+    stabilizers: dict = {}   # (G, Sigma_n bits) -> H, this call only, <= 2**16 entries
 
     def handle(g: GroupSpec, s: GSequence, n: int, sigma=None) -> None:
         nonlocal instances, checks, skipped
@@ -334,7 +341,13 @@ def _audit_worker(cfg: AuditConfig, worker: int, jobs: int) -> dict:
         for name in cfg.checkers:
             try:
                 if profile is None and needs_profile:
-                    profile = subsum_profile(s, n, s.length, sigma=sigma)
+                    sigma = sigma if sigma is not None else nterm_subsums(s, n)
+                    h = stabilizers.get((g, sigma.bits))
+                    if h is None:
+                        if len(stabilizers) >= 1 << 16:   # ~14 MB: only huge random slices
+                            stabilizers.clear()
+                        h = stabilizers[g, sigma.bits] = stabilizer(sigma)
+                    profile = subsum_profile(s, n, s.length, sigma=sigma, h=h)
                 status, detail = _check_instance(name, g, s, n, profile)
             except (InternalError, SequenceError) as err:
                 # the corpus holds only valid instances, so either is a
@@ -356,16 +369,17 @@ def _audit_worker(cfg: AuditConfig, worker: int, jobs: int) -> dict:
                 })
 
     idx = 0
-    for g, s in exhaustive_sequences(cfg):
-        if idx % jobs == worker:
-            rows = subsum_table(s, s.length) if needs_profile else None
-            for n in range(max(1, s.max_multiplicity()), s.length + 1):
-                handle(g, s, n, GroupSubset(g, rows[n]) if needs_profile else None)
-        idx += 1
-    if cfg.random_samples and not groups:
-        raise SearchError("random sampling needs max_group_order >= 2")
-    for i in range(cfg.random_samples):
-        if i % jobs == worker:
+    for g in groups_up_to(cfg.exhaustive_group_cap):
+        for s, rows in _walk(g, cfg.exhaustive_len_cap, needs_profile):
+            if idx % jobs == worker:
+                for n in range(max(1, s.max_multiplicity()), s.length + 1):
+                    handle(g, s, n, GroupSubset(g, rows[n]) if needs_profile else None)
+            idx += 1
+    if cfg.random_samples:
+        groups = [g for g in groups_up_to(cfg.max_group_order) if g.order >= 2]
+        if not groups:
+            raise SearchError("random sampling needs max_group_order >= 2")
+        for i in range(worker, cfg.random_samples, jobs):
             handle(*random_instance(cfg, i, groups))
     return {"instances": instances, "checks": checks, "skipped": skipped,
             "counters": counters, "violations": violations}

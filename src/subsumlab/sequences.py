@@ -53,7 +53,7 @@ class GSequence:
         if len(mult) != group.order:
             raise SequenceError("multiplicity vector length must equal |G|")
         self.mult = tuple(mult)
-        if min(self.mult, default=0) < 0:
+        if min(self.mult) < 0:   # mult has |G| >= 1 entries
             raise SequenceError("negative multiplicity")
         self.group = group
         self.length = sum(self.mult)
@@ -191,7 +191,7 @@ def _subsum_rows(s: GSequence, cap: int, target: int) -> list[int]:
     a clipped last one, min(m, cap) copies in all; every t <= min(m, cap) is
     a sum of distinct bundles, so a row costs O(log m) translations, not O(m).
     Each bundle (over S's kept support) fetches its shift's translate_plan
-    once and rotates every row of its window inline, with no call per row.
+    once and add_bundle applies it to every row of its window.
     Row j, the sums of j of the terms seen so far, is updated only while it
     is reachable (j <= terms seen) and can still reach row target
     (j >= target - terms left), so rows target..cap come out exact; an
@@ -215,15 +215,20 @@ def _subsum_rows(s: GSequence, cap: int, target: int) -> list[int]:
                 b, shift = m, g.scale(m, idx)
             m -= b
             plan = g.translate_plan(shift)
-            for j in range(min(cap, seen + b), max(b, target - left - m) - 1, -1):
-                moved = rows[j - b]
-                for low, high, rot, keep in plan:   # moved + shift, as translate_mask
-                    moved = ((moved & low) << rot) | ((moved & high) >> keep)
-                rows[j] |= moved
+            add_bundle(rows, plan, b, min(cap, seen + b), max(b, target - left - m))
             seen += b
             if m:
                 b, shift = 2 * b, g.add(shift, shift)
     return rows
+
+
+def add_bundle(rows: list[int], plan: tuple, b: int, top: int, bottom: int) -> None:
+    """rows[j] |= rows[j - b] + b*x for j = top down to bottom, plan = translate_plan(b*x)."""
+    for j in range(top, bottom - 1, -1):
+        moved = rows[j - b]
+        for low, high, rot, keep in plan:   # moved + b*x, as translate_mask
+            moved = ((moved & low) << rot) | ((moved & high) >> keep)
+        rows[j] |= moved
 
 
 def all_subsums(s: GSequence) -> GroupSubset:
@@ -280,34 +285,39 @@ def subsum_profile(s: GSequence, n: int, ref_len: int,
     and h, when given, must equal H(sigma): callers that already hold them
     pass them to avoid recompute.  The capped form of the bound, (sum_x
     min(n, v_x(phi(S))) - n + 1)|H|, is bound_primary: the sum is N*n + e.
+    H = {0} adds no relation to G's Smith form, so quotient_cached(G, {0}) is G
+    with images[x] = x (test_trivial_quotient_is_the_identity): phi(S) = S,
+    Z = X, and push_forward and preimage_mask are skipped.
     """
     if not 1 <= n <= s.length:
         raise SequenceError(f"n={n} outside [1, |S|={s.length}]")
     sig = sigma if sigma is not None else nterm_subsums(s, n)
     h = h if h is not None else stabilizer(sig)
     q = quotient_cached(s.group, h)
-    phi_s = push_forward(s, q)
+    phi_s = s if h.is_trivial else push_forward(s, q)
     # one pass: X = {x : v_x >= n}, e = terms outside X
+    mult = phi_s.mult
     x_bits = e = 0
-    for idx, m in enumerate(phi_s.mult):
-        if m >= n:
+    for idx in phi_s.support_indices():
+        if mult[idx] >= n:
             x_bits |= 1 << idx
         else:
-            e += m
+            e += mult[idx]
     big_n = x_bits.bit_count()
     order_h = h.order
     rho = big_n * order_h * n + e - ref_len
     bound_primary = ((big_n - 1) * n + e + 1) * order_h
     return SubsumProfile(h, q, GroupSubset(q.quotient_spec, x_bits), big_n, e, rho,
                          n, ref_len, sig, bound_primary, phi_s,
-                         q.preimage_mask(x_bits))
+                         x_bits if phi_s is s else q.preimage_mask(x_bits))
 
 
 def build_s_star(s: GSequence, profile: SubsumProfile, n: int) -> GSequence:
     """S*: every term of phi_H^{-1}(X) raised to multiplicity exactly n.
 
     |S*| = |S| + rho needs no check: with no term lost, S* is n copies of
-    each of the N|H| elements of Z plus the e terms outside Z."""
+    each of the N|H| elements of Z plus the e terms outside Z.  S itself is
+    returned when nothing grows, as always when H is trivial and h(S) <= n."""
     if profile.n != n or profile.ref_len != s.length:
         raise SequenceError("profile was not computed from (S, n) with ref_len=|S|")
     # S* differs from S only on Z, so one pass over Z gives the lost-terms
@@ -320,21 +330,22 @@ def build_s_star(s: GSequence, profile: SubsumProfile, n: int) -> GSequence:
             raise InternalError("S* construction lost terms of S", _dump(s, n))
         grown += n - m
         mult[idx] = n
+    if not grown:
+        return s
     star = GSequence._derived(s.group, tuple(mult), s.length + grown)
-    if grown:
-        # Sigma_n(S) <= Sigma_n(S*) already holds (S | S*), and Sigma_n(S) is
-        # H-saturated, so equality reduces to equality of quotient images --
-        # a DP over the much smaller quotient group.  phi(S*) is phi(S) with
-        # every coset in X raised to n|H|, since S* holds each of its
-        # elements n times.
-        q = profile.quotient
-        phi = list(profile.phi.mult)
-        full = n * profile.H.order
-        for x in iter_bits(profile.X.bits):
-            phi[x] = full
-        phi_star = GSequence._derived(q.quotient_spec, tuple(phi), star.length)
-        if nterm_subsums(phi_star, n).bits != q.image_mask(profile.sigma_n.bits):
-            raise InternalError("Sigma_n(S*) != Sigma_n(S)", _dump(s, n))
+    # Sigma_n(S) <= Sigma_n(S*) already holds (S | S*), and Sigma_n(S) is
+    # H-saturated, so equality reduces to equality of quotient images --
+    # a DP over the much smaller quotient group.  phi(S*) is phi(S) with
+    # every coset in X raised to n|H|, since S* holds each of its
+    # elements n times.
+    q = profile.quotient
+    phi = list(profile.phi.mult)
+    full = n * profile.H.order
+    for x in iter_bits(profile.X.bits):
+        phi[x] = full
+    phi_star = GSequence._derived(q.quotient_spec, tuple(phi), star.length)
+    if nterm_subsums(phi_star, n).bits != q.image_mask(profile.sigma_n.bits):
+        raise InternalError("Sigma_n(S*) != Sigma_n(S)", _dump(s, n))
     return star
 
 

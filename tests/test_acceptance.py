@@ -28,7 +28,7 @@ from subsumlab.sequences import (
 from subsumlab.setpartitions import lemma31_complete
 from subsumlab.search import (
     AuditConfig,
-    _mult_vectors,
+    _walk,
     clause_iib_fails,
     gen_example,
     groups_up_to,
@@ -196,13 +196,12 @@ def test_c06_greedy_split_postconditions_exhaustive():
     calls = 0
     for g in groups_up_to(cap):
         m = g.order
-        for sp_mult in _mult_vectors(m, cap):
-            s_prime = GSequence(g, sp_mult)
+        for s_prime, _ in _walk(g, cap, False):
             room = cap - s_prime.length
             extras = [[0] * m] if room == 0 else \
-                [list(v) for v in _mult_vectors(m, room)] + [[0] * m]
+                [v.mult for v, _ in _walk(g, room, False)] + [[0] * m]
             for extra in extras:
-                s = GSequence(g, [a + b for a, b in zip(sp_mult, extra)])
+                s = GSequence(g, [a + b for a, b in zip(s_prime.mult, extra)])
                 for n in range(s_prime.max_multiplicity(), s_prime.length + 1):
                     if n == 0:
                         continue
@@ -225,8 +224,7 @@ def test_c07_subsum_dp_matches_oracle():
     # computationally out of reach for a test suite.
     checked = 0
     for g in groups_up_to(7):
-        for mult in _mult_vectors(g.order, 7):
-            s = GSequence(g, mult)
+        for s, _ in _walk(g, 7, False):
             for n in range(0, s.length + 1):
                 assert set(nterm_subsums(s, n).indices()) == \
                     nterm_subsums_oracle(s, n)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from math import comb
 
 import pytest
 
@@ -15,7 +16,7 @@ from subsumlab.groups import (
     subgroup_generated,
 )
 from subsumlab import search, setpartitions
-from subsumlab.sequences import SequenceError, nterm_subsums
+from subsumlab.sequences import SequenceError, nterm_subsums, subsum_table
 from subsumlab.setpartitions import clause_iib_violations
 from subsumlab.search import (
     AuditConfig,
@@ -162,7 +163,6 @@ def test_exhaustive_instances_respect_caps():
 
 def test_exhaustive_sequences_count_is_multiset_count():
     # sequences of length 1..L over a set of size m: C(L+m, m) - 1 multisets
-    from math import comb
     cfg = _small_cfg()
     for g in [parse_group("2"), parse_group("4")]:
         count = sum(1 for gg, _ in exhaustive_sequences(cfg)
@@ -171,9 +171,64 @@ def test_exhaustive_sequences_count_is_multiset_count():
 
 
 def test_mult_vectors_are_distinct_values():
-    vectors = list(search._mult_vectors(3, 2))
-    assert len(vectors) == len(set(vectors)) == 9
+    vectors = [s.mult for s, _ in search._walk(parse_group("3"), 2, False)]
+    assert vectors == sorted(vectors) and len(set(vectors)) == 9
     assert all(1 <= sum(v) <= 2 for v in vectors)
+
+
+def test_walk_rows_are_each_sequences_subsum_table():
+    # every sequence of the |G| <= 8, |S| <= 6 slice: the rows carried down
+    # the walk are its own Sigma_j table, and rows past |S| stay empty
+    count = 0
+    for g in search.groups_up_to(8):
+        walked = list(search._walk(g, 6, True))
+        assert [s for s, _ in walked] == [s for s, _ in search._walk(g, 6, False)]
+        for s, rows in walked:
+            assert rows[:s.length + 1] == subsum_table(s, s.length), (g.spec_string(), s.format())
+            assert not any(rows[s.length + 1:])
+            count += 1
+    assert count == sum(comb(g.order + 6, 6) - 1 for g in search.groups_up_to(8)) == 12_639
+
+
+def test_audit_worker_split_and_stabilizer_lookups(monkeypatch):
+    # a jobs=2 worker walks every sequence but handles every other one, in
+    # the jobs=1 order and with the same Sigma_n and H; H is computed once
+    # per distinct (G, Sigma_n) of one worker call
+    profiled, stabilized = [], []
+    real_profile, real_stabilizer = search.subsum_profile, search.stabilizer
+
+    def profile_spy(s, n, ref_len, sigma=None, h=None):
+        profiled.append(((s.group.spec_string(), s.mult), (n, sigma.bits, h.carrier.bits)))
+        return real_profile(s, n, ref_len, sigma=sigma, h=h)
+
+    def stabilizer_spy(sigma):
+        stabilized.append((sigma.group, sigma.bits))
+        return real_stabilizer(sigma)
+
+    monkeypatch.setattr(search, "subsum_profile", profile_spy)
+    monkeypatch.setattr(search, "stabilizer", stabilizer_spy)
+    cfg = _small_cfg(exhaustive_group_cap=6, exhaustive_len_cap=5, random_samples=200)
+    runs = {}
+    for jobs, worker in ((1, 0), (2, 0), (2, 1)):
+        profiled.clear(), stabilized.clear()
+        search._audit_worker(cfg, worker, jobs)
+        assert len(stabilized) == len(set(stabilized))
+        runs[jobs, worker] = profiled[:]
+    exhaustive = len(list(search.exhaustive_instances(cfg)))
+
+    def per_sequence(records):
+        out = []
+        for seq, instance in records:
+            if not out or out[-1][0] != seq:
+                out.append((seq, []))
+            out[-1][1].append(instance)
+        return out
+
+    assert len(runs[1, 0]) == exhaustive + cfg.random_samples
+    one = per_sequence(runs[1, 0][:exhaustive])
+    half = cfg.random_samples // 2
+    assert per_sequence(runs[2, 0][:-half]) == one[0::2]
+    assert per_sequence(runs[2, 1][:-half]) == one[1::2]
 
 
 def test_random_instance_is_seed_deterministic():

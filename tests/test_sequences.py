@@ -16,7 +16,7 @@ from subsumlab.groups import (
     iter_bits,
     parse_group,
 )
-from subsumlab.search import AuditConfig, exhaustive_instances
+from subsumlab.search import AuditConfig, exhaustive_instances, groups_up_to, random_instance
 from subsumlab.sequences import (
     GSequence,
     InternalError,
@@ -473,6 +473,43 @@ def test_s_star_derived_push_forward_exhaustive(monkeypatch):
         assert (phi_star.mult, phi_star.length) == (expect.mult, expect.length), \
             (g.spec_string(), s.format(), n)
     assert (instances, grown) == (46_974, 11_920)
+
+
+TRIVIAL_QUOTIENT_GROUPS = groups_up_to(64) + [
+    parse_group(s) for s in ["4096", "64x64", "2x2x2x2x2x2x2x2x2x2x2x2"]]
+
+
+def test_trivial_quotient_is_the_identity():
+    # subsum_profile reads phi_{0}(S) as S and phi^-1(X) as X's own bits
+    for g in TRIVIAL_QUOTIENT_GROUPS:
+        q = quotient_cached(g, Subgroup(GroupSubset(g, 1)))
+        assert q.quotient_spec is g and q.images == list(range(g.order)), g.spec_string()
+    assert len(TRIVIAL_QUOTIENT_GROUPS) == 120
+
+
+def test_trivial_h_profile_matches_general_path():
+    # every field against push_forward, a pass over all of G/H and
+    # preimage_mask, which the profile skips when H is trivial; S* = S then
+    cfg = AuditConfig(max_group_order=16, random_len_cap=12, seed=25)
+    groups = [g for g in groups_up_to(16) if g.order >= 2]
+    trivial = 0
+    for i in range(3000):
+        g, s, n = random_instance(cfg, i, groups)
+        p = subsum_profile(s, n, s.length)
+        q = quotient_cached(g, p.H)
+        phi = push_forward(s, q)
+        x_bits = sum(1 << x for x, v in enumerate(phi.mult) if v >= n)
+        e = sum(v for v in phi.mult if v < n)
+        big_n, oh = x_bits.bit_count(), p.H.order
+        assert p.quotient is q and p.phi == phi and p.phi.length == phi.length
+        assert (p.X.group, p.X.bits, p.N, p.e) == (q.quotient_spec, x_bits, big_n, e)
+        assert p.rho == big_n * oh * n + e - s.length
+        assert p.bound_primary == ((big_n - 1) * n + e + 1) * oh
+        assert p.Z_mask == q.preimage_mask(x_bits)
+        if p.H.is_trivial:
+            assert build_s_star(s, p, n) is s
+            trivial += 1
+    assert trivial == 2_022
 
 
 def test_s_star_internal_errors_carry_the_instance():
