@@ -210,7 +210,8 @@ def test_audit_worker_split_and_stabilizer_lookups(monkeypatch):
     cfg = _small_cfg(exhaustive_group_cap=6, exhaustive_len_cap=5, random_samples=200)
     runs = {}
     for jobs, worker in ((1, 0), (2, 0), (2, 1)):
-        profiled.clear(), stabilized.clear()
+        profiled.clear()
+        stabilized.clear()
         search._audit_worker(cfg, worker, jobs)
         assert len(stabilized) == len(set(stabilized))
         runs[jobs, worker] = profiled[:]
