@@ -5,11 +5,13 @@ seeded random batch) through selected instance checkers and aggregates
 pass/fail counts.  The instance stream depends only on the config, never on
 the number of workers, so aggregates are byte-identical across job counts.
 With a bound checker on, the exhaustive walk carries the Sigma_j rows (_walk),
-and a worker call computes H once per distinct (G, Sigma_n), kept in a dict.
+and a worker call computes H once per distinct (G, Sigma_n), kept in an LRU
+cache; parallel workers share out whole subtrees of the walk.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -235,17 +237,21 @@ def groups_up_to(cap: int) -> list[GroupSpec]:
     return out
 
 
-def _walk(g: GroupSpec, len_cap: int, carry_rows: bool) -> Iterator[tuple]:
+def _walk(g: GroupSpec, len_cap: int, carry_rows: bool, take=None) -> Iterator[tuple]:
     """(S, rows) for every S over g with 1 <= |S| <= len_cap, multiplicity
     vectors in lexicographic order; rows[j] = Sigma_j(S) bits (0 past |S|)
     when carry_rows, else None.  A child adds one copy of element pos to its
-    parent's rows, one add_bundle step, so no sequence runs a DP of its own."""
+    parent's rows (add_bundle), so no sequence runs a DP of its own.  take(),
+    if given, is asked once per subtree below the first |G| - 2 positions."""
     mult = [0] * g.order
+    split = max(0, g.order - 2)
 
     def rec(pos: int, left: int, rows: Optional[list]) -> Iterator[tuple]:
         if pos == g.order:
             if left < len_cap:  # |S| >= 1
                 yield GSequence._derived(g, tuple(mult), len_cap - left), rows
+            return
+        if pos == split and take is not None and not take():
             return
         for c in range(left + 1):
             mult[pos] = c
@@ -258,17 +264,22 @@ def _walk(g: GroupSpec, len_cap: int, carry_rows: bool) -> Iterator[tuple]:
     yield from rec(0, len_cap, [1] + [0] * len_cap if carry_rows else None)
 
 
-def exhaustive_sequences(cfg: AuditConfig) -> Iterator[tuple[GroupSpec, GSequence]]:
-    """Every sequence 1 <= |S| <= cap over every |G| <= cap, deterministic order."""
+def exhaustive_sequences(cfg: AuditConfig, carry_rows: bool = False,
+                         worker: int = 0, jobs: int = 1) -> Iterator[tuple]:
+    """(G, S, rows) for every 1 <= |S| <= cap over every |G| <= cap, in a fixed
+    order (rows as in _walk).  With jobs > 1, worker gets every jobs-th subtree
+    from the worker-th on, so it builds no rows for sequences it does not get."""
+    subtrees = itertools.count()
+    take = None if jobs == 1 else lambda: next(subtrees) % jobs == worker
     for g in groups_up_to(cfg.exhaustive_group_cap):
-        for s, _ in _walk(g, cfg.exhaustive_len_cap, False):
-            yield g, s
+        for s, rows in _walk(g, cfg.exhaustive_len_cap, carry_rows, take):
+            yield g, s, rows
 
 
 def exhaustive_instances(cfg: AuditConfig) -> Iterator[tuple[GroupSpec, GSequence, int]]:
     """(G, S, n) for every sequence 1 <= |S| <= cap over every |G| <= cap,
     every admissible n.  Deterministic order."""
-    for g, s in exhaustive_sequences(cfg):
+    for g, s, _ in exhaustive_sequences(cfg):
         for n in range(max(1, s.max_multiplicity()), s.length + 1):
             yield g, s, n
 
@@ -332,7 +343,7 @@ def _audit_worker(cfg: AuditConfig, worker: int, jobs: int) -> dict:
     instances = checks = skipped = 0
     needs_profile = bool({"subsum_kneser", "s_star", "lemma_extra"}
                          & set(cfg.checkers))
-    stabilizers: dict = {}   # (G, Sigma_n bits) -> H, this call only, <= 2**16 entries
+    stabilizer_of = functools.lru_cache(maxsize=1 << 16)(stabilizer)  # this call only
 
     def handle(g: GroupSpec, s: GSequence, n: int, sigma=None) -> None:
         nonlocal instances, checks, skipped
@@ -342,12 +353,8 @@ def _audit_worker(cfg: AuditConfig, worker: int, jobs: int) -> dict:
             try:
                 if profile is None and needs_profile:
                     sigma = sigma if sigma is not None else nterm_subsums(s, n)
-                    h = stabilizers.get((g, sigma.bits))
-                    if h is None:
-                        if len(stabilizers) >= 1 << 16:   # ~14 MB: only huge random slices
-                            stabilizers.clear()
-                        h = stabilizers[g, sigma.bits] = stabilizer(sigma)
-                    profile = subsum_profile(s, n, s.length, sigma=sigma, h=h)
+                    profile = subsum_profile(s, n, s.length, sigma=sigma,
+                                             h=stabilizer_of(sigma))
                 status, detail = _check_instance(name, g, s, n, profile)
             except (InternalError, SequenceError) as err:
                 # the corpus holds only valid instances, so either is a
@@ -368,13 +375,9 @@ def _audit_worker(cfg: AuditConfig, worker: int, jobs: int) -> dict:
                                f"-s \"{s.format()}\" -n {n}"),
                 })
 
-    idx = 0
-    for g in groups_up_to(cfg.exhaustive_group_cap):
-        for s, rows in _walk(g, cfg.exhaustive_len_cap, needs_profile):
-            if idx % jobs == worker:
-                for n in range(max(1, s.max_multiplicity()), s.length + 1):
-                    handle(g, s, n, GroupSubset(g, rows[n]) if needs_profile else None)
-            idx += 1
+    for g, s, rows in exhaustive_sequences(cfg, needs_profile, worker, jobs):
+        for n in range(max(1, s.max_multiplicity()), s.length + 1):
+            handle(g, s, n, GroupSubset(g, rows[n]) if needs_profile else None)
     if cfg.random_samples:
         groups = [g for g in groups_up_to(cfg.max_group_order) if g.order >= 2]
         if not groups:
@@ -448,11 +451,7 @@ class HuntReport:
 
 def _canonical_diffs(g: GroupSpec) -> list[int]:
     """One representative of each {d, -d} pair (2-subsets up to translation)."""
-    out = []
-    for d in range(1, g.order):
-        if d <= g.neg(d):
-            out.append(d)
-    return out
+    return [d for d in range(1, g.order) if d <= g.neg(d)]
 
 
 def _cyclic_units(g: GroupSpec) -> list[int]:

@@ -165,14 +165,14 @@ def test_exhaustive_sequences_count_is_multiset_count():
     # sequences of length 1..L over a set of size m: C(L+m, m) - 1 multisets
     cfg = _small_cfg()
     for g in [parse_group("2"), parse_group("4")]:
-        count = sum(1 for gg, _ in exhaustive_sequences(cfg)
+        count = sum(1 for gg, _, _ in exhaustive_sequences(cfg)
                     if gg == g)
         assert count == comb(cfg.exhaustive_len_cap + g.order, g.order) - 1
 
 
 def test_mult_vectors_are_distinct_values():
     vectors = [s.mult for s, _ in search._walk(parse_group("3"), 2, False)]
-    assert vectors == sorted(vectors) and len(set(vectors)) == 9
+    assert vectors == sorted(set(vectors)) and len(vectors) == 9
     assert all(1 <= sum(v) <= 2 for v in vectors)
 
 
@@ -191,9 +191,10 @@ def test_walk_rows_are_each_sequences_subsum_table():
 
 
 def test_audit_worker_split_and_stabilizer_lookups(monkeypatch):
-    # a jobs=2 worker walks every sequence but handles every other one, in
-    # the jobs=1 order and with the same Sigma_n and H; H is computed once
-    # per distinct (G, Sigma_n) of one worker call
+    # jobs=2 workers share out whole subtrees of the walk: each handles its
+    # sequences in the jobs=1 order, with the same Sigma_n and H, and the two
+    # shares together are every sequence once; H is computed once per
+    # distinct (G, Sigma_n) of one worker call
     profiled, stabilized = [], []
     real_profile, real_stabilizer = search.subsum_profile, search.stabilizer
 
@@ -227,9 +228,43 @@ def test_audit_worker_split_and_stabilizer_lookups(monkeypatch):
 
     assert len(runs[1, 0]) == exhaustive + cfg.random_samples
     one = per_sequence(runs[1, 0][:exhaustive])
+    at = {seq: i for i, (seq, _) in enumerate(one)}
     half = cfg.random_samples // 2
-    assert per_sequence(runs[2, 0][:-half]) == one[0::2]
-    assert per_sequence(runs[2, 1][:-half]) == one[1::2]
+    shares = []
+    for worker in (0, 1):
+        share = per_sequence(runs[2, worker][:-half])
+        places = [at[seq] for seq, _ in share]
+        assert places == sorted(places) and len(places) > len(one) // 3
+        assert share == [one[i] for i in places]
+        shares += places
+    assert sorted(shares) == list(range(len(one)))
+
+
+def test_walk_subtree_split_builds_no_unused_rows(monkeypatch):
+    # a worker's walk adds bundles only on its own subtrees and on the
+    # prefixes above them (positions < |G| - 2), which every worker walks:
+    # those prefixes are the only row work three workers repeat
+    cfg = _small_cfg(exhaustive_group_cap=8, exhaustive_len_cap=6)
+    calls = []
+    real_add_bundle = search.add_bundle
+
+    def add_bundle_spy(*args):
+        calls.append(1)
+        return real_add_bundle(*args)
+
+    def walk(worker, jobs):
+        calls.clear()
+        seqs = [(g.spec_string(), s.mult, rows) for g, s, rows in
+                exhaustive_sequences(cfg, True, worker, jobs)]
+        return seqs, len(calls)
+
+    monkeypatch.setattr(search, "add_bundle", add_bundle_spy)
+    full, full_calls = walk(0, 1)
+    shares = [walk(w, 3) for w in range(3)]
+    assert sorted(x for seqs, _ in shares for x in seqs) == sorted(full)
+    prefixes = sum(comb(max(0, g.order - 2) + 6, 6) - 1 for g in search.groups_up_to(8))
+    assert full_calls == len(full) == 12_639
+    assert sum(c for _, c in shares) == full_calls + 2 * prefixes == 19_803
 
 
 def test_random_instance_is_seed_deterministic():
