@@ -29,7 +29,6 @@ def __getattr__(attr: str):
         GSequence,
         SequenceError,
         SubsumProfile,
-        all_subsums,
         build_s_star,
         davenport_bruteforce,
         nterm_subsums,
@@ -48,7 +47,6 @@ def __getattr__(attr: str):
         lemma31_complete,
         main_pipeline,
         main_verify,
-        make_setpartition,
         partition_solve,
         partition_verify,
     )
@@ -57,9 +55,7 @@ def __getattr__(attr: str):
         CheckReport,
         check_cor1,
         check_cor2,
-        check_kneser,
         check_lemma_extra,
-        check_pigeonhole,
         check_subsum_kneser,
     )
     from .search import (

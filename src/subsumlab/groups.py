@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ORDER_CAP = 4096
@@ -387,11 +388,19 @@ def make_group(factors: Sequence[int]) -> GroupSpec:
     return GroupSpec(tuple(x for x in d if x > 1) or (1,))
 
 
+def parse_int(text: str) -> int:
+    """An optional '-' and ASCII digits amid whitespace; ValueError on anything
+    else, such as the '+3', '1_0' and non-ASCII digits that int() reads."""
+    if not re.fullmatch(r"\s*-?[0-9]+\s*", text):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
+
+
 def parse_group(text: str) -> GroupSpec:
     """Parse a spec string like '2x4x8'."""
     parts = text.strip().split("x")
     try:
-        factors = [int(p) for p in parts]
+        factors = [parse_int(p) for p in parts]
     except ValueError:
         raise GroupError(f"bad group spec {text!r}") from None
     return make_group(factors)
@@ -404,12 +413,12 @@ def parse_element(group: GroupSpec, text: str) -> int:
         if not text.endswith(")"):
             raise GroupError(f"bad element literal {text!r}")
         try:
-            coords = [int(t) for t in text[1:-1].split(",")]
+            coords = [parse_int(t) for t in text[1:-1].split(",")]
         except ValueError:
             raise GroupError(f"bad element literal {text!r}") from None
         return group.index(coords)
     try:
-        value = int(text)
+        value = parse_int(text)
     except ValueError:
         raise GroupError(f"bad element literal {text!r}") from None
     if group.rank != 1:

@@ -288,7 +288,7 @@ def random_instance(cfg: AuditConfig, i: int,
                     groups: list[GroupSpec]) -> tuple[GroupSpec, GSequence, int]:
     rng = random.Random(f"{cfg.seed}:{i}")
     g = groups[rng.randrange(len(groups))]
-    support = rng.sample(range(g.order), rng.randint(1, min(6, g.order)))
+    support = rng.sample(range(g.order), rng.randint(1, min(6, g.order, cfg.random_len_cap)))
     mult = [0] * g.order
     budget = rng.randint(len(support), cfg.random_len_cap)
     for idx in support:
@@ -298,6 +298,9 @@ def random_instance(cfg: AuditConfig, i: int,
     s = GSequence(g, mult)
     n = rng.randint(s.max_multiplicity(), s.length)
     return g, s, n
+
+
+CHECKERS = ("subsum_kneser", "s_star", "lemma_extra", "partition", "pipeline", "fullgroup")
 
 
 def _check_instance(name: str, g: GroupSpec, s: GSequence, n: int,
@@ -323,7 +326,7 @@ def _check_instance(name: str, g: GroupSpec, s: GSequence, n: int,
         return ("pass" if rep.holds else "fail"), rep.detail
     if name == "partition":
         cert = partition_solve(s, s, n)
-    elif name in ("pipeline", "fullgroup"):
+    else:   # pipeline or fullgroup
         mode = "full-group" if name == "fullgroup" else "standard"
         if mode == "full-group" and s.length < n + g.order - 1:
             return "skip", "|S'| below full-group threshold"
@@ -331,8 +334,6 @@ def _check_instance(name: str, g: GroupSpec, s: GSequence, n: int,
             cert = main_pipeline(g, s, s, n, mode)
         except HypothesesUnmetError:
             return "skip", "hypotheses unmet"
-    else:
-        raise SearchError(f"unknown checker {name!r}")
     return ("pass", "") if cert.verified else ("fail", "certificate not verified")
 
 
@@ -380,8 +381,6 @@ def _audit_worker(cfg: AuditConfig, worker: int, jobs: int) -> dict:
             handle(g, s, n, GroupSubset(g, rows[n]) if needs_profile else None)
     if cfg.random_samples:
         groups = [g for g in groups_up_to(cfg.max_group_order) if g.order >= 2]
-        if not groups:
-            raise SearchError("random sampling needs max_group_order >= 2")
         for i in range(worker, cfg.random_samples, jobs):
             handle(*random_instance(cfg, i, groups))
     return {"instances": instances, "checks": checks, "skipped": skipped,
@@ -389,17 +388,27 @@ def _audit_worker(cfg: AuditConfig, worker: int, jobs: int) -> dict:
 
 
 def run_audit(cfg: AuditConfig) -> AuditReport:
-    """Stream the corpus through the configured checkers."""
+    """Stream the corpus through the configured checkers, after checking the
+    whole config: a bad one raises SearchError before any instance runs."""
     if cfg.exhaustive_group_cap > 16 or cfg.max_group_order > 64:
         raise SearchError("audit caps exceed module limits")
-    jobs = max(1, cfg.jobs)
-    if jobs == 1:
+    if min(cfg.max_group_order, cfg.exhaustive_group_cap, cfg.exhaustive_len_cap,
+           cfg.random_samples) < 0:
+        raise SearchError("audit caps and random_samples must be >= 0")
+    if cfg.random_len_cap < 1 or cfg.jobs < 1:
+        raise SearchError("random_len_cap and jobs must be >= 1")
+    if cfg.random_samples and cfg.max_group_order < 2:
+        raise SearchError("random sampling needs max_group_order >= 2")
+    if not set(cfg.checkers) <= set(CHECKERS) or len(set(cfg.checkers)) < len(cfg.checkers):
+        raise SearchError(f"checkers must be distinct names from {', '.join(CHECKERS)}, "
+                          f"got {list(cfg.checkers)}")
+    if cfg.jobs == 1:
         results = [_audit_worker(cfg, 0, 1)]
     else:
         import multiprocessing  # here, so that processes that never fan out skip its import
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(cfg.jobs) as pool:
             results = pool.starmap(_audit_worker,
-                                   [(cfg, w, jobs) for w in range(jobs)])
+                                   [(cfg, w, cfg.jobs) for w in range(cfg.jobs)])
     report = AuditReport(cfg)
     report.counters = {name: {"pass": 0, "fail": 0, "skip": 0}
                        for name in cfg.checkers}

@@ -22,6 +22,7 @@ from .groups import (
     QuotientStructure,
     iter_bits,
     parse_element,
+    parse_int,
     quotient_cached,
     stabilizer,
 )
@@ -143,7 +144,7 @@ def parse_sequence(group: GroupSpec, text: str) -> GSequence:
         if "^" in term:
             elem_text, _, count_text = term.rpartition("^")
             try:
-                count = int(count_text)
+                count = parse_int(count_text)
             except ValueError:
                 raise SequenceError(f"bad multiplicity in {term!r}") from None
             if count < 0:
@@ -229,17 +230,6 @@ def add_bundle(rows: list[int], plan: tuple, b: int, top: int, bottom: int) -> N
         for low, high, rot, keep in plan:   # moved + b*x, as translate_mask
             moved = ((moved & low) << rot) | ((moved & high) >> keep)
         rows[j] |= moved
-
-
-def all_subsums(s: GSequence) -> GroupSubset:
-    """Sigma(S): sums of all nonempty subsequences."""
-    if s.length == 0:
-        raise SequenceError("subsums of the empty sequence")
-    rows = subsum_table(s, s.length)
-    bits = 0
-    for row in rows[1:]:
-        bits |= row
-    return GroupSubset(s.group, bits)
 
 
 def push_forward(s: GSequence, q: QuotientStructure) -> GSequence:

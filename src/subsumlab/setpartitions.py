@@ -236,18 +236,6 @@ def _counts(g: GroupSpec, parts: Iterable[int]) -> list[int]:
     return used
 
 
-def make_setpartition(s: GSequence, n: int) -> SetPartition:
-    """Round-robin n-setpartition with underlying sequence exactly S."""
-    h = s.max_multiplicity()
-    if h > n:
-        raise PartitionError(f"max multiplicity h(S)={h} exceeds n={n}")
-    if n > s.length:
-        raise PartitionError(f"n={n} exceeds |S|={s.length}")
-    if n < 1:
-        raise PartitionError("need at least one part")
-    return SetPartition(s.group, _round_robin(s, n))
-
-
 def _round_robin(s: GSequence, n: int) -> list[int]:
     """Term t of S, ascending, into part t mod n."""
     bits = [0] * n

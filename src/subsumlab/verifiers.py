@@ -1,15 +1,15 @@
 """Instance-level checkers for the sumset and subsequence-sum bounds.
 
-Each checker recomputes both sides of its inequality from scratch and
-returns a CheckReport, except that check_subsum_kneser and check_lemma_extra
-take a caller's subsum profile to save the recompute: one whose (n, ref_len)
-does not match the call raises CheckError, the rest of it is trusted.  The
-structural classifiers (check_cor1 / check_cor2) match small-sumset
-violations against the known coset templates by exhaustive instantiation
-over one list of G's subgroups per call.  Measured on one Xeon core under
-CPython 3.11: the criterion-5 sweep (|G| <= 9, 8,700 calls) takes 0.16 s,
-every A containing 0 with |A| <= 5 in 2x2x4, 4x4 and 2x8 (24,308 calls)
-1.3 s, and listing all 43,904 chain decompositions of 4x4x4 0.23 s.
+Each checker returns a CheckReport.  check_subsum_kneser and
+check_lemma_extra take a caller's subsum profile to save the recompute: one
+whose (n, ref_len) does not match the call raises CheckError, the rest of it
+is trusted.  The structural classifiers (check_cor1 / check_cor2) match
+small-sumset violations against the known coset templates by exhaustive
+instantiation over one list of G's subgroups per call.  Measured on one
+Xeon core under CPython 3.11: the criterion-5 sweep (|G| <= 9, 8,700
+calls) takes 0.16 s, every A containing 0 with |A| <= 5 in 2x2x4, 4x4 and
+2x8 (24,308 calls) 1.3 s, and listing all 43,904 chain decompositions of
+4x4x4 0.23 s.
 """
 
 from __future__ import annotations
@@ -26,16 +26,13 @@ from .groups import (
     affine_span,
     enumerate_subgroups,
     is_prime,
-    iter_bits,
     iterated_sumset,
     quotient_cached,
-    representation_min,
     smallest_prime_divisor,
     stabilizer,
     subgroup_generated,
     sum_masks,
     sum_of_masks,
-    sumset,
 )
 from .sequences import GSequence, subsum_profile
 
@@ -63,31 +60,6 @@ class CheckReport:
 # additive bounds
 
 
-def check_kneser(parts: list[GroupSubset]) -> CheckReport:
-    """|sum A_i| >= sum |A_i+H| - (n-1)|H|, H the stabilizer of the sum; the
-    form sum |A_i| - (n-1)|H| + rho is the same, by the definition of rho."""
-    if not parts:
-        raise CheckError("need at least one summand")
-    g = parts[0].group
-    for p in parts:
-        if p.group is not g:
-            raise CheckError("summands over different groups")
-        if p.bits == 0:
-            raise CheckError("empty summand")
-    total = GroupSubset(g, sum_of_masks(g, [p.bits for p in parts]))
-    h = stabilizer(total)
-    n = len(parts)
-    filled = [GroupSubset(g, sum_masks(g, p.bits, h.carrier.bits)) for p in parts]
-    rho = sum(f.size - p.size for f, p in zip(filled, parts))
-    bound_filled = sum(f.size for f in filled) - (n - 1) * h.order
-    holds = total.size >= bound_filled
-    return CheckReport(
-        "kneser", holds, total.size, bound_filled,
-        witnesses={"H_order": h.order, "rho": rho,
-                   "H": [g.format_element(i) for i in h.carrier.indices()]},
-        detail="" if holds else "bound violated")
-
-
 def check_subsum_kneser(s: GSequence, n: int, profile=None) -> CheckReport:
     """|Sigma_n(S)| >= bound_primary = ((N-1)n + e + 1)|H|, read off profile =
     subsum_profile(s, n, |S|).  Both displayed forms, (|S|-n+1) - (n-e-1)(|H|-1)
@@ -106,43 +78,6 @@ def check_subsum_kneser(s: GSequence, n: int, profile=None) -> CheckReport:
         witnesses={"H_order": profile.H.order, "N": profile.N, "e": profile.e,
                    "rho": profile.rho},
         detail="" if holds else "bound violated")
-
-
-def check_pigeonhole(a: GroupSubset, b: GroupSubset) -> CheckReport:
-    """Overlap bound r_{A+B}(x) >= |A|+|B|-|G| on all of G, plus the
-    coset corollary when both sets sit inside a single coset."""
-    if a.group is not b.group:
-        raise CheckError("sets over different groups")
-    if a.bits == 0 or b.bits == 0:
-        raise CheckError("empty set")
-    g = a.group
-    r = a.size + b.size - g.order
-    lhs = rhs = 0
-    violations = []
-    if r >= 1:
-        total = sumset(a, b)
-        min_rep, argmin = representation_min([a, b])
-        lhs, rhs = min_rep, r
-        if total.bits != g.full_mask:
-            violations.append("A+B != G despite |A|+|B| > |G|")
-        if min_rep < r:
-            violations.append(
-                f"min representation count {min_rep} at "
-                f"{g.format_element(argmin)} below {r}")
-    # coset corollary: H-coset version with H the joint affine span
-    h = subgroup_generated(GroupSubset(
-        g, affine_span(a).carrier.bits | affine_span(b).carrier.bits))
-    coset_applies = a.size + b.size >= h.order + 1
-    if coset_applies:
-        total = sumset(a, b)
-        expect = g.translate_mask(h.carrier.bits, next(iter_bits(total.bits)))
-        if total.bits != expect:
-            violations.append("A+B is not a full H-coset in the coset corollary")
-    return CheckReport(
-        "pigeonhole", not violations, lhs, rhs,
-        witnesses={"r": r, "coset_H_order": h.order,
-                   "coset_case": coset_applies},
-        detail="; ".join(violations))
 
 
 # ---------------------------------------------------------------------------

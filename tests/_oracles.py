@@ -100,13 +100,6 @@ def subsum_rows_oracle(s: GSequence, cap: int, target: int) -> list[int]:
     return rows
 
 
-def all_subsums_oracle(s: GSequence) -> set[int]:
-    out = set()
-    for n in range(1, s.length + 1):
-        out |= nterm_subsums_oracle(s, n)
-    return out
-
-
 def verify_subgroup_scan(g: GroupSpec, k: set[int]) -> Optional[str]:
     """verify_subgroup's verdict on K by a scan over all of K: None for a
     subgroup, else its message, naming the least x in K with K + x != K."""
@@ -331,7 +324,7 @@ def dense_is_subsequence(s: GSequence, t: GSequence) -> bool:
 
 
 def dense_round_robin(s: GSequence, n: int) -> list[int]:
-    """Part bitmasks of make_setpartition: term t of S, ascending, into part t mod n."""
+    """Part bitmasks of setpartitions._round_robin: term t of S, ascending, into part t mod n."""
     bits = [0] * n
     for t, i in enumerate(dense_terms(s)):
         bits[t % n] |= 1 << i

@@ -248,11 +248,30 @@ def test_audit_verb_small(capsys):
     assert env["result"]["instances"] > 0
 
 
+@pytest.mark.parametrize("flags", [
+    ["--group-cap", "2", "--len-cap", "-2", "--samples", "1"],
+    ["--group-cap", "2", "--samples", "-5"],
+    ["--group-cap", "0", "--samples", "0", "--checkers", "bogus"],
+    ["--group-cap", "2", "--len-cap", "2", "--samples", "0",
+     "--checkers", "subsum_kneser,subsum_kneser"],
+], ids=["negative-len-cap", "negative-samples", "unknown-checker-empty-corpus",
+        "repeated-checker"])
+def test_audit_bad_config_exit_2(flags, capsys):
+    assert run(["audit", "--max-order", "8", *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_usage_error_exit_2(capsys):
     assert run(["subsums", "-g", "8", "-s", "bogus", "-n", "2"]) == 2
     assert run(["group", "info", "abc"]) == 2
     assert run(["nonsense-verb"]) == 2
     assert run(["subsums", "-g", "8", "-s", SEQ_A]) == 2   # -n omitted
+    # literals are an optional '-' and ASCII digits, not whatever int() reads
+    for group, seq in (("8", "\u0661;\u0662"), ("16", "1_0;+3"), ("2_0", "1"),
+                       ("8", "1^\u0662"), ("8", "1^+2"), ("2x4", "(1,\u0661)")):
+        assert run(["subsums", "-g", group, "-s", seq, "-n", "1"]) == 2, (group, seq)
+        assert "bad " in capsys.readouterr().err
+    assert run(["subsums", "-g", "8", "-s", " -1 ^2; 3", "-n", "1"]) == 0
 
 
 def _over_cap_report(tmp_path):

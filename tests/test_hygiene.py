@@ -3,7 +3,9 @@ uses, and src/ defines nothing that only the tests use.
 
 The project configures no linter, so these AST scans stand in for the two
 rules it needs.  A package __init__.py is skipped by the import scan:
-re-exporting is its job.
+re-exporting is its job.  But a re-export is no use: a definition in src/
+must be read by another src/ module, a script, the perfbench harness or
+the acceptance gate.
 """
 
 from __future__ import annotations
@@ -64,11 +66,12 @@ def definitions(tree: ast.Module) -> list[tuple[str, bool]]:
 def unreferenced_definitions(src: dict[str, str], users: list[str]) -> list[str]:
     """'module: name' for each definition in the src modules that no src
     module or user module reads.  A function or class counts as read when
-    its name is loaded, read as an attribute or imported (so the package
-    __init__.py's re-exports count); a method only when an attribute of that
-    name is read.  Matching by name is loose: GSequence.remove slipped
-    through while it lived in src/, because perfbench's os.remove reads an
-    attribute of the same name."""
+    its name is loaded, read as an attribute or given as a string (perfbench
+    looks the functions it traces up by name), not when it is imported, so
+    a package __init__.py's re-exports are no readers; a method counts only
+    when an attribute of that name is read.  Matching by name is loose:
+    GSequence.remove slipped through while it lived in src/, because
+    perfbench's os.remove reads an attribute of the same name."""
     names: set[str] = set()
     attrs: set[str] = set()
     for source in [*src.values(), *users]:
@@ -77,8 +80,8 @@ def unreferenced_definitions(src: dict[str, str], users: list[str]) -> list[str]
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
     return sorted(f"{module}: {name}" for module, source in src.items()
                   for name, is_method in definitions(ast.parse(source))
                   if name not in attrs and (is_method or name not in names))
@@ -90,6 +93,11 @@ def test_scan_finds_definitions_only_tests_use():
                 "    def __eq__(self, o): pass\n"
                 "def helper(terms): return terms\ndef dead(): pass\n"}
     assert unreferenced_definitions(src, ["C().used()\nhelper([])\n"]) == ["m: dead", "m: terms"]
+    # a re-export is no reader, in the package or in a user; a lookup by name is
+    src = {"m": "def exported(): pass\ndef called(): pass\ndef traced(): pass\n",
+           "__init__": "from .m import exported, called, traced\n"}
+    users = ["from pkg import called\ncalled()\n", "SPANNED = ((\"m\", \"traced\"),)\n"]
+    assert unreferenced_definitions(src, users) == ["m: exported"]
 
 
 def test_no_definitions_in_src_that_only_tests_use():
@@ -97,4 +105,5 @@ def test_no_definitions_in_src_that_only_tests_use():
            for path in sorted((ROOT / "src").rglob("*.py"))}
     users = [path.read_text() for top in ("scripts", "perfbench")
              for path in sorted((ROOT / top).rglob("*.py")) if "tests" not in path.parts]
+    users.append((ROOT / "tests" / "test_acceptance.py").read_text())
     assert unreferenced_definitions(src, users) == []

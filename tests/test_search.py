@@ -277,6 +277,37 @@ def test_random_instance_is_seed_deterministic():
     assert (a[1], a[2]) != (c[1], c[2]) or a[0] != c[0]
 
 
+def test_random_instance_within_a_small_len_cap():
+    # the support size is drawn from 1..min(6, |G|, random_len_cap)
+    groups = [parse_group("8"), parse_group("2x4")]
+    for cap in (1, 3):
+        for i in range(200):
+            _, s, n = random_instance(_small_cfg(random_len_cap=cap), i, groups)
+            assert 1 <= s.length <= cap and s.max_multiplicity() <= n <= s.length
+    report = run_audit(_small_cfg(exhaustive_group_cap=0, random_len_cap=3))
+    assert report.holds and report.instances == 100
+
+
+@pytest.mark.parametrize("over", [
+    {"exhaustive_len_cap": -2},
+    {"exhaustive_group_cap": -1},
+    {"max_group_order": -1, "random_samples": 0},
+    {"random_samples": -5},
+    {"random_len_cap": 0},
+    {"jobs": 0},
+    {"max_group_order": 1},   # no group of order >= 2 to sample from
+    {"checkers": ("bogus",), "exhaustive_group_cap": 0, "random_samples": 0},
+    {"checkers": ("subsum_kneser", "subsum_kneser")},
+], ids=["len-cap", "group-cap", "max-order", "samples", "random-len-cap", "jobs",
+        "no-sample-group", "unknown-checker", "repeated-checker"])
+def test_audit_rejects_bad_config_before_any_instance(over, monkeypatch):
+    def no_worker(*args):
+        raise AssertionError("an audit worker ran")
+    monkeypatch.setattr(search, "_audit_worker", no_worker)
+    with pytest.raises(SearchError):
+        run_audit(_small_cfg(**over))
+
+
 def test_audit_runs_clean_and_counts():
     cfg = _small_cfg()
     report = run_audit(cfg)

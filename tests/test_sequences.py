@@ -21,7 +21,6 @@ from subsumlab.sequences import (
     GSequence,
     InternalError,
     SequenceError,
-    all_subsums,
     build_s_star,
     davenport_bruteforce,
     nterm_subsums,
@@ -31,10 +30,9 @@ from subsumlab.sequences import (
     subsum_table,
 )
 from subsumlab.groups import quotient_cached, subgroup_generated
-from subsumlab.setpartitions import lemma31_complete, make_setpartition
+from subsumlab.setpartitions import SetPartition, _round_robin, lemma31_complete
 
 from _oracles import (
-    all_subsums_oracle,
     davenport_oracle,
     dense_count_outside,
     dense_format,
@@ -152,12 +150,6 @@ def test_nterm_subsums_matches_oracle(gs, data):
     g, s = gs
     n = data.draw(st.integers(0, s.length))
     assert set(nterm_subsums(s, n).indices()) == nterm_subsums_oracle(s, n)
-
-
-@given(group_and_sequence())
-def test_all_subsums_matches_oracle(gs):
-    _, s = gs
-    assert set(all_subsums(s).indices()) == all_subsums_oracle(s)
 
 
 @given(group_and_sequence())
@@ -339,7 +331,7 @@ def assert_support_matches_dense(s: GSequence, *others: GSequence) -> None:
 def test_support_loops_match_dense_references(s, data):
     """The loops over supp(S) give what a walk over all |G| multiplicities
     gives: format, count_outside, max_multiplicity, is_subsequence_of,
-    make_setpartition (and the underlying sequence of its partition) and
+    _round_robin (and the underlying sequence of its partition) and
     push_forward; on sequences from __init__ and from _derived (push_forward,
     build_s_star, lemma31_complete), up to |G| = 4096."""
     g = s.group
@@ -355,9 +347,9 @@ def test_support_loops_match_dense_references(s, data):
     for mask in (0, g.full_mask, data.draw(st.integers(0, g.full_mask))):
         assert s.count_outside(mask) == dense_count_outside(s, mask)
     n = data.draw(st.integers(s.max_multiplicity(), s.length))
-    partition = make_setpartition(s, n)
-    assert list(partition.parts) == dense_round_robin(s, n)
-    under = underlying_sequence(partition)
+    parts = _round_robin(s, n)
+    assert parts == dense_round_robin(s, n)
+    under = underlying_sequence(SetPartition(g, parts))
     assert under == s and under.length == s.length
     h = subgroup_generated(GroupSubset.from_indices(g, [data.draw(st.integers(0, g.order - 1))]))
     q = quotient_cached(g, h)
@@ -389,7 +381,7 @@ def test_support_loops_on_one_element_supports():
                 assert s.format() == dense_format(s)
                 assert s.count_outside(1 << idx) == 0
                 assert s.count_outside(g.full_mask & ~(1 << idx)) == m
-                assert list(make_setpartition(s, m).parts) == [1 << idx] * m
+                assert _round_robin(s, m) == [1 << idx] * m
                 assert list(push_forward(s, q).mult) == dense_push_forward(
                     s, q.images, q.quotient_spec.order)
 

@@ -32,7 +32,6 @@ from subsumlab.setpartitions import (
     lemma31_complete,
     main_pipeline,
     main_verify,
-    make_setpartition,
     partition_solve,
     partition_verify,
 )
@@ -66,21 +65,18 @@ def solver_instance(draw, max_len=9):
 
 
 # ---------------------------------------------------------------------------
-# make_setpartition
+# the round-robin start of the hill climb
 
 
 def test_make_setpartition_round_robin():
     g = parse_group("4")
     s = parse_sequence(g, "0^2;1^2")
-    sp = make_setpartition(s, 2)
+    sp = SetPartition(g, setpartitions._round_robin(s, 2))
     assert list(sp.parts) == [0b11, 0b11]
     assert underlying_sequence(sp) == s
 
-    singles = make_setpartition(parse_sequence(g, "0^3"), 3)
-    assert all(p == 0b1 for p in singles.parts)
-
-    with pytest.raises(PartitionError):
-        make_setpartition(parse_sequence(g, "0^3"), 2)
+    singles = setpartitions._round_robin(parse_sequence(g, "0^3"), 3)
+    assert all(p == 0b1 for p in singles)
 
 
 def test_setpartition_parts_are_nonempty_masks_of_the_group():
@@ -94,7 +90,7 @@ def test_setpartition_parts_are_nonempty_masks_of_the_group():
 @given(solver_instance())
 def test_make_setpartition_invariants(inst):
     g, _, s_prime, n = inst
-    sp = make_setpartition(s_prime, n)
+    sp = SetPartition(g, setpartitions._round_robin(s_prime, n))
     assert sp.n == n
     assert all(sp.parts)
     assert underlying_sequence(sp) == s_prime
@@ -172,7 +168,7 @@ def test_improve_matches_full_recompute_oracle():
         if s_prime.max_multiplicity() > s_prime.length // 2:
             continue
         n = rng.randint(max(2, s_prime.max_multiplicity()), s_prime.length)
-        parts = list(make_setpartition(s_prime, n).parts)
+        parts = setpartitions._round_robin(s_prime, n)
         oracle_parts = parts[:]
         best = sum_of_masks(g, parts).bit_count()
         climbs += 1
@@ -510,7 +506,7 @@ def test_main_pipeline_trivial_span_case1():
         cert = main_pipeline(g, s, s, n)
         assert cert.case_tag == "I" and cert.verified
         assert cert.H is None
-        assert cert.partition == make_setpartition(s, n)
+        assert list(cert.partition.parts) == setpartitions._round_robin(s, n)
 
 
 def test_main_pipeline_fullgroup_worked():

@@ -23,27 +23,13 @@ from subsumlab.verifiers import (
     CheckError,
     check_cor1,
     check_cor2,
-    check_kneser,
     check_lemma_extra,
-    check_pigeonhole,
     check_subsum_kneser,
 )
 
 from _oracles import from_terms, subset
 
 GROUPS = [parse_group(s) for s in ["2", "5", "6", "8", "2x2", "2x4", "3x3"]]
-
-
-@st.composite
-def group_and_parts(draw, max_parts=4):
-    g = draw(st.sampled_from(GROUPS))
-    count = draw(st.integers(1, max_parts))
-    parts = []
-    for _ in range(count):
-        elems = draw(st.sets(st.integers(0, g.order - 1), min_size=1,
-                             max_size=g.order))
-        parts.append(subset(g, elems))
-    return g, parts
 
 
 @st.composite
@@ -58,31 +44,7 @@ def sequence_instance(draw, max_len=8):
 
 
 # ---------------------------------------------------------------------------
-# Kneser-type bounds
-
-
-def test_kneser_worked_instances():
-    c6 = parse_group("6")
-    rep = check_kneser([subset(c6, {0, 3}), subset(c6, {0, 3})])
-    assert rep.holds and rep.lhs == 2 and rep.rhs == 2
-
-    c5 = parse_group("5")
-    rep = check_kneser([subset(c5, {0, 1}), subset(c5, {0, 1})])
-    assert rep.holds and rep.lhs == 3 and rep.rhs == 3
-
-    single = check_kneser([subset(c5, {0, 2})])
-    assert single.holds
-
-
-@given(group_and_parts())
-def test_kneser_never_violated(gp):
-    _, parts = gp
-    rep = check_kneser(parts)
-    assert rep.holds
-    assert rep.lhs >= rep.rhs
-    # the form with holes, sum |A_i| - (n-1)|H| + rho, is the same bound
-    w = rep.witnesses
-    assert rep.rhs == sum(p.size for p in parts) - (len(parts) - 1) * w["H_order"] + w["rho"]
+# the subsum Kneser bound
 
 
 def test_subsum_kneser_worked_instances():
@@ -99,36 +61,6 @@ def test_subsum_kneser_worked_instances():
 def test_subsum_kneser_never_violated(inst):
     _, s, n = inst
     rep = check_subsum_kneser(s, n)
-    assert rep.holds, rep.detail
-
-
-# ---------------------------------------------------------------------------
-# pigeonhole bound
-
-
-def test_pigeonhole_worked_instances():
-    c3 = parse_group("3")
-    rep = check_pigeonhole(subset(c3, {0, 1}), subset(c3, {0, 1}))
-    assert rep.holds
-    assert rep.witnesses["r"] == 1
-    assert rep.lhs >= 1  # lhs carries the minimum representation count
-
-    full = GroupSubset(c3, c3.full_mask)
-    rep = check_pigeonhole(full, full)
-    assert rep.holds and rep.lhs == 3
-
-    c6 = parse_group("6")
-    rep = check_pigeonhole(subset(c6, {0, 3}), subset(c6, {0, 3}))
-    assert rep.holds
-    assert rep.witnesses.get("coset_case")  # |A|+|B| = 4 >= |H|+1 = 3
-
-
-@given(group_and_parts(max_parts=2))
-def test_pigeonhole_never_violated(gp):
-    _, parts = gp
-    if len(parts) == 1:
-        parts = parts * 2
-    rep = check_pigeonhole(parts[0], parts[1])
     assert rep.holds, rep.detail
 
 
