@@ -93,7 +93,7 @@ def test_scan_finds_definitions_only_tests_use():
                 "    def __eq__(self, o): pass\n"
                 "def helper(terms): return terms\ndef dead(): pass\n"}
     assert unreferenced_definitions(src, ["C().used()\nhelper([])\n"]) == ["m: dead", "m: terms"]
-    # a re-export is no reader, in the package or in a user; a lookup by name is
+    # an import is no read, so a re-export is no reader; a lookup by name is one
     src = {"m": "def exported(): pass\ndef called(): pass\ndef traced(): pass\n",
            "__init__": "from .m import exported, called, traced\n"}
     users = ["from pkg import called\ncalled()\n", "SPANNED = ((\"m\", \"traced\"),)\n"]
