@@ -22,7 +22,8 @@ whether one does, shows as changed digests with unchanged counts.  It also
 round-trips every certificate it hashes through the codec,
 from_dict(G, json.loads(json.dumps(to_dict()))), and prints per slice how many
 round-trips did not give back the same record apart from "verified" (a
-parsed certificate is never verified), or raised; that count must be 0.
+parsed certificate is never verified), or raised; that count must be 0, and
+the script exits 1 when it is not.
 Last, per slice and pipeline mode, it counts which hypothesis item
 hypothesis_check selected, over the calls that passed the preconditions
 (raised no plain PartitionError); "none" counts the HypothesesUnmetError
@@ -156,6 +157,7 @@ def outcome(g, call) -> tuple[str, str, bool]:
 def main() -> int:
     overall = hashlib.sha256()
     t0 = time.perf_counter()
+    total_mismatches = 0
     for name, corpus in (("criterion 8-9", criterion_89),
                          ("S' proper", proper_subsequence),
                          ("concentrated", concentrated),
@@ -183,6 +185,7 @@ def main() -> int:
                     h = stabilizer(nterm_subsums(s, n))
                     items[CALLS[j]][hypothesis_check(g, h, n, mode)] += 1
             count += 1
+        total_mismatches += mismatches
         raised = [sum(c for cls, c in counts.items() if not cls.startswith("ok:"))
                   for counts in classes]
         print(f"# {name}: {count} instances; raised: partition {raised[0]}, "
@@ -199,7 +202,7 @@ def main() -> int:
             print(f"{call_digest.hexdigest()}  {name} / {call}")
         print(f"{digest.hexdigest()}  {name}")
     print(overall.hexdigest())
-    return 0
+    return 1 if total_mismatches else 0
 
 
 if __name__ == "__main__":

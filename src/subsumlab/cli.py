@@ -36,7 +36,6 @@ from .groups import (
 )
 from .sequences import (
     InternalError,
-    SequenceError,
     davenport_bruteforce,
     nterm_subsums,
     parse_sequence,
@@ -184,19 +183,23 @@ def _cmd_partition(args) -> tuple:
     from .setpartitions import partition_solve
     g = parse_group(args.group)
     s = parse_sequence(g, args.seq)
-    s_prime = parse_sequence(g, args.sprime) if args.sprime else s
+    s_prime = parse_sequence(g, args.sprime) if args.sprime is not None else s
     return _cert_report(partition_solve(s, s_prime, args.n), s, s_prime, args.n)
 
 
 def _cmd_maincert(args) -> tuple:
-    from .setpartitions import main_pipeline
+    from .setpartitions import HypothesesUnmetError, main_pipeline
     g = parse_group(args.group)
     s = parse_sequence(g, args.seq)
-    if not args.sprime:
-        raise SequenceError("maincert requires --sprime")
     s_prime = parse_sequence(g, args.sprime)
     mode = "full-group" if args.mode == "fullgroup" else "standard"
-    return _cert_report(main_pipeline(g, s, s_prime, args.n, mode), s, s_prime, args.n)
+    try:
+        cert = main_pipeline(g, s, s_prime, args.n, mode)
+    except HypothesesUnmetError as exc:
+        # a negative verdict, not a usage error: an envelope with exit 1
+        inputs = {"S": s.format(), "S_prime": s_prime.format(), "n": args.n, "mode": mode}
+        return g.spec_string(), inputs, {"certificate": None}, False, [str(exc)]
+    return _cert_report(cert, s, s_prime, args.n)
 
 
 def _report_field(envelope: dict, path: str, kind: type) -> Any:
@@ -268,7 +271,7 @@ def _cmd_audit(args) -> tuple:
         kwargs["exhaustive_group_cap"] = args.group_cap
     if args.len_cap is not None:
         kwargs["exhaustive_len_cap"] = args.len_cap
-    if args.checkers:
+    if args.checkers is not None:
         kwargs["checkers"] = tuple(args.checkers.split(","))
     cfg = AuditConfig(**kwargs)
     report = run_audit(cfg)
@@ -400,10 +403,9 @@ def run(argv: list[str]) -> int:
         return 0 if verified else 1
     except InternalError as exc:
         return _internal_error(str(exc), exc.dump)
-    # input errors only: a bare ValueError from the library is a bug (exit 3);
-    # HypothesesUnmetError is the one InputError that is a verdict (exit 1)
+    # input errors only: a bare ValueError from the library is a bug (exit 3)
     except InputError as exc:
-        print(f"{'no' if exc.exit_code == 1 else 'error'}: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

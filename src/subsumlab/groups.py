@@ -135,9 +135,6 @@ class GroupSpec:
             self._neg_cache = cache
         return cache[a]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def scale(self, k: int, a: int) -> int:
         """k*a for integer k (k may be negative)."""
         idx = 0

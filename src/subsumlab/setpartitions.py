@@ -26,21 +26,21 @@ been found that needs them, and main_verify checks the claims of Steps A and
 B on every certificate.  A case-I request builds no quotient (hypothesis_check
 reads |G/H| and exp(G/H) off H); only the case-II profile maps S to G/H.
 
-Each public solver verifies the certificate it returns exactly once, with the
+The solver (_solve) returns parts, never a certificate: each public solver
+builds its certificate once and verifies it exactly once, with the
 independent verifier for its theorem (partition_verify, main_verify); a
-failed check raises InternalError.  Callers read cert.verified instead of
-verifying again.  No value passes from the solver to a verifier: it calls
-nterm_subsums on its own arguments, whose one-entry memo only nterm_subsums
-writes, with the DP's result for exactly that (G, S, n), so a hit is what a
-fresh DP would return.  Inside the solver, Sigma_n(S) and its stabilizer H
-are computed once per (S, n), and the case-II profile is computed once per
-solve, from that H, and handed to the pipeline.  partition_verify profiles
-with its own H.
+failed check raises InternalError with the instance.  Callers read
+cert.verified instead of verifying again.  No value passes from the solver to
+a verifier: it calls nterm_subsums on its own arguments, whose one-entry memo
+only nterm_subsums writes, with the DP's result for exactly that (G, S, n),
+so a hit is what a fresh DP would return.  Inside the solver, Sigma_n(S) and
+its stabilizer H are computed once per (S, n), and the case-II profile is
+computed once per solve, from that H, and handed to the pipeline.
+partition_verify profiles with its own H.
 
-Each clause is coded once: both verifiers share _common_violations (part
+Each clause is coded once, in a verifier: both share _common_violations (part
 count, S(A) | S, |S(A)| = |S'|, sum inside Sigma_n(S), the recorded H), and
-the solver checks its case-II partition with the same _case2_violations that
-partition_verify runs.
+the solver checks none of them itself.
 """
 
 from __future__ import annotations
@@ -422,83 +422,53 @@ def _first_move(g: GroupSpec, parts: list[int], moves: Iterable[tuple[int, int, 
 def partition_solve(s: GSequence, s_prime: GSequence, n: int) -> Certificate:
     """Find a setpartition witnessing one of the two partition-theorem cases."""
     _validate_instance(s, s_prime, n)
-    cert, _ = _solve(s, s_prime, n, nterm_subsums(s, n))
+    parts, sum_size, profile = _solve(s, s_prime, n, nterm_subsums(s, n))
+    partition = SetPartition(s.group, parts)
+    if profile is None:
+        cert = Certificate("I", partition, theorem="partition",
+                           bounds={"sum_size": sum_size,
+                                   "case1_bound": s_prime.length - n + 1})
+    else:
+        cert = Certificate(
+            "II", partition, H=profile.H, theorem="partition",
+            e_H=profile.e, k=n - profile.e,
+            bounds={"sum_size": sum_size, "case2_bound": profile.bound_primary,
+                    "rho": profile.rho, "N": profile.N, "e": profile.e})
     ok, violations = partition_verify(cert, s, s_prime, n)
     if not ok:
         raise InternalError("partition certificate failed verification",
-                            {"case": cert.case_tag, "violations": violations})
+                            {"case": cert.case_tag, "violations": violations,
+                             "group": s.group.spec_string(), "S": s.format(),
+                             "S_prime": s_prime.format(), "n": n})
     cert.verified = True
     return cert
 
 
 def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset,
-           h: Optional[Subgroup] = None) -> tuple[Certificate, Optional[SubsumProfile]]:
-    """partition_solve on a valid instance, given sigma_n = Sigma_n(S) and
-    h = H(sigma_n) when the caller holds it.
+           h: Optional[Subgroup] = None
+           ) -> tuple[list[int], int, Optional[SubsumProfile]]:
+    """The partition solver on a valid instance, given sigma_n = Sigma_n(S)
+    and h = H(sigma_n) when the caller holds it.
 
-    Returns the unverified certificate, and in case II the profile
-    subsum_profile(S, n, |S'|) it was checked with (None in case I).
+    Returns (parts, sum size, profile): the part bitmasks, unchecked, and in
+    case I the size of their sum and profile None; in case II |Sigma_n(S)|,
+    which the repaired parts sum to, and the profile subsum_profile(S, n,
+    |S'|) the repair spread the outside terms with.
     """
     g = s.group
     target1 = s_prime.length - n + 1
     # sums of parts always land inside Sigma_n(S), so case 1 needs
     # |Sigma_n(S)| >= |S'| - n + 1; otherwise climb toward Sigma_n itself
-    parts_bits, best = _hill_climb(s, s_prime, n, min(target1, sigma_n.size))
+    parts, best = _hill_climb(s, s_prime, n, min(target1, sigma_n.size))
     if best >= target1:
-        partition = SetPartition(g, parts_bits)
-        return Certificate("I", partition, theorem="partition",
-                           bounds={"sum_size": best, "case1_bound": target1}), None
-
+        return parts, best, None
     profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n, h=h)
-    bits = _spread_outside_terms(g, parts_bits, profile.Z_mask, sigma_n.bits)
-    if bits is not None:
-        partition = SetPartition(g, bits)
-        sum_a = partition.sum_subset()
-        cert = Certificate(
-            "II", partition, H=profile.H, theorem="partition",
-            e_H=profile.e, k=n - profile.e,
-            bounds={"sum_size": sum_a.size,
-                    "case2_bound": profile.bound_primary,
-                    "rho": profile.rho, "N": profile.N, "e": profile.e})
-        if not _case2_violations(cert, sum_a, s, n, profile):
-            return cert, profile
-    raise InternalError(
-        "partition theorem: neither case could be witnessed",
-        {"group": g.spec_string(), "S": s.format(),
-         "S_prime": s_prime.format(), "n": n})
-
-
-def _case2_violations(cert: Certificate, sum_a: GroupSubset, s: GSequence,
-                      n: int, profile: SubsumProfile) -> list[str]:
-    """The case-II clauses of the partition theorem that cert breaks.
-
-    profile = subsum_profile(S, n, |S'|) and sum_a = the sum of cert's parts:
-    the solver passes the ones it holds, partition_verify freshly computed
-    ones.  The recorded H is checked by _common_violations.  The case-II
-    bound |S'| - (n-1)|H| + e(|H|-1) + rho is bound_primary, the |S'| terms
-    cancelling in rho = N|H|n + e - |S'|.  rho >= 0 holds: S(A) | S and
-    |S(A)| = |S'| hold here, and n parts that are sets give |S'| <= N|H|n + e.
-    """
-    violations: list[str] = []
-    z = profile.Z_mask
-    h_bits = profile.H.carrier.bits
-    if cert.e_H != profile.e:
-        violations.append(f"recorded e_H={cert.e_H} != e={profile.e}")
-    if cert.k != n - profile.e:
-        violations.append(f"recorded k={cert.k} != n - e = {n - profile.e}")
-    if sum_a != profile.sigma_n:
-        violations.append("case 2 requires sum of parts == Sigma_n(S)")
-    if sum_a.size < profile.bound_primary:
-        violations.append(f"case 2 bound: |sum|={sum_a.size} < {profile.bound_primary}")
-    used = _counts(s.group, cert.partition.parts)
-    if any(s.mult[i] > used[i] and not (z >> i) & 1 for i in s.support_indices()):
-        violations.append("leftover terms outside phi^-1(X)")
-    for i, p in enumerate(cert.partition.parts):
-        if (p & ~z).bit_count() > 1:
-            violations.append(f"part {i + 1} has more than one element outside phi^-1(X)")
-        if z & ~sum_masks(s.group, h_bits, p):
-            violations.append(f"phi^-1(X) not contained in part {i + 1} + H")
-    return violations
+    if _spread_outside_terms(g, parts, profile.Z_mask, sigma_n.bits) is None:
+        raise InternalError(
+            "partition theorem: neither case could be witnessed",
+            {"group": g.spec_string(), "S": s.format(),
+             "S_prime": s_prime.format(), "n": n})
+    return parts, sigma_n.size, profile
 
 
 # the unset value of each Certificate field that only some cases use
@@ -564,8 +534,28 @@ def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
         if sum_a.size < bound:
             violations.append(f"case 1 bound: |sum|={sum_a.size} < {bound}")
     elif cert.case_tag == "II":
+        # the recorded H was checked above.  The case-II bound |S'| - (n-1)|H|
+        # + e(|H|-1) + rho is bound_primary, the |S'| terms cancelling in
+        # rho = N|H|n + e - |S'|.  rho >= 0 holds: S(A) | S and |S(A)| = |S'|
+        # hold here, and n parts that are sets give |S'| <= N|H|n + e.
         profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n, h=h)
-        violations += _case2_violations(cert, sum_a, s, n, profile)
+        z = profile.Z_mask
+        if cert.e_H != profile.e:
+            violations.append(f"recorded e_H={cert.e_H} != e={profile.e}")
+        if cert.k != n - profile.e:
+            violations.append(f"recorded k={cert.k} != n - e = {n - profile.e}")
+        if sum_a != sigma_n:
+            violations.append("case 2 requires sum of parts == Sigma_n(S)")
+        if sum_a.size < profile.bound_primary:
+            violations.append(f"case 2 bound: |sum|={sum_a.size} < {profile.bound_primary}")
+        used = _counts(s.group, cert.partition.parts)
+        if any(s.mult[i] > used[i] and not (z >> i) & 1 for i in s.support_indices()):
+            violations.append("leftover terms outside phi^-1(X)")
+        for i, p in enumerate(cert.partition.parts):
+            if (p & ~z).bit_count() > 1:
+                violations.append(f"part {i + 1} has more than one element outside phi^-1(X)")
+            if z & ~sum_masks(s.group, h.carrier.bits, p):
+                violations.append(f"phi^-1(X) not contained in part {i + 1} + H")
     else:
         violations.append(f"unknown case tag {cert.case_tag!r}")
     return not violations, violations
@@ -688,27 +678,27 @@ def _pipeline_cert(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
     (3) At the case-I exit, bound <= sum size <= |span|: no min with |span|.
     (4) Case II with trivial H has |Sigma_n| >= bound_primary = |S'| - n + 1
         + rho, so it leaves by the case-I exit.
-    (5) The solver checked case II: no leftover term outside z and at most
-        one outside term per part, so the e_H = profile.e outside terms sit
-        in e_H parts and k parts lie inside z.  z is not empty: N = 0 puts
-        one term in each part, so |S'| = n, which is case I.
+    (5) The solver's repair leaves at most one outside term per part.
+        main_verify checks the rest: no term outside z is left over ((ii)(a)),
+        so the e_H = profile.e outside terms sit in e_H parts, one each, and
+        k parts lie inside z ((ii)(c)).  z is not empty: N = 0 puts one term
+        in each part, so |S'| = n, which is case I.
     Not proved here: |X| = 1 (Step A), and the inside parts summing to
     k*alpha + H (Step B; open).  main_verify's clauses (c) and (d) check both,
     and main_pipeline raises InternalError with the caller's instance.
     """
-    solved, profile = _solve(s, s_prime, n, sigma_n, h)
-    sum_size = solved.bounds["sum_size"]
+    parts, sum_size, profile = _solve(s, s_prime, n, sigma_n, h)
     case1_bound = min(g.order, s_prime.length - n + 1)
     if sum_size >= case1_bound:
-        return Certificate("I", solved.partition, theorem="main", mode=mode,
+        return Certificate("I", SetPartition(g, parts), theorem="main", mode=mode,
                            bounds={"sum_size": sum_size, "case1_bound": case1_bound})
     z = profile.Z_mask
     alpha = next(i for i in iter_bits(z) if s.mult[i])
     # the k parts inside z first, each in the solver's order
-    parts = sorted(solved.partition.parts, key=lambda p: bool(p & ~z))
+    parts.sort(key=lambda p: bool(p & ~z))
     return Certificate("II", SetPartition(g, parts), H=h, K=h, alpha=alpha,
                        e_H=profile.e, e_K=profile.e, k=n - profile.e,
-                       theorem="main", mode=mode, bounds={"sum_size": sigma_n.size})
+                       theorem="main", mode=mode, bounds={"sum_size": sum_size})
 
 
 def clause_iib_violations(sigma_size: int, e: int, sub: Subgroup, room: int,

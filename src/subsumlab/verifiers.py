@@ -50,11 +50,6 @@ class CheckReport:
     witnesses: dict = field(default_factory=dict)
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "holds": self.holds, "lhs": self.lhs,
-                "rhs": self.rhs, "witnesses": dict(self.witnesses),
-                "detail": self.detail}
-
 
 # ---------------------------------------------------------------------------
 # additive bounds

@@ -48,14 +48,14 @@ def stabilizer_scan(g: GroupSpec, a: set[int]) -> set[int]:
     fixed a0 in A, so only the differences a - a0 are tried, each against
     every element of A.  Fast enough for |G| = 1024 when |H| is small."""
     a0 = min(a)
-    return {x for x in {g.sub(y, a0) for y in a}
+    return {x for x in {g.add(y, g.neg(a0)) for y in a}
             if all(g.add(y, x) in a for y in a)}
 
 
 def affine_span_oracle(g: GroupSpec, a: set[int]) -> set[int]:
     """Subgroup generated by all pairwise differences of a."""
     elems = sorted(a)
-    gens = {g.sub(x, elems[0]) for x in elems}
+    gens = {g.add(x, g.neg(elems[0])) for x in elems}
     span = {0}
     frontier = {0}
     while frontier:

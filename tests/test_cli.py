@@ -266,6 +266,13 @@ def test_usage_error_exit_2(capsys):
     assert run(["group", "info", "abc"]) == 2
     assert run(["nonsense-verb"]) == 2
     assert run(["subsums", "-g", "8", "-s", SEQ_A]) == 2   # -n omitted
+    # an explicit empty value is a value, not absence: S' = "" has |S'| = 0
+    assert run(["partition", "-g", "8", "-s", "1;2", "--sprime", "", "-n", "1"]) == 2
+    assert "n=1 > |S'|=0" in capsys.readouterr().err
+    assert run(["maincert", "-g", "8", "-s", "1;2", "--sprime", "", "-n", "1"]) == 2
+    assert "n=1 > |S'|=0" in capsys.readouterr().err
+    assert run(["audit", "--checkers", "", "--group-cap", "2", "--samples", "0"]) == 2
+    assert "checkers must be distinct names from" in capsys.readouterr().err
     # literals are an optional '-' and ASCII digits, not whatever int() reads
     for group, seq in (("8", "\u0661;\u0662"), ("16", "1_0;+3"), ("2_0", "1"),
                        ("8", "1^\u0662"), ("8", "1^+2"), ("2x4", "(1,\u0661)")):
@@ -350,9 +357,14 @@ def test_audit_jobs_out_of_range_exit_2(capsys):
 
 
 def test_hypotheses_unmet_exit_1(capsys):
-    code = run(["maincert", "-g", "8", "-s", SEQ_A, "--sprime", SEQ_A,
-                "-n", "2"])
+    # a negative verdict comes with an envelope, as every exit 0 or 1 does
+    code, env = run_json(capsys, ["maincert", "-g", "8", "-s", SEQ_A, "--sprime", SEQ_A,
+                                  "-n", "2"])
     assert code == 1
+    assert env["verified"] is False and env["result"] == {"certificate": None}
+    assert env["inputs"]["S_prime"] == env["inputs"]["S"] == "0^2;1^2;4^2;5^2"
+    assert env["violations"] == [
+        "no hypothesis item holds for H of order 2, n=2, G=8 (mode standard)"]
 
 
 @pytest.mark.parametrize("exc, message", [
@@ -398,7 +410,8 @@ def test_library_inconsistency_check_exit_3(monkeypatch, tmp_path, capsys):
     assert "internal error: partition certificate failed verification" in err
     (dump,) = tmp_path.glob("subsumlab-dump-*.json")
     assert json.loads(dump.read_text())["dump"] == {
-        "case": "II", "violations": ["rejected by test"]}
+        "case": "II", "violations": ["rejected by test"], "group": "8",
+        "S": "0^2;1^2;4^2;5^2", "S_prime": "0^2;1^2;4^2;5^2", "n": 2}
 
 
 @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{"], ids=["json", "utf8"])

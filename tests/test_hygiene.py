@@ -69,17 +69,23 @@ def unreferenced_definitions(src: dict[str, str], users: list[str]) -> list[str]
     its name is loaded, read as an attribute or given as a string (perfbench
     looks the functions it traces up by name), not when it is imported, so
     a package __init__.py's re-exports are no readers; a method counts only
-    when an attribute of that name is read.  Matching by name is loose:
-    GSequence.remove slipped through while it lived in src/, because
-    perfbench's os.remove reads an attribute of the same name."""
+    when an attribute of that name is read on something other than a module
+    the source imports, so operator.sub or os.remove reads a function, never
+    a method sub or remove.  Matching by name is still loose: any other
+    attribute read of a method's name keeps the method."""
     names: set[str] = set()
     attrs: set[str] = set()
     for source in [*src.values(), *users]:
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        modules = {alias.asname or alias.name.split(".")[0]
+                   for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                attrs.add(node.attr)
+                on_module = isinstance(node.value, ast.Name) and node.value.id in modules
+                (names if on_module else attrs).add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
     return sorted(f"{module}: {name}" for module, source in src.items()
@@ -98,6 +104,13 @@ def test_scan_finds_definitions_only_tests_use():
            "__init__": "from .m import exported, called, traced\n"}
     users = ["from pkg import called\ncalled()\n", "SPANNED = ((\"m\", \"traced\"),)\n"]
     assert unreferenced_definitions(src, users) == ["m: exported"]
+    # an attribute read on an imported module reads a function, not a method
+    src = {"m": "class C:\n    def sub(self): pass\n    def remove(self): pass\n"
+                "def neg(): pass\n"}
+    users = ["import operator\nimport os.path as osp\nimport m\n"
+             "operator.sub\nosp.remove\nm.neg(m.C())\n"]
+    assert unreferenced_definitions(src, users) == ["m: remove", "m: sub"]
+    assert unreferenced_definitions(src, [users[0] + "x.remove\n"]) == ["m: sub"]
 
 
 def test_no_definitions_in_src_that_only_tests_use():

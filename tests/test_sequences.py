@@ -247,7 +247,7 @@ def test_subsum_identities_without_oracle_large(spec):
         phi_rows = [subsum_table(push_forward(s, q), length) for q in quotients]
         windowed = rng.sample(range(length + 1), min(4, length + 1))
         for n in range(length + 1):
-            assert rows[n] == sum(1 << g.sub(sigma, y) for y in iter_bits(rows[length - n])), (s, n)
+            assert rows[n] == sum(1 << g.add(sigma, g.neg(y)) for y in iter_bits(rows[length - n])), (s, n)
             assert moved_rows[n] == g.translate_mask(rows[n], g.scale(n, x)), (s, x, n)
             for q, phi in zip(quotients, phi_rows):
                 assert phi[n] == q.image_mask(rows[n]), (s, q.subgroup, n)

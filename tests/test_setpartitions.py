@@ -215,11 +215,16 @@ def test_partition_case2_repair_witness(monkeypatch):
     cert = partition_solve(s, s, 4)
     assert cert.case_tag == "II" and cert.verified
 
+    # without the repair, partition_verify is the check that rejects it
     monkeypatch.setattr(setpartitions, "_spread_outside_terms",
                         lambda g, parts, z, target: parts)
     with pytest.raises(InternalError,
-                       match="^partition theorem: neither case could be witnessed$"):
+                       match="^partition certificate failed verification$") as info:
         partition_solve(s, s, 4)
+    assert info.value.dump == {
+        "case": "II",
+        "violations": ["part 1 has more than one element outside phi^-1(X)"],
+        "group": "4x8", "S": s.format(), "S_prime": s.format(), "n": 4}
 
 
 # both outside terms land in one hill-climb part; the repair spreads them.
@@ -243,6 +248,25 @@ def test_pinned_case2_instances_verify(spec, seq, n, modes):
         assert cert.case_tag == "II" and cert.verified and cert.mode == mode
         assert cert.K.order == 4
         assert main_verify(cert, g, s, s, n) == (True, [])
+
+
+@pytest.mark.parametrize("spec, seq, n, modes", PINNED_CASE2[:2])
+def test_pipeline_rejects_unrepaired_partition(monkeypatch, spec, seq, n, modes):
+    # without the repair two outside terms share a part; main_verify's (ii)(c)
+    # is the check that rejects the pipeline's certificate, in either mode
+    g = parse_group(spec)
+    s = parse_sequence(g, seq)
+    monkeypatch.setattr(setpartitions, "_spread_outside_terms",
+                        lambda g, parts, z, target: parts)
+    last = n - 1
+    for mode in modes:
+        with pytest.raises(InternalError,
+                           match="^pipeline certificate failed verification$") as info:
+            main_pipeline(g, s, s, n, mode)
+        assert info.value.dump == {
+            "violations": [f"(ii)(c): part {i} must have exactly one element outside alpha+K"
+                           for i in (last, n)],
+            "group": spec, "S": s.format(), "S_prime": s.format(), "n": n, "mode": mode}
 
 
 def test_spread_outside_terms_matches_full_recompute_oracle(monkeypatch):

@@ -1,5 +1,6 @@
 """Instance-level bound checkers and the structural sumset classifier."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -186,7 +187,7 @@ def test_classifier_fingerprint():
             reports.append(("cor2", check_cor2(a, n)))
         for name, rep in reports:
             assert rep.holds, (spec, a.format(), n, rep.detail)
-            digest.update(json.dumps(rep.to_dict(), sort_keys=True).encode())
+            digest.update(json.dumps(dataclasses.asdict(rep), sort_keys=True).encode())
             if "template" in rep.witnesses:
                 templates[spec, name, rep.witnesses["template"]] += 1
     assert templates == {
@@ -289,15 +290,3 @@ def test_supplied_profile_must_match_the_call():
         with pytest.raises(CheckError, match="^profile was not computed from"):
             check_lemma_extra(s, s_prime, 2, bad)
 
-
-# ---------------------------------------------------------------------------
-# report plumbing
-
-
-def test_check_report_serializes():
-    g = parse_group("8")
-    rep = check_subsum_kneser(parse_sequence(g, "0^2;4^2;1^2;5^2"), 2)
-    data = rep.to_dict()
-    assert data["name"] == rep.name
-    assert data["holds"] is True
-    assert isinstance(data["lhs"], int) and isinstance(data["rhs"], int)
