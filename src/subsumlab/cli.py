@@ -37,7 +37,6 @@ from .groups import (
 from .sequences import (
     InternalError,
     davenport_bruteforce,
-    nterm_subsums,
     parse_sequence,
     subsum_profile,
 )
@@ -54,13 +53,13 @@ def _format_subset(subset: GroupSubset) -> list[str]:
     return [lits[i] for i in subset.indices()]
 
 
-def _render_text(value: Any, key: str = "", indent: int = 0) -> list[str]:
+def _render_text(value: Any, key: str, indent: int = 0) -> list[str]:
     pad = "  " * indent
-    label = f"{pad}{key}: " if key else pad
+    label = f"{pad}{key}: "
     if isinstance(value, dict):
-        lines = [f"{pad}{key}:"] if key else []
+        lines = [f"{pad}{key}:"]
         for k, v in value.items():
-            lines.extend(_render_text(v, k, indent + (1 if key else 0)))
+            lines.extend(_render_text(v, k, indent + 1))
         return lines
     if isinstance(value, list):
         if all(not isinstance(v, (dict, list)) for v in value):
@@ -251,11 +250,10 @@ def _cmd_example(args) -> tuple:
     h = subgroup_generated(_parse_subset(g, args.h))
     k = subgroup_generated(_parse_subset(g, args.k)) if args.k else None
     gen_elem = parse_element(g, args.gen) if args.gen else None
-    inst = gen_example(args.kind, g, h, k, gen_elem)
-    sigma = nterm_subsums(inst.S, inst.n)
+    inst = gen_example(args.kind, g, h, k, gen_elem)   # checks both values below
     result = dict(inst.to_dict())
-    result["sigma_n_size"] = sigma.size
-    result["stabilizer"] = _format_subset(stabilizer(sigma).carrier)
+    result["sigma_n_size"] = inst.expected["sigma_size"]
+    result["stabilizer"] = _format_subset(inst.H.carrier)
     return (g.spec_string(), {"kind": args.kind, "H": _format_subset(h.carrier)},
             result, True, [])
 

@@ -246,10 +246,6 @@ class GroupSubset:
             bits |= 1 << i
         return cls(group, bits)
 
-    @classmethod
-    def singleton(cls, group: GroupSpec, index: int) -> "GroupSubset":
-        return cls.from_indices(group, [index])
-
     @property
     def size(self) -> int:
         if self._size < 0:
@@ -278,13 +274,6 @@ class GroupSubset:
 
     def indices(self) -> Iterator[int]:
         return iter_bits(self.bits)
-
-    def translate(self, b: int) -> "GroupSubset":
-        return GroupSubset(self.group, self.group.translate_mask(self.bits, b))
-
-    def is_subset_of(self, other: "GroupSubset") -> bool:
-        _check_same_group(self, other)
-        return self.bits & ~other.bits == 0
 
 
 class Subgroup:
@@ -328,7 +317,8 @@ class Subgroup:
         return index in self.carrier
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
-        return other.carrier.is_subset_of(self.carrier)
+        _check_same_group(self, other)
+        return other.carrier.bits & ~self.carrier.bits == 0
 
 
 def _check_same_group(a, b) -> None:
@@ -350,10 +340,6 @@ def smallest_prime_divisor(m: int) -> int:
             return d
         d += 1
     return m
-
-
-def is_prime(p: int) -> bool:
-    return p > 1 and smallest_prime_divisor(p) == p
 
 
 def _prime_power_split(m: int) -> dict[int, int]:
@@ -480,13 +466,14 @@ def iterated_sumset(a: GroupSubset, n: int) -> GroupSubset:
         if nxt.bits == g.translate_mask(result.bits, a0):
             # stabilized: each remaining summand is a translation by a0
             remaining = n - step
-            return result.translate(g.scale(remaining, a0))
+            return GroupSubset(g, g.translate_mask(result.bits, g.scale(remaining, a0)))
         result = nxt
     return result
 
 
-def representation_table(summands: Sequence[GroupSubset]) -> list[int]:
-    """r(x) for every x: the number of tuples in A1 x ... x An with sum x."""
+def representation_min(summands: Sequence[GroupSubset]) -> tuple[int, int]:
+    """(min over x in the sumset of r(x), the least x attaining it), where
+    r(x) is the number of tuples in A1 x ... x An with sum x."""
     if not summands:
         raise GroupError("no summands")
     g = summands[0].group
@@ -501,14 +488,9 @@ def representation_table(summands: Sequence[GroupSubset]) -> list[int]:
                 if c:
                     nxt[g.add(i, a)] += c
         counts = nxt
-    return counts
-
-
-def representation_min(summands: Sequence[GroupSubset]) -> tuple[int, int]:
-    """(min over x in the sumset of r(x), argmin index)."""
     best = None
     best_x = -1
-    for x, c in enumerate(representation_table(summands)):
+    for x, c in enumerate(counts):
         if c and (best is None or c < best):
             best, best_x = c, x
     return best, best_x
@@ -671,10 +653,6 @@ class QuotientStructure:
                  representatives: list[int], quotient_spec: GroupSpec):
         self.parent, self.subgroup, self.images = parent, subgroup, images
         self.representatives, self.quotient_spec = representatives, quotient_spec
-
-    def image(self, element_index: int) -> int:
-        """Image of a parent element in quotient_spec coordinates."""
-        return self.images[element_index]
 
     def image_mask(self, mask: int) -> int:
         images = self.images

@@ -89,10 +89,6 @@ def clause_iib_fails(g: GroupSpec, s: GSequence, n: int, h: Subgroup) -> bool:
         for alpha in s.support_indices())
 
 
-def _sequence_over_mask(g: GroupSpec, mask: int, n: int) -> GSequence:
-    return GSequence(g, [n if (mask >> i) & 1 else 0 for i in range(g.order)])
-
-
 def gen_example(kind: str, g: GroupSpec, h: Subgroup,
                 k: Optional[Subgroup] = None,
                 gen_elem: Optional[int] = None) -> ExampleInstance:
@@ -129,10 +125,10 @@ def gen_example(kind: str, g: GroupSpec, h: Subgroup,
             raise SearchError("need H <= K <= G")
         qk = quotient_cached(g, k)
         if qk.quotient_spec.order != exp_q \
-                or qk.quotient_spec.element_order(qk.image(gen_elem)) != exp_q:
+                or qk.quotient_spec.element_order(qk.images[gen_elem]) != exp_q:
             raise SearchError("need G/H = (K/H) + <g> direct with <g> of full exponent")
         kq_bits = q.image_mask(k.carrier.bits)
-        gq = q.image(gen_elem)
+        gq = q.images[gen_elem]
         if kq_bits.bit_count() < 2:
             raise SearchError("need G/H noncyclic (K/H nontrivial)")
         if kind == "B":
@@ -155,7 +151,7 @@ def gen_example(kind: str, g: GroupSpec, h: Subgroup,
         raise SearchError(f"unknown example kind {kind!r}")
 
     z_mask = q.preimage_mask(x_bits)
-    s = _sequence_over_mask(g, z_mask, n)
+    s = GSequence(g, [n if (z_mask >> i) & 1 else 0 for i in range(g.order)])
     sigma = nterm_subsums(s, n)
     stab = stabilizer(sigma)
     checks = {
@@ -472,9 +468,13 @@ def hunt_unique_expression(g: GroupSpec, n: int, canonicalize: bool = True,
                            budget: int = 10_000_000) -> HuntReport:
     """Search n-tuples of 2-element subsets whose sum is aperiodic yet has no
     unique-expression element.  No such tuple is known; hits are reported,
-    never asserted."""
-    if n < 1:
-        raise SearchError("need n >= 1")
+    never asserted.
+
+    n is capped at |G| + 1.  By Kneser, an aperiodic sum of n two-element
+    sets has at least n + 1 elements, so no hit can exist once n >= |G|; the
+    margin of one keeps the (|G|, n) = (2, 3) report of the gate's hunt."""
+    if not 1 <= n <= g.order + 1:
+        raise SearchError(f"need 1 <= n <= |G| + 1 = {g.order + 1}, got {n}")
     if g.order < 2:
         raise SearchError("need |G| >= 2")
     report = HuntReport(g, n, canonicalize)

@@ -37,9 +37,9 @@ class SequenceError(InputError):
 class InternalError(RuntimeError):
     """A step the theory guarantees has failed; carries an instance dump."""
 
-    def __init__(self, message: str, dump: dict | None = None):
+    def __init__(self, message: str, dump: dict):
         super().__init__(message)
-        self.dump = dump or {}
+        self.dump = dump
 
 
 class GSequence:
@@ -68,21 +68,6 @@ class GSequence:
         seq = object.__new__(cls)
         seq.group, seq.mult, seq.length, seq._supp = group, mult, length, None
         return seq
-
-    @classmethod
-    def empty(cls, group: GroupSpec) -> "GSequence":
-        return cls(group, [0] * group.order)
-
-    @classmethod
-    def from_pairs(cls, group: GroupSpec, pairs: Sequence[tuple[int, int]]) -> "GSequence":
-        mult = [0] * group.order
-        for idx, count in pairs:
-            if not 0 <= idx < group.order:
-                raise SequenceError(f"element index {idx} out of range")
-            if count < 0:
-                raise SequenceError("negative multiplicity")
-            mult[idx] += count
-        return cls(group, mult)
 
     def __len__(self) -> int:
         return self.length
@@ -137,10 +122,8 @@ class GSequence:
 def parse_sequence(group: GroupSpec, text: str) -> GSequence:
     """Parse sequence literal 'elem(^count)?(;elem(^count)?)*', e.g. '0^2;4^2'."""
     text = "".join(text.split())
-    if not text:
-        return GSequence.empty(group)
-    pairs = []
-    for term in text.split(";"):
+    mult = [0] * group.order
+    for term in text.split(";") if text else ():
         if "^" in term:
             elem_text, _, count_text = term.rpartition("^")
             try:
@@ -151,8 +134,8 @@ def parse_sequence(group: GroupSpec, text: str) -> GSequence:
                 raise SequenceError(f"negative multiplicity in {term!r}")
         else:
             elem_text, count = term, 1
-        pairs.append((parse_element(group, elem_text), count))
-    return GSequence.from_pairs(group, pairs)
+        mult[parse_element(group, elem_text)] += count
+    return GSequence(group, mult)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +339,7 @@ def davenport_bruteforce(g: GroupSpec, cap: int = 16) -> int:
     def extend(min_elem: int, subsums: int, length: int) -> None:
         nonlocal best
         best = max(best, length)
-        for e in range(min_elem, g.order):
-            if e == 0:
-                continue
+        for e in range(min_elem, g.order):   # min_elem >= 1: 0 is never a term
             new = subsums | g.translate_mask(subsums, e) | (1 << e)
             if not new & 1:  # still zero-sum-free
                 extend(e, new, length + 1)

@@ -565,8 +565,7 @@ def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
 # hypothesis checking
 
 
-def hypothesis_check(g: GroupSpec, h: Subgroup, n: int,
-                     mode: str = "standard") -> str:
+def hypothesis_check(g: GroupSpec, h: Subgroup, n: int, mode: str) -> str:
     """The hypothesis item (G, H, n) satisfies: "trivial-H", "full-H",
     "item1" to "item4", or "none".
 

@@ -1,11 +1,11 @@
 """Instance-level checkers for the sumset and subsequence-sum bounds.
 
 Each checker returns a CheckReport.  check_subsum_kneser and
-check_lemma_extra take a caller's subsum profile to save the recompute: one
-whose (n, ref_len) does not match the call raises CheckError, the rest of it
-is trusted.  The structural classifiers (check_cor1 / check_cor2) match
-small-sumset violations against the known coset templates by exhaustive
-instantiation over one list of G's subgroups per call.  Measured on one
+check_lemma_extra take the caller's subsum profile: one whose (n, ref_len)
+does not match the call raises CheckError, the rest of it is trusted.  The
+structural classifiers (check_cor1 / check_cor2) match small-sumset
+violations against the known coset templates by exhaustive instantiation
+over one list of G's subgroups per call.  Measured on one
 Xeon core under CPython 3.11: the criterion-5 sweep (|G| <= 9, 8,700
 calls) takes 0.16 s, every A containing 0 with |A| <= 5 in 2x2x4, 4x4 and
 2x8 (24,308 calls) 1.3 s, and listing all 43,904 chain decompositions of
@@ -25,7 +25,6 @@ from .groups import (
     Subgroup,
     affine_span,
     enumerate_subgroups,
-    is_prime,
     iterated_sumset,
     quotient_cached,
     smallest_prime_divisor,
@@ -34,7 +33,7 @@ from .groups import (
     sum_masks,
     sum_of_masks,
 )
-from .sequences import GSequence, subsum_profile
+from .sequences import GSequence
 
 
 class CheckError(InputError):
@@ -55,7 +54,7 @@ class CheckReport:
 # additive bounds
 
 
-def check_subsum_kneser(s: GSequence, n: int, profile=None) -> CheckReport:
+def check_subsum_kneser(s: GSequence, n: int, profile) -> CheckReport:
     """|Sigma_n(S)| >= bound_primary = ((N-1)n + e + 1)|H|, read off profile =
     subsum_profile(s, n, |S|).  Both displayed forms, (|S|-n+1) - (n-e-1)(|H|-1)
     + rho and |S| - (n-1)|H| + e(|H|-1) + rho, expand to it with rho = N|H|n
@@ -63,9 +62,7 @@ def check_subsum_kneser(s: GSequence, n: int, profile=None) -> CheckReport:
     if not (s.max_multiplicity() <= n <= s.length):
         raise CheckError(f"need h(S) <= n <= |S| (h={s.max_multiplicity()}, "
                          f"n={n}, |S|={s.length})")
-    if profile is None:
-        profile = subsum_profile(s, n, s.length)
-    elif (profile.n, profile.ref_len) != (n, s.length):
+    if (profile.n, profile.ref_len) != (n, s.length):
         raise CheckError("profile was not computed from (S, n) with ref_len=|S|")
     holds = profile.sigma_n.size >= profile.bound_primary
     return CheckReport(
@@ -94,7 +91,7 @@ def _cyclic_complements(g: GroupSpec, h: Subgroup) -> list[int]:
         return []
     q = quotient_cached(g, h)
     return [x for x in range(1, g.order)
-            if q.quotient_spec.element_order(q.image(x)) == exp]
+            if q.quotient_spec.element_order(q.images[x]) == exp]
 
 
 def _match_case1(g: GroupSpec, a: GroupSubset, n: int, na: GroupSubset,
@@ -179,7 +176,7 @@ def _match_case2b(g: GroupSpec, a: GroupSubset, n: int, na: GroupSubset,
         if bound * p * exp ** r > (p * exp ** r + exp - p - 1) * g.order:
             continue
         blocks = [h0.carrier.bits] + [
-            subgroup_generated(GroupSubset.singleton(g, x)).carrier.bits for x in xs]
+            subgroup_generated(GroupSubset(g, 1 << x)).carrier.bits for x in xs]
         union = 0
         for j in range(r + 1):
             piece = sum_of_masks(g, [k.carrier.bits, *blocks[:j]])
@@ -276,7 +273,7 @@ def check_cor2(a: GroupSubset, n: int) -> CheckReport:
     if na.bits == g.full_mask:
         return CheckReport("cor2", True, na.size, g.order, detail="nA = G")
     exp = g.exponent
-    exp_composite = not is_prime(exp)
+    exp_composite = smallest_prime_divisor(exp) != exp   # exp >= 3: n = exp - 1 and n|A| > |G|
     structural_ok = exp_composite and g.rank >= 2
     k = stabilizer(na)
     match = _match_case2b(g, a, n, na, k, enumerate_subgroups(g))
@@ -291,16 +288,13 @@ def check_cor2(a: GroupSubset, n: int) -> CheckReport:
                        detail="" if holds else "nA != G and no chain template match")
 
 
-def check_lemma_extra(s: GSequence, s_prime: GSequence, n: int,
-                      profile=None) -> CheckReport:
+def check_lemma_extra(s: GSequence, s_prime: GSequence, n: int, profile) -> CheckReport:
     """Span dichotomy for Z = phi_H^{-1}(X) under |Sigma_n(S)| < |S'|-n+1."""
     if not s_prime.is_subsequence_of(s):
         raise CheckError("S' must be a subsequence of S")
     if not (s_prime.max_multiplicity() <= n <= s_prime.length):
         raise CheckError("need h(S') <= n <= |S'|")
-    if profile is None:
-        profile = subsum_profile(s, n, s_prime.length)
-    elif (profile.n, profile.ref_len) != (n, s_prime.length):
+    if (profile.n, profile.ref_len) != (n, s_prime.length):
         raise CheckError("profile was not computed from (S, n) with ref_len=|S'|")
     small = profile.sigma_n.size < s_prime.length - n + 1
     if not small:

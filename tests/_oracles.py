@@ -281,7 +281,10 @@ def spread_outside_terms_oracle(g: GroupSpec, parts: list[int], z: int,
 
 def from_terms(g: GroupSpec, terms) -> GSequence:
     """The sequence holding each listed element index once per listing."""
-    return GSequence.from_pairs(g, [(t, 1) for t in terms])
+    mult = [0] * g.order
+    for t in terms:
+        mult[t] += 1
+    return GSequence(g, mult)
 
 
 def remove(s: GSequence, other: GSequence) -> GSequence:

@@ -7,12 +7,14 @@ and an argv that gives it becomes a pinned test in test_cli.py before the
 fault is mended.  On 0 or 1 the JSON envelope must be well formed and echo
 the S and S' it was given.  The verify verb reads reports from the
 certificate verbs, each edited by one hostile mutation.  Values that would
-make a run long (a large Davenport cap, a large hunt budget or tuple length,
-a multi-process audit) are left out: the contract is about exit codes.
+make a run long (a large Davenport cap, a large hunt budget, a multi-process
+audit) are left out: the contract is about exit codes.  A hunt tuple length
+far above |G| + 1 is in: it must be refused, exit 2, in under a second.
 """
 
 import json
 import random
+import time
 from collections import Counter
 
 from subsumlab.cli import SCHEMA, run
@@ -88,7 +90,8 @@ def draw(rng, verb):
         cap = rng.choice(["-1", "0", "4", "8"])
         return ["davenport", "-g", spec, "--cap", cap], {}
     if verb == "hunt":
-        argv = ["hunt", "-g", spec, "-n", rng.choice(["-1", "0", "1", "2", "3", "x"]),
+        n = rng.choice(["-1", "0", "1", "2", "3", "x", "1000000", "100000000000"])
+        argv = ["hunt", "-g", spec, "-n", n,
                 "--budget", rng.choice(["-1", "0", "40", "300"])]
         return argv + (["--no-canonicalize"] if rng.random() < 0.3 else []), {}
     if verb == "audit":
@@ -204,7 +207,10 @@ def test_cli_contract_fuzz(tmp_path, capsys):
     for _ in range(ROUNDS):
         for verb in verbs:
             argv, echo = draw(rng, verb)
+            t0 = time.perf_counter()
             env = _run(capsys, argv, verb, echo)
+            if verb == "hunt" and len(argv[4]) > 3:   # n >= 10^6
+                assert env is None and time.perf_counter() - t0 < 1, argv
             outcomes[verb, env and env["verified"]] += 1
             if env and env["verified"] and verb in ("partition", "maincert"):
                 reports.append(env)

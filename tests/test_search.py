@@ -414,3 +414,16 @@ def test_hunt_budget_marks_nonexhaustive():
     rep = hunt_unique_expression(g, 3, budget=2)
     assert not rep.exhaustive
     assert rep.tuples_examined <= 2
+
+
+def test_hunt_finds_no_aperiodic_sum_once_n_reaches_the_order():
+    # by Kneser an aperiodic sum of n two-element sets has >= n + 1 elements,
+    # so n = |G| and |G| + 1 find none, and n > |G| + 1 is refused outright
+    for spec in ("2", "3", "2x2", "5", "6", "2x4"):
+        g = parse_group(spec)
+        for n in (g.order, g.order + 1):
+            rep = hunt_unique_expression(g, n)
+            assert rep.exhaustive and rep.tuples_examined > 0
+            assert rep.aperiodic_count == 0 and not rep.hits
+        with pytest.raises(SearchError, match=r"^need 1 <= n <= \|G\| \+ 1"):
+            hunt_unique_expression(g, g.order + 2)

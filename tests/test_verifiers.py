@@ -51,17 +51,18 @@ def sequence_instance(draw, max_len=8):
 def test_subsum_kneser_worked_instances():
     g = parse_group("8")
     s = parse_sequence(g, "0^2;4^2;1^2;5^2")
-    rep = check_subsum_kneser(s, 2)
+    rep = check_subsum_kneser(s, 2, subsum_profile(s, 2, s.length))
     assert rep.holds and rep.lhs == 6 and rep.rhs == 6
 
-    trivial = check_subsum_kneser(parse_sequence(g, "0^3"), 3)
+    s = parse_sequence(g, "0^3")
+    trivial = check_subsum_kneser(s, 3, subsum_profile(s, 3, s.length))
     assert trivial.holds and trivial.lhs == 1 and trivial.rhs == 1
 
 
 @given(sequence_instance())
 def test_subsum_kneser_never_violated(inst):
     _, s, n = inst
-    rep = check_subsum_kneser(s, n)
+    rep = check_subsum_kneser(s, n, subsum_profile(s, n, s.length))
     assert rep.holds, rep.detail
 
 
@@ -146,7 +147,7 @@ def _cyclic_complements_by_closure(g, h):
     if h.order * g.exponent != g.order:
         return []
     return [x for x in range(1, g.order) if g.element_order(x) == g.exponent
-            and subgroup_generated(GroupSubset.singleton(g, x)).carrier.bits
+            and subgroup_generated(GroupSubset(g, 1 << x)).carrier.bits
             & h.carrier.bits == 1]
 
 
@@ -253,25 +254,25 @@ def test_cor2_precondition():
 def test_lemma_extra_worked_instances():
     g = parse_group("8")
     s = parse_sequence(g, "0^2;4^2;1^2;5^2")
-    rep = check_lemma_extra(s, s, 2)
+    rep = check_lemma_extra(s, s, 2, subsum_profile(s, 2, s.length))
     assert rep.holds and rep.witnesses  # triggered: |Sigma_2| = 6 < 7
     assert rep.witnesses["span_Z_order"] == 8 == g.order
 
     c4 = parse_group("4")
     s = parse_sequence(c4, "0^5;2^5")
-    rep = check_lemma_extra(s, s, 5)
+    rep = check_lemma_extra(s, s, 5, subsum_profile(s, 5, s.length))
     assert rep.holds and rep.witnesses["span_Z_order"] == 2
     assert rep.witnesses["H_order"] == 2  # Z spans exactly H
 
     s = parse_sequence(c4, "0;1;2;3")
-    rep = check_lemma_extra(s, s, 1)
+    rep = check_lemma_extra(s, s, 1, subsum_profile(s, 1, s.length))
     assert rep.holds and rep.detail == "hypothesis not triggered"
 
 
 @given(sequence_instance())
 def test_lemma_extra_never_violated(inst):
     _, s, n = inst
-    rep = check_lemma_extra(s, s, n)
+    rep = check_lemma_extra(s, s, n, subsum_profile(s, n, s.length))
     assert rep.holds, rep.detail
 
 
