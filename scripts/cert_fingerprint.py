@@ -12,7 +12,8 @@ for unchanged behaviour by running this script in both checkouts:
 
 It prints, per slice of the corpus, one digest per call (partition,
 pipeline, full-group) and then the slice's digest over all three, each
-followed by its name, and last one overall digest over all slices in order.
+followed by its name, then the verdict digest (below), and last one overall
+digest over all slices in order.
 A change meant to touch one slice, or one call, can so show that the others
 kept their digests: a pipeline change leaves every partition digest as it
 was.  On stderr it
@@ -24,10 +25,21 @@ from_dict(G, json.loads(json.dumps(to_dict()))), and prints per slice how many
 round-trips did not give back the same record apart from "verified" (a
 parsed certificate is never verified), or raised; that count must be 0, and
 the script exits 1 when it is not.
-Last, per slice and pipeline mode, it counts which hypothesis item
+Per slice and pipeline mode, it counts which hypothesis item
 hypothesis_check selected, over the calls that passed the preconditions
 (raised no plain PartitionError); "none" counts the HypothesesUnmetError
 outcomes.  These counts stay out of the digests.
+
+Last, a verdict digest checks that the verifiers still accept and reject
+what they did.  For every certificate of every k-th instance of a slice
+(MUTANT_STRIDE), it builds four fixed mutants of the record (a term
+dropped, a term moved between parts, the case tag flipped, e_H bumped; see
+mutants()), runs partition_verify and main_verify on each against the
+instance, and digests each (ok, violations), or the error a verifier
+raised.  It is printed as "<digest>  verdicts" on the line before the
+overall digest and is not part of it; stderr gets the accepted and rejected
+counts.  Two trees that print the same verdict digest give the same verdict
+and the same violation list on every mutant it builds.
 
 The corpus (fixed, seeded), one slice each:
   - criterion 8-9: the criterion 8-9 audit corpus, 56,974 instances: every
@@ -66,7 +78,9 @@ from subsumlab.setpartitions import (  # noqa: E402
     PartitionError,
     hypothesis_check,
     main_pipeline,
+    main_verify,
     partition_solve,
+    partition_verify,
 )
 
 # the criterion 8-9 audit configuration (tests/test_acceptance.py)
@@ -79,6 +93,9 @@ CONCENTRATED = 3_000
 CALLS = ("partition", "pipeline", "full-group")
 # the hypothesis mode of each main_pipeline call
 ITEM_MODES = {"pipeline": "standard", "full-group": "full-group"}
+# the verdict digest mutates the certificates of every k-th instance of a
+# slice, k by slice, which keeps it to a few seconds
+MUTANT_STRIDE = {"criterion 8-9": 64, "S' proper": 8, "concentrated": 8, "pinned": 1}
 PINNED = (
     ("2x8", "(0,0)^16;(1,0);(0,1);(1,4)^22;(1,7)", 23),
     ("4x4", "(0,0)^14;(3,1);(1,2);(2,2)^16;(2,3)", 17),
@@ -137,25 +154,70 @@ def pinned():
         yield g, s, s, n
 
 
-def outcome(g, call) -> tuple[str, str, bool]:
-    """(class, text, round-trip ok): ok:I or ok:II, the certificate's
-    to_dict() JSON and whether the codec gives its record back, or the raised
-    error's class name, its text and True."""
+def outcome(g, call) -> tuple[str, str, bool, dict | None]:
+    """(class, text, round-trip ok, record): ok:I or ok:II, the certificate's
+    to_dict() JSON, whether the codec gives its record back and the record,
+    or the raised error's class name, its text, True and None."""
     try:
         cert = call()
     except Exception as err:  # the error text is part of the fingerprint
-        return type(err).__name__, f"{type(err).__name__}: {err}", True
+        return type(err).__name__, f"{type(err).__name__}: {err}", True, None
     record = cert.to_dict()
     try:
         back = Certificate.from_dict(g, json.loads(json.dumps(record))).to_dict()
     except PartitionError:
         back = None
     same = back == {**record, "verified": False}
-    return f"ok:{cert.case_tag}", json.dumps(record, sort_keys=True), same
+    return f"ok:{cert.case_tag}", json.dumps(record, sort_keys=True), same, record
+
+
+def mutants(record: dict) -> list[tuple[str, dict]]:
+    """The fixed mutants of a certificate record, by name: the last term of
+    the first part with two or more dropped; the first term of that part
+    that another part lacks moved to the first such part; the case tag
+    flipped; e_H bumped by one.  An edit with no such part is left out."""
+    parts = record["parts"]
+    out = []
+    big = next((i for i, p in enumerate(parts) if len(p) >= 2), None)
+    if big is not None:
+        dropped = [list(p) for p in parts]
+        dropped[big].pop()
+        out.append(("drop", {**record, "parts": dropped}))
+        move = next(((e, j) for e in parts[big] for j, p in enumerate(parts)
+                     if j != big and e not in p), None)
+        if move is not None:
+            e, j = move
+            moved = [list(p) for p in parts]
+            moved[big].remove(e)
+            moved[j].append(e)
+            out.append(("move", {**record, "parts": moved}))
+    out.append(("flip", {**record, "case": "II" if record["case"] == "I" else "I"}))
+    out.append(("e_H", {**record, "e_H": record["e_H"] + 1}))
+    return out
+
+
+def digest_verdicts(g, s, s_prime, n, record: dict, digest, counts: Counter) -> None:
+    """Add to digest one line per mutant of record and verifier: the mutant's
+    name, the verifier's and its (ok, violations), or the error it raised;
+    counts tallies accepted and rejected mutants per verifier."""
+    for name, data in mutants(record):
+        cert = Certificate.from_dict(g, data)
+        for verifier, verify in (("partition", lambda: partition_verify(cert, s, s_prime, n)),
+                                 ("main", lambda: main_verify(cert, g, s, s_prime, n))):
+            try:
+                ok, violations = verify()
+                verdict = json.dumps([ok, violations])
+                counts[f"{verifier} {'accepted' if ok else 'rejected'}"] += 1
+            except Exception as err:  # a raising verifier is part of the digest
+                verdict = f"{type(err).__name__}: {err}"
+                counts[f"{verifier} raised"] += 1
+            digest.update(f"{name} {verifier} {verdict}\n".encode())
 
 
 def main() -> int:
     overall = hashlib.sha256()
+    verdict_digest = hashlib.sha256()
+    verdict_counts: Counter = Counter()
     t0 = time.perf_counter()
     total_mismatches = 0
     for name, corpus in (("criterion 8-9", criterion_89),
@@ -173,7 +235,9 @@ def main() -> int:
                     lambda: partition_solve(s, s_prime, n),
                     lambda: main_pipeline(g, s, s_prime, n),
                     lambda: main_pipeline(g, s, s_prime, n, "full-group"))):
-                cls, text, same = outcome(g, call)
+                cls, text, same, record = outcome(g, call)
+                if record is not None and count % MUTANT_STRIDE[name] == 0:
+                    digest_verdicts(g, s, s_prime, n, record, verdict_digest, verdict_counts)
                 classes[j][cls] += 1
                 mismatches += not same
                 line = text.encode() + b"\n"
@@ -201,6 +265,9 @@ def main() -> int:
         for call, call_digest in zip(CALLS, call_digests):
             print(f"{call_digest.hexdigest()}  {name} / {call}")
         print(f"{digest.hexdigest()}  {name}")
+    print("# mutant verdicts: " + ", ".join(f"{key} {c}" for key, c in sorted(verdict_counts.items())),
+          file=sys.stderr)
+    print(f"{verdict_digest.hexdigest()}  verdicts")
     print(overall.hexdigest())
     return 1 if total_mismatches else 0
 

@@ -18,7 +18,7 @@ def main() -> int:
     ap.add_argument("--max-order", type=int, default=8)
     ap.add_argument("--max-n", type=int, default=3)
     ap.add_argument("--budget", type=int, default=10_000_000,
-                    help="per-report tuple budget")
+                    help="per-report budget of combinations drawn")
     ap.add_argument("--no-canonicalize", action="store_true")
     args = ap.parse_args()
 

@@ -173,8 +173,7 @@ def _cmd_subsums(args) -> tuple:
 
 def _cert_report(cert, s, s_prime, n: int) -> tuple:
     inputs = {"S": s.format(), "S_prime": s_prime.format(), "n": n, "mode": cert.mode}
-    result = {"certificate": cert.to_dict(),
-              "sum_of_parts_size": cert.partition.sum_subset().size}
+    result = {"certificate": cert.to_dict(), "sum_of_parts_size": cert.bounds["sum_size"]}
     return s.group.spec_string(), inputs, result, cert.verified, []
 
 

@@ -468,7 +468,8 @@ def hunt_unique_expression(g: GroupSpec, n: int, canonicalize: bool = True,
                            budget: int = 10_000_000) -> HuntReport:
     """Search n-tuples of 2-element subsets whose sum is aperiodic yet has no
     unique-expression element.  No such tuple is known; hits are reported,
-    never asserted.
+    never asserted.  budget bounds the combinations drawn, the duplicates that
+    canonicalization skips included; tuples_examined counts the others.
 
     n is capped at |G| + 1.  By Kneser, an aperiodic sum of n two-element
     sets has at least n + 1 elements, so no hit can exist once n >= |G|; the
@@ -481,15 +482,15 @@ def hunt_unique_expression(g: GroupSpec, n: int, canonicalize: bool = True,
     diffs = _canonical_diffs(g) if canonicalize else list(range(1, g.order))
     units = _cyclic_units(g) if (canonicalize and g.rank == 1) else [1]
     seen: set = set()
-    for combo in itertools.combinations_with_replacement(diffs, n):
-        if report.tuples_examined >= budget:
+    for drawn, combo in enumerate(itertools.combinations_with_replacement(diffs, n)):
+        if drawn >= budget:
             report.exhaustive = False
             break
         if canonicalize and len(units) > 1:
-            canon = min(
-                tuple(sorted(min(g.scale(u, d), g.neg(g.scale(u, d)))
-                             for d in combo))
-                for u in units)
+            # units besides 1 only on a cyclic G, where u*d is u * d mod |G|
+            m = g.order
+            canon = min(tuple(sorted(min(u * d % m, -u * d % m) for d in combo))
+                        for u in units)
             if canon in seen:
                 continue
             seen.add(canon)

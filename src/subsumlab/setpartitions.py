@@ -29,25 +29,25 @@ reads |G/H| and exp(G/H) off H); only the case-II profile maps S to G/H.
 The solver (_solve) returns parts, never a certificate: each public solver
 builds its certificate once and verifies it exactly once, with the
 independent verifier for its theorem (partition_verify, main_verify); a
-failed check raises InternalError with the instance.  Callers read
-cert.verified instead of verifying again.  No value passes from the solver to
-a verifier: it calls nterm_subsums on its own arguments, whose one-entry memo
-only nterm_subsums writes, with the DP's result for exactly that (G, S, n),
-so a hit is what a fresh DP would return.  Inside the solver, Sigma_n(S) and
-its stabilizer H are computed once per (S, n), and the case-II profile is
-computed once per solve, from that H, and handed to the pipeline.
-partition_verify profiles with its own H.
+failed check raises InternalError with the instance, and callers read
+cert.verified.  No value passes from the solver to a verifier, which calls
+nterm_subsums on its own arguments (its one-entry memo holds the DP's result
+for exactly one (G, S, n), so a hit is what a fresh DP would return).  The
+solver computes Sigma_n(S), its stabilizer H and the case-II profile once per
+solve; partition_verify profiles with its own H.
 
-Each clause is coded once, in a verifier: both share _common_violations (part
-count, S(A) | S, |S(A)| = |S'|, sum inside Sigma_n(S), the recorded H), and
-the solver checks none of them itself.
+Each clause is coded once, in a verifier, and the solver checks none.  Both
+verifiers share _common_violations (part count; S(A) | S and |S(A)| = |S'|
+from one count of S(A); unset fields; the recorded H).  Case I is checked by
+the size of the sum of parts alone, so it reads Sigma_n(S) only for a
+recorded H or in full-group mode.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -95,10 +95,6 @@ class SetPartition:
         self.group = group
         self.parts = tuple(parts)
 
-    @property
-    def n(self) -> int:
-        return len(self.parts)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SetPartition)
                 and other.group is self.group and other.parts == self.parts)
@@ -107,11 +103,6 @@ class SetPartition:
         lits = self.group.literals()
         inner = " | ".join("{" + ",".join(lits[i] for i in iter_bits(p)) + "}" for p in self.parts)
         return f"SetPartition({self.group.spec_string()}, {inner})"
-
-    def sum_subset(self, upto: int | None = None) -> GroupSubset:
-        """Sum of the first `upto` parts (all parts by default); {0} for none."""
-        parts = self.parts if upto is None else self.parts[:upto]
-        return GroupSubset(self.group, sum_of_masks(self.group, parts))
 
 
 @dataclass
@@ -227,13 +218,31 @@ class Certificate:
 # basic construction
 
 
-def _counts(g: GroupSpec, parts: Iterable[int]) -> list[int]:
-    """The multiplicity vector of the parts' underlying sequence."""
-    used = [0] * g.order
+def _counts(s: GSequence, parts: Iterable[int]) -> tuple[list[int], int, bool]:
+    """The multiplicity vector of the parts' underlying sequence S(A), its
+    length and whether S(A) | S, from one pass over the parts' bits."""
+    mult = s.mult
+    used, length, fits = [0] * len(mult), 0, True
     for p in parts:
-        for i in iter_bits(p):
+        length += p.bit_count()
+        while p:
+            low = p & -p
+            i = low.bit_length() - 1
             used[i] += 1
-    return used
+            if used[i] > mult[i]:
+                fits = False
+            p ^= low
+    return used, length, fits
+
+
+def _sum_size(g: GroupSpec, parts: Iterable[int], stop: int) -> int:
+    """|sum of parts|, exact below stop: a singleton part only translates the
+    sum and is skipped, and no part shrinks it, so it stops at size stop."""
+    acc = 1
+    for p in parts:
+        if p & (p - 1) and (acc := sum_masks(g, acc, p)).bit_count() >= stop:
+            break
+    return acc.bit_count()
 
 
 def _round_robin(s: GSequence, n: int) -> list[int]:
@@ -324,7 +333,7 @@ def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int
     moves.
     """
     parts = _round_robin(s_prime, n)
-    best = sum_of_masks(s.group, parts).bit_count()
+    best = _sum_size(s.group, parts, s.group.order)
     while best < target and (lifted := _improve(s, parts, best)):
         best = lifted
     return parts, best
@@ -339,7 +348,7 @@ def _improve(s: GSequence, parts: list[int], best: int) -> int:
     Returns the lifted sum size, or 0 when no move improves.
     """
     g = s.group
-    used = _counts(g, parts)
+    used = _counts(s, parts)[0]
     spare = [u for u in s.support_indices() if s.mult[u] > used[u]]
 
     def moves():
@@ -477,62 +486,62 @@ _UNSET = {"K": None, "alpha": None, "e_H": 0, "e_K": 0, "k": 0}
 
 def _common_violations(cert: Certificate, g: GroupSpec, s: GSequence,
                        s_prime: GSequence, n: int, theorem: str
-                       ) -> tuple[list[str], Optional[GroupSubset],
+                       ) -> tuple[list[str], Optional[list[int]],
                                   Optional[GroupSubset], Optional[Subgroup]]:
     """The clauses both verifiers check, recomputed from scratch.
 
-    The part count, S(A) | S and |S(A)| = |S'| come first; when one fails,
-    nothing else is checked and the other three values are None.  Then the
-    sum of parts must lie in Sigma_n(S), the fields the verifier's theorem
-    does not use in cert's case must be unset, and a recorded H (required in
-    case II) must equal H(Sigma_n(S)).  Returns (violations, Sigma_n(S), sum
-    of parts, H(Sigma_n(S)) or None when neither H nor case II asks for it).
+    The part count, then S(A) | S and |S(A)| = |S'| from one count of S(A);
+    when one fails, nothing else is checked and the other values are None.
+    Then the fields cert's case leaves unused in the verifier's theorem must
+    be unset, and a recorded H (required in case II) must equal H(Sigma_n(S)).
+    Returns (violations, S(A)'s multiplicity vector, Sigma_n(S), H(Sigma_n(S))),
+    the last two None unless H or case II needs them.  No clause asks the sum
+    of parts to lie in Sigma_n(S): an element of A_1 + ... + A_n sums one term
+    of each of the n distinct parts, an n-term subsum of S(A), which S(A) | S
+    puts in Sigma_n(S).
     """
     partition = cert.partition
     if partition.group is not g or s.group is not g:
         return ["certificate/instance group mismatch"], None, None, None
-    if partition.n != n:
-        return [f"expected {n} parts, found {partition.n}"], None, None, None
+    if len(partition.parts) != n:
+        return [f"expected {n} parts, found {len(partition.parts)}"], None, None, None
     violations: list[str] = []
-    used = _counts(g, partition.parts)
-    if any(used[i] > s.mult[i] for i in iter_bits(reduce(operator.or_, partition.parts, 0))):
+    used, length, fits = _counts(s, partition.parts)
+    if not fits:
         violations.append("S(A) is not a subsequence of S")
-    length = sum(p.bit_count() for p in partition.parts)
     if length != s_prime.length:
         violations.append(f"|S(A)|={length} != |S'|={s_prime.length}")
     if violations:
         return violations, None, None, None
-    sigma_n = nterm_subsums(s, n)
-    sum_a = partition.sum_subset()
-    if sum_a.bits & ~sigma_n.bits:
-        violations.append("sum of parts escapes Sigma_n(S)")
     unused = (("K", "alpha", "e_H", "e_K", "k") if cert.case_tag == "I"
               else ("K", "alpha", "e_K") if theorem == "partition" else ())
     for name in unused:
         if getattr(cert, name) != _UNSET[name]:
             violations.append(f"case {cert.case_tag} certificate must leave {name} unset")
-    h = None
+    sigma_n = h = None
     if cert.case_tag == "II" or cert.H is not None:
+        sigma_n = nterm_subsums(s, n)
         h = stabilizer(sigma_n)
         if cert.H is None:
             violations.append("case II certificate does not record H")
         elif cert.H.carrier.bits != h.carrier.bits:
             violations.append(f"recorded H={{{cert.H.carrier.format()}}} "
                               f"!= H(Sigma_n(S))={{{h.carrier.format()}}}")
-    return violations, sigma_n, sum_a, h
+    return violations, used, sigma_n, h
 
 
 def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
                      n: int) -> tuple[bool, list[str]]:
     """Re-check a partition-theorem certificate from scratch."""
-    violations, sigma_n, sum_a, h = _common_violations(cert, s.group, s, s_prime, n,
-                                                       "partition")
-    if sigma_n is None:
+    violations, used, sigma_n, h = _common_violations(cert, s.group, s, s_prime, n,
+                                                      "partition")
+    if used is None:
         return False, violations
     if cert.case_tag == "I":
         bound = s_prime.length - n + 1
-        if sum_a.size < bound:
-            violations.append(f"case 1 bound: |sum|={sum_a.size} < {bound}")
+        size = _sum_size(s.group, cert.partition.parts, bound)
+        if size < bound:
+            violations.append(f"case 1 bound: |sum|={size} < {bound}")
     elif cert.case_tag == "II":
         # the recorded H was checked above.  The case-II bound |S'| - (n-1)|H|
         # + e(|H|-1) + rho is bound_primary, the |S'| terms cancelling in
@@ -544,11 +553,11 @@ def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
             violations.append(f"recorded e_H={cert.e_H} != e={profile.e}")
         if cert.k != n - profile.e:
             violations.append(f"recorded k={cert.k} != n - e = {n - profile.e}")
-        if sum_a != sigma_n:
+        sum_a = sum_of_masks(s.group, cert.partition.parts)
+        if sum_a != sigma_n.bits:
             violations.append("case 2 requires sum of parts == Sigma_n(S)")
-        if sum_a.size < profile.bound_primary:
-            violations.append(f"case 2 bound: |sum|={sum_a.size} < {profile.bound_primary}")
-        used = _counts(s.group, cert.partition.parts)
+        if sum_a.bit_count() < profile.bound_primary:
+            violations.append(f"case 2 bound: |sum|={sum_a.bit_count()} < {profile.bound_primary}")
         if any(s.mult[i] > used[i] and not (z >> i) & 1 for i in s.support_indices()):
             violations.append("leftover terms outside phi^-1(X)")
         for i, p in enumerate(cert.partition.parts):
@@ -721,17 +730,19 @@ def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
     """Re-check every clause of a main-pipeline certificate, in cert.mode, from scratch."""
     if cert.mode not in MODES:
         return False, [f"unknown mode {cert.mode!r}"]
-    violations, sigma_n, sum_a, h = _common_violations(cert, g, s, s_prime, n, "main")
-    if sigma_n is None:
+    violations, used, sigma_n, h = _common_violations(cert, g, s, s_prime, n, "main")
+    if used is None:
         return False, violations
     partition = cert.partition
     if cert.case_tag == "I":
+        full = cert.mode == "full-group"
         bound = min(g.order, s_prime.length - n + 1)
-        if sum_a.size < bound:
-            violations.append(f"case (i): |sum|={sum_a.size} < min(|G|, |S'|-n+1)={bound}")
-        if cert.mode == "full-group" and sigma_n.bits != g.full_mask:
+        size = _sum_size(g, partition.parts, g.order if full else bound)
+        if size < bound:
+            violations.append(f"case (i): |sum|={size} < min(|G|, |S'|-n+1)={bound}")
+        if full and nterm_subsums(s, n).bits != g.full_mask:
             violations.append("full-group mode: Sigma_n(S) != G")
-        if cert.mode == "full-group" and sum_a.bits != g.full_mask:
+        if full and size < g.order:
             violations.append("full-group mode: sum of parts != G")
         return not violations, violations
 
@@ -743,34 +754,34 @@ def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
         verify_subgroup(g, cert.K.carrier)
     except GroupError as err:
         return False, [f"(ii): K is not a subgroup: {err}"]
-    k_sub = cert.K
-    alpha = cert.alpha
-    if k_sub.is_trivial:
+    if cert.K.is_trivial:
         violations.append("(ii): K must be nontrivial")
-    if not h.contains_subgroup(k_sub):
+    if not h.contains_subgroup(cert.K):
         violations.append("(ii): K not contained in H(Sigma_n(S))")
     if h.is_full:
         violations.append("(ii): H(Sigma_n(S)) must be proper")
     # (a), then (b), from one listing of supp(S); S(A) | S was checked
-    if sum_a != sigma_n:
-        violations.append("(ii)(a): sum of parts != Sigma_n(S)")
-    coset_k = g.translate_mask(k_sub.carrier.bits, alpha)
+    coset_k = g.translate_mask(cert.K.carrier.bits, cert.alpha)
     out_k = [i for i in s.support_indices() if not (coset_k >> i) & 1]
-    used = _counts(g, partition.parts)
+    coset_h = g.translate_mask(h.carrier.bits, cert.alpha)
+    e_h = sum(s.mult[i] for i in s.support_indices() if not (coset_h >> i) & 1)
+    e_k = sum(s.mult[i] for i in out_k)
+    k_prime = n - e_k
+    # one left-to-right sum gives the whole and (d)'s prefix, the first k'
+    # parts (read only when k' >= 1; any k' slices the parts in two)
+    prefix = sum_of_masks(g, partition.parts[:k_prime])
+    if sum_of_masks(g, [prefix, *partition.parts[k_prime:]]) != sigma_n.bits:
+        violations.append("(ii)(a): sum of parts != Sigma_n(S)")
     if any(s.mult[i] > used[i] for i in out_k):
         violations.append("(ii)(a): leftover terms outside alpha+K")
     # (b)
-    coset_h = g.translate_mask(h.carrier.bits, alpha)
-    e_h = sum(s.mult[i] for i in s.support_indices() if not (coset_h >> i) & 1)
-    e_k = sum(s.mult[i] for i in out_k)
     if cert.e_H != e_h:
         violations.append(f"(ii)(b): recorded e_H={cert.e_H} != recomputed {e_h}")
     if cert.e_K != e_k:
         violations.append(f"(ii)(b): recorded e_K={cert.e_K} != recomputed {e_k}")
-    for e, sub, name in ((e_h, h, "H"), (e_k, k_sub, "K")):
+    for e, sub, name in ((e_h, h, "H"), (e_k, cert.K, "K")):
         violations += clause_iib_violations(sigma_n.size, e, sub, s_prime.length - n, name)
     # (c)
-    k_prime = n - e_k
     if cert.k != k_prime:
         violations.append(f"recorded k={cert.k} != n - e_K = {k_prime}")
     for i, p in enumerate(partition.parts):
@@ -783,9 +794,8 @@ def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
             violations.append(f"(ii)(c): part {i + 1} must have exactly one element outside alpha+K")
     # (d)
     if k_prime >= 1:
-        prefix = partition.sum_subset(k_prime)
-        expect = g.translate_mask(k_sub.carrier.bits, g.scale(k_prime, alpha))
-        if prefix.bits != expect:
+        expect = g.translate_mask(cert.K.carrier.bits, g.scale(k_prime, cert.alpha))
+        if prefix != expect:
             violations.append("(ii)(d): prefix sum != (n-e_K)alpha + K")
     else:
         violations.append("(ii)(d): n - e_K < 1")

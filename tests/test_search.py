@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from math import comb
 
 import pytest
@@ -414,6 +415,22 @@ def test_hunt_budget_marks_nonexhaustive():
     rep = hunt_unique_expression(g, 3, budget=2)
     assert not rep.exhaustive
     assert rep.tuples_examined <= 2
+
+
+def test_hunt_budget_counts_skipped_duplicates():
+    # C_9 has 4 classes of 2-subsets, so 20 combinations of 3 are drawn, and
+    # canonicalization skips some; each skipped one still counts
+    g = parse_group("9")
+    drawn = comb(len(search._canonical_diffs(g)) + 2, 3)
+    full = hunt_unique_expression(g, 3)
+    assert full.exhaustive and full.tuples_examined < drawn
+    assert hunt_unique_expression(g, 3, budget=drawn).tuples_examined == full.tuples_examined
+    assert not hunt_unique_expression(g, 3, budget=drawn - 1).exhaustive
+    # each combination drawn on C_1024 costs phi(1024) = 512 sorted tuples
+    t0 = time.perf_counter()
+    rep = hunt_unique_expression(parse_group("1024"), 3, budget=200)
+    assert time.perf_counter() - t0 < 1.0
+    assert not rep.exhaustive and 0 < rep.tuples_examined <= 200
 
 
 def test_hunt_finds_no_aperiodic_sum_once_n_reaches_the_order():

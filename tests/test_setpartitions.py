@@ -91,7 +91,7 @@ def test_setpartition_parts_are_nonempty_masks_of_the_group():
 def test_make_setpartition_invariants(inst):
     g, _, s_prime, n = inst
     sp = SetPartition(g, setpartitions._round_robin(s_prime, n))
-    assert sp.n == n
+    assert len(sp.parts) == n
     assert all(sp.parts)
     assert underlying_sequence(sp) == s_prime
 
@@ -140,7 +140,7 @@ def test_partition_case1_trivial():
     s = parse_sequence(g, "0^3")
     cert = partition_solve(s, s, 3)
     assert cert.case_tag == "I" and cert.verified
-    assert cert.partition.sum_subset().size == 1 == s.length - 3 + 1
+    assert sum_of_masks(g, cert.partition.parts).bit_count() == 1 == s.length - 3 + 1
 
 
 def test_partition_case1_hill_climb():
@@ -148,7 +148,7 @@ def test_partition_case1_hill_climb():
     s = parse_sequence(g, "0;1;2;3")
     cert = partition_solve(s, s, 2)
     assert cert.case_tag == "I"
-    assert cert.partition.sum_subset().size >= 3
+    assert sum_of_masks(g, cert.partition.parts).bit_count() >= 3
 
 
 def test_improve_matches_full_recompute_oracle():
@@ -192,9 +192,9 @@ def test_partition_case2_worked_instance():
     cert = partition_solve(s, s, 2)
     assert cert.case_tag == "II"
     assert set(cert.H.carrier.indices()) == {0, 4}
-    sum_parts = cert.partition.sum_subset()
-    assert sum_parts == nterm_subsums(s, 2)
-    assert sum_parts.size == 6  # ((N-1)n + e + 1)|H| with N=2, e=0
+    sum_parts = sum_of_masks(g, cert.partition.parts)
+    assert sum_parts == nterm_subsums(s, 2).bits
+    assert sum_parts.bit_count() == 6  # ((N-1)n + e + 1)|H| with N=2, e=0
 
 
 @given(solver_instance())
@@ -516,8 +516,7 @@ def test_main_pipeline_worked_case2():
     assert set(cert.H.carrier.indices()) == {0, 2}
     assert set(cert.K.carrier.indices()) == {0, 2}
     assert cert.alpha == 0 and cert.e_H == 0 and cert.e_K == 0
-    sum_parts = cert.partition.sum_subset()
-    assert set(sum_parts.indices()) == {0, 2}
+    assert sum_of_masks(g, cert.partition.parts) == 0b101  # {0, 2}
     assert nterm_subsums(s, 5).size == 2 >= (cert.e_H + 1) * cert.H.order
 
 
@@ -567,7 +566,7 @@ def test_main_pipeline_certificate_always_verifies(inst):
     ok, violations = main_verify(cert, g, s, s_prime, n)
     assert ok, violations
     if cert.case_tag == "I":
-        assert cert.partition.sum_subset().size >= \
+        assert sum_of_masks(g, cert.partition.parts).bit_count() >= \
             min(g.order, s_prime.length - n + 1)
     else:
         assert cert.K is not None and not cert.K.is_trivial
@@ -721,6 +720,70 @@ def test_verifiers_reject_unused_fields(spec, seq, theorem, edits):
     assert not ok and len(violations) == len(edits)
     # bounds is solver output: no verifier reads it
     assert verify(Certificate.from_dict(g, {**data, "bounds": {"sum_size": -1}})) == (True, [])
+
+
+def _refuse_dp(monkeypatch):
+    """Empty nterm_subsums' memo and make every Sigma_n DP from now on raise."""
+    def refuse(*args):
+        raise AssertionError("Sigma_n DP run")
+    monkeypatch.setattr(sequences, "_last_nterm", (None, 0))
+    monkeypatch.setattr(sequences, "_subsum_rows", refuse)
+
+
+def test_case1_certificates_verify_without_sigma_n(monkeypatch):
+    # case I is checked by |sum of parts| alone, so with no H recorded and in
+    # standard mode neither verifier runs the Sigma_n DP
+    g = parse_group("7")
+    s = parse_sequence(g, "0;1;2;3")
+    certs = [partition_solve(s, s, 2), main_pipeline(g, s, s, 2)]
+    assert [(c.case_tag, c.H) for c in certs] == [("I", None)] * 2
+    _refuse_dp(monkeypatch)
+    for cert in certs:
+        assert partition_verify(cert, s, s, 2) == (True, [])
+        assert main_verify(cert, g, s, s, 2) == (True, [])
+
+
+def test_case1_bound_miss_reports_the_exact_sum_size():
+    # partial sums of the parts: 2, then 4 of the bound 8 - 3 + 1 = 6; the
+    # singleton part only translates
+    g = parse_group("8")
+    s = parse_sequence(g, "0^3;4^3;2;6;1")
+    s_prime = parse_sequence(g, "0^3;4^3;2;6")
+    parts = [["0", "4"], ["0", "2", "4"], ["0", "4", "6"]]
+    cert = Certificate.from_dict(g, {"case": "I", "parts": parts})
+    assert partition_verify(cert, s, s_prime, 3) == (False, ["case 1 bound: |sum|=4 < 6"])
+    miss = "case (i): |sum|=4 < min(|G|, |S'|-n+1)=6"
+    assert main_verify(cert, g, s, s_prime, 3) == (False, [miss])
+    # full-group mode sums on to |G|, not to the bound; Sigma_3(S) is G here
+    cert.mode = "full-group"
+    assert nterm_subsums(s, 3).bits == g.full_mask
+    assert main_verify(cert, g, s, s_prime, 3) == (
+        False, [miss, "full-group mode: sum of parts != G"])
+    # a sum of size 6, between the bound 4 and |G|, fails only in full-group mode
+    parts = [["2"], ["5", "7"], ["0", "1", "4"]]
+    wide = Certificate.from_dict(g, {"case": "I", "parts": parts, "mode": "full-group"})
+    s = parse_sequence(g, "0;1;2;4;5;7")
+    assert nterm_subsums(s, 3).bits == g.full_mask
+    assert main_verify(wide, g, s, s, 3) == (False, ["full-group mode: sum of parts != G"])
+    wide.mode = "standard"
+    assert main_verify(wide, g, s, s, 3) == (True, [])
+    assert partition_verify(wide, s, s, 3) == (True, [])
+
+
+def test_case1_certificate_recording_h_is_checked_against_sigma_n(monkeypatch):
+    g = parse_group("7")
+    s = parse_sequence(g, "0;1;2;3")
+    data = main_pipeline(g, s, s, 2).to_dict()
+    assert data["case"] == "I" and stabilizer(nterm_subsums(s, 2)).is_trivial
+    ok = Certificate.from_dict(g, {**data, "H": ["0"]})
+    bad = Certificate.from_dict(g, {**data, "H": [str(x) for x in range(7)]})
+    text = "recorded H={0,1,2,3,4,5,6} != H(Sigma_n(S))={0}"
+    for verify in (lambda c: partition_verify(c, s, s, 2),
+                   lambda c: main_verify(c, g, s, s, 2)):
+        dp_calls = _dp_calls(monkeypatch)
+        assert verify(ok) == (True, [])
+        assert len(dp_calls) == 1
+        assert verify(bad) == (False, [text])
 
 
 # ---------------------------------------------------------------------------
