@@ -28,7 +28,11 @@ the script exits 1 when it is not.
 Per slice and pipeline mode, it counts which hypothesis item
 hypothesis_check selected, over the calls that passed the preconditions
 (raised no plain PartitionError); "none" counts the HypothesesUnmetError
-outcomes.  These counts stay out of the digests.
+outcomes.  These counts stay out of the digests, and so does the count, per
+slice and call, of the Sigma_n DPs the call ran (calls of
+sequences._subsum_rows, the DP behind nterm_subsums).  Each call starts with
+nterm_subsums' one-entry memo emptied, so the count is what the call costs
+on its own, whatever the script or an earlier call computed.
 
 Last, a verdict digest checks that the verifiers still accept and reject
 what they did.  For every certificate of every k-th instance of a slice
@@ -65,6 +69,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from subsumlab import sequences  # noqa: E402
 from subsumlab.groups import enumerate_subgroups, parse_group, stabilizer  # noqa: E402
 from subsumlab.search import (  # noqa: E402
     AuditConfig,
@@ -101,6 +106,19 @@ PINNED = (
     ("4x4", "(0,0)^14;(3,1);(1,2);(2,2)^16;(2,3)", 17),
     ("4x8", "(1,1);(2,1)^4;(1,3)^3;(2,3);(0,5)^4;(3,7)^4", 4),
 )
+
+
+def count_dps() -> list[int]:
+    """Wrap sequences._subsum_rows so that each call adds 1 to the returned
+    one-element counter."""
+    runs = [0]
+    rows = sequences._subsum_rows
+
+    def counted(*args):
+        runs[0] += 1
+        return rows(*args)
+    sequences._subsum_rows = counted
+    return runs
 
 
 def criterion_89():
@@ -220,6 +238,7 @@ def main() -> int:
     verdict_counts: Counter = Counter()
     t0 = time.perf_counter()
     total_mismatches = 0
+    dp_runs = count_dps()
     for name, corpus in (("criterion 8-9", criterion_89),
                          ("S' proper", proper_subsequence),
                          ("concentrated", concentrated),
@@ -228,6 +247,7 @@ def main() -> int:
         call_digests = [hashlib.sha256() for _ in CALLS]
         count = 0
         classes = [Counter() for _ in CALLS]
+        dps = [0] * len(CALLS)
         items = {call: Counter() for call in ITEM_MODES}
         mismatches = 0
         for g, s, s_prime, n in corpus():
@@ -235,7 +255,10 @@ def main() -> int:
                     lambda: partition_solve(s, s_prime, n),
                     lambda: main_pipeline(g, s, s_prime, n),
                     lambda: main_pipeline(g, s, s_prime, n, "full-group"))):
+                sequences._last_nterm = (None, 0)
+                before = dp_runs[0]
                 cls, text, same, record = outcome(g, call)
+                dps[j] += dp_runs[0] - before
                 if record is not None and count % MUTANT_STRIDE[name] == 0:
                     digest_verdicts(g, s, s_prime, n, record, verdict_digest, verdict_counts)
                 classes[j][cls] += 1
@@ -259,6 +282,8 @@ def main() -> int:
         for call, counts in zip(CALLS, classes):
             print(f"#   {call}: " + ", ".join(f"{cls} {c}" for cls, c in sorted(counts.items())),
                   file=sys.stderr)
+        print("#   Sigma_n DPs: " + ", ".join(f"{call} {c}" for call, c in zip(CALLS, dps)),
+              file=sys.stderr)
         for call, counts in items.items():
             print(f"#   {call} items: " + ", ".join(f"{item} {c}" for item, c in sorted(counts.items())),
                   file=sys.stderr)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -459,9 +460,15 @@ def _canonical_diffs(g: GroupSpec) -> list[int]:
     return [d for d in range(1, g.order) if d <= g.neg(d)]
 
 
-def _cyclic_units(g: GroupSpec) -> list[int]:
-    import math
-    return [u for u in range(1, g.order) if math.gcd(u, g.order) == 1]
+def _cyclic_canon(m: int, combo: tuple[int, ...]) -> tuple[int, ...]:
+    """The least, over the units u mod m, of the sorted min(u*d, -u*d) mod m.
+    Each u*d is a nonzero multiple of gcd(d, m), so only a u with u*d = +-g0
+    for a d of least gcd g0, u = +-(d/g0)^-1 mod m/g0, starts the least tuple."""
+    g0 = min(math.gcd(d, m) for d in combo)
+    r = m // g0
+    units = {u for d in combo if math.gcd(d, m) == g0 for w in (1, -1)
+             for u in range(w * pow(d // g0, -1, r) % r, m, r) if math.gcd(u, m) == 1}
+    return min(tuple(sorted(min(u * d % m, -u * d % m) for d in combo)) for u in units)
 
 
 def hunt_unique_expression(g: GroupSpec, n: int, canonicalize: bool = True,
@@ -480,17 +487,14 @@ def hunt_unique_expression(g: GroupSpec, n: int, canonicalize: bool = True,
         raise SearchError("need |G| >= 2")
     report = HuntReport(g, n, canonicalize)
     diffs = _canonical_diffs(g) if canonicalize else list(range(1, g.order))
-    units = _cyclic_units(g) if (canonicalize and g.rank == 1) else [1]
+    cyclic = canonicalize and g.rank == 1 and g.order > 2   # units besides 1
     seen: set = set()
     for drawn, combo in enumerate(itertools.combinations_with_replacement(diffs, n)):
         if drawn >= budget:
             report.exhaustive = False
             break
-        if canonicalize and len(units) > 1:
-            # units besides 1 only on a cyclic G, where u*d is u * d mod |G|
-            m = g.order
-            canon = min(tuple(sorted(min(u * d % m, -u * d % m) for d in combo))
-                        for u in units)
+        if cyclic:
+            canon = _cyclic_canon(g.order, combo)
             if canon in seen:
                 continue
             seen.add(canon)

@@ -168,6 +168,12 @@ def nterm_subsums(s: GSequence, n: int) -> GroupSubset:
     return GroupSubset(s.group, bits)
 
 
+def refuse_rows(cap: int) -> None:
+    """SequenceError when a Sigma_j DP up to j = cap would pass DEFAULT_ROW_CAP."""
+    if cap > DEFAULT_ROW_CAP:
+        raise SequenceError(f"Sigma_j DP up to j = {cap} exceeds the row cap {DEFAULT_ROW_CAP}")
+
+
 def _subsum_rows(s: GSequence, cap: int, target: int) -> list[int]:
     """Bounded-knapsack DP, one 0/1 bundle of copies at a time, rows descending.
 
@@ -184,8 +190,7 @@ def _subsum_rows(s: GSequence, cap: int, target: int) -> list[int]:
     most 4096 bits take about 36 MB, and every n-threshold of the theorem
     (|G|/p - 1, d*(G), exp(G) + 1, ...) is at most |G| + 1 <= 4097.
     """
-    if cap > DEFAULT_ROW_CAP:
-        raise SequenceError(f"Sigma_j DP up to j = {cap} exceeds the row cap {DEFAULT_ROW_CAP}")
+    refuse_rows(cap)
     g = s.group
     rows = [0] * (cap + 1)
     rows[0] = 1

@@ -5,16 +5,15 @@ group's element indices, the form every local search and verifier works on.
 
 partition_solve realizes the two-case partition dichotomy for n-term subsums
 (large part-sum, or all parts concentrated on the high-multiplicity cosets).
-It has one path per case.  Case I is a hill climb on the sum of parts.  Case
-II takes the hill climb's partition and repairs it (_spread_outside_terms):
+Case I is the round-robin partition, or a hill climb from it when its sum is
+too small.  Case II repairs the climb's partition (_spread_outside_terms):
 while a part holds two terms outside the high-multiplicity cosets, one of them
 moves to a part that holds none, as long as the sum of parts stays Sigma_n(S).
-Both local searches only list their candidate moves, in a fixed order, and
-hand them to one loop, _first_move, which scores each move and applies the
-first one that passes: a larger sum in the climb, the sum Sigma_n(S) in the
-repair.  A move changes at most two parts, i and j, so the loop keeps prefix
-and suffix sums of the parts other than i, and the sum of the parts other
-than i and j costs one set-sum per pair.
+Both local searches list their candidate moves, in a fixed order, for one
+loop, _first_move, which applies the first that passes: a larger sum in the
+climb, the sum Sigma_n(S) in the repair.  A move changes at most two parts,
+i and j, so prefix and suffix sums of the parts other than i make the sum of
+the parts other than i and j one set-sum per pair.
 
 main_pipeline realizes the strengthened conclusion under the exponent-style
 hypotheses in G's own coordinates, never translating S, Sigma_n(S) or the
@@ -23,24 +22,24 @@ supp(S)" and Step A translate.  It has two exits, case I from the solver and
 Step B (K = H); _pipeline_cert argues why the paper's trivial span and span
 reduction need none.  Steps C-E, past Step B, are not coded: no instance has
 been found that needs them, and main_verify checks the claims of Steps A and
-B on every certificate.  A case-I request builds no quotient (hypothesis_check
-reads |G/H| and exp(G/H) off H); only the case-II profile maps S to G/H.
+B on every certificate.  hypothesis_check reads |G/H| and exp(G/H) off H, so
+only the case-II profile maps S to G/H.
 
-The solver (_solve) returns parts, never a certificate: each public solver
-builds its certificate once and verifies it exactly once, with the
-independent verifier for its theorem (partition_verify, main_verify); a
-failed check raises InternalError with the instance, and callers read
-cert.verified.  No value passes from the solver to a verifier, which calls
+The solver (_solve) returns parts; each public solver builds its certificate
+once and verifies it once, with its theorem's independent verifier
+(partition_verify, main_verify), and raises InternalError with the instance
+when the check fails.  Nothing passes from solver to verifier, which calls
 nterm_subsums on its own arguments (its one-entry memo holds the DP's result
-for exactly one (G, S, n), so a hit is what a fresh DP would return).  The
-solver computes Sigma_n(S), its stabilizer H and the case-II profile once per
-solve; partition_verify profiles with its own H.
+for one (G, S, n), so a hit is what a fresh DP would return).  Sigma_n(S),
+then H and the case-II profile, are computed once each, and in the solver
+only when the round-robin start misses case I; partition_verify profiles
+with its own H.
 
-Each clause is coded once, in a verifier, and the solver checks none.  Both
-verifiers share _common_violations (part count; S(A) | S and |S(A)| = |S'|
-from one count of S(A); unset fields; the recorded H).  Case I is checked by
-the size of the sum of parts alone, so it reads Sigma_n(S) only for a
-recorded H or in full-group mode.
+Each clause is coded once, in a verifier.  Both verifiers share
+_common_violations (part count; S(A) | S and |S(A)| = |S'| from one count of
+S(A); unset fields; the recorded H).  Case I is checked by the size of the
+sum of parts alone, so it reads Sigma_n(S) only for a recorded H or in
+full-group mode.
 """
 
 from __future__ import annotations
@@ -65,7 +64,8 @@ from .groups import (
     sum_of_masks,
     verify_subgroup,
 )
-from .sequences import GSequence, InternalError, SubsumProfile, nterm_subsums, subsum_profile
+from .sequences import (GSequence, InternalError, SubsumProfile, nterm_subsums, refuse_rows,
+                        subsum_profile)
 
 
 class PartitionError(InputError):
@@ -323,22 +323,6 @@ def _validate_instance(s: GSequence, s_prime: GSequence, n: int) -> None:
         raise PartitionError("n must be >= 1")
 
 
-def _hill_climb(s: GSequence, s_prime: GSequence, n: int, target: int
-                ) -> tuple[list[int], int]:
-    """First-improvement local search maximizing |sum of parts|.
-
-    Returns part bitmasks and the achieved sum size.  The climb needs no move
-    cap: every applied move raises best by at least 1, from best >= 1, and
-    best never exceeds |Sigma_n(S)| <= |G|, so a climb makes at most |G| - 1
-    moves.
-    """
-    parts = _round_robin(s_prime, n)
-    best = _sum_size(s.group, parts, s.group.order)
-    while best < target and (lifted := _improve(s, parts, best)):
-        best = lifted
-    return parts, best
-
-
 def _improve(s: GSequence, parts: list[int], best: int) -> int:
     """Apply the first move that lifts |sum of parts| above best to parts.
 
@@ -431,7 +415,7 @@ def _first_move(g: GroupSpec, parts: list[int], moves: Iterable[tuple[int, int, 
 def partition_solve(s: GSequence, s_prime: GSequence, n: int) -> Certificate:
     """Find a setpartition witnessing one of the two partition-theorem cases."""
     _validate_instance(s, s_prime, n)
-    parts, sum_size, profile = _solve(s, s_prime, n, nterm_subsums(s, n))
+    parts, sum_size, profile = _solve(s, s_prime, n)
     partition = SetPartition(s.group, parts)
     if profile is None:
         cert = Certificate("I", partition, theorem="partition",
@@ -453,22 +437,30 @@ def partition_solve(s: GSequence, s_prime: GSequence, n: int) -> Certificate:
     return cert
 
 
-def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset,
-           h: Optional[Subgroup] = None
-           ) -> tuple[list[int], int, Optional[SubsumProfile]]:
+def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset | None = None,
+           h: Subgroup | None = None) -> tuple[list[int], int, SubsumProfile | None]:
     """The partition solver on a valid instance, given sigma_n = Sigma_n(S)
-    and h = H(sigma_n) when the caller holds it.
+    and h = H(sigma_n) when the caller holds them.
+
+    The round-robin parts are case I when their sum reaches |S'| - n + 1.
+    Else a first-improvement climb (_improve) lifts the sum, by at least 1 a
+    move, toward min(|S'| - n + 1, |Sigma_n(S)|), which holds every sum of
+    parts.  n parts cost what n DP rows do: n past the row cap is refused.
 
     Returns (parts, sum size, profile): the part bitmasks, unchecked, and in
     case I the size of their sum and profile None; in case II |Sigma_n(S)|,
     which the repaired parts sum to, and the profile subsum_profile(S, n,
     |S'|) the repair spread the outside terms with.
     """
+    refuse_rows(n)
     g = s.group
     target1 = s_prime.length - n + 1
-    # sums of parts always land inside Sigma_n(S), so case 1 needs
-    # |Sigma_n(S)| >= |S'| - n + 1; otherwise climb toward Sigma_n itself
-    parts, best = _hill_climb(s, s_prime, n, min(target1, sigma_n.size))
+    parts = _round_robin(s_prime, n)
+    best = _sum_size(g, parts, g.order)
+    if best < target1:
+        sigma_n = nterm_subsums(s, n) if sigma_n is None else sigma_n
+        while best < min(target1, sigma_n.size) and (lifted := _improve(s, parts, best)):
+            best = lifted
     if best >= target1:
         return parts, best, None
     profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n, h=h)
@@ -576,7 +568,7 @@ def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
 
 def hypothesis_check(g: GroupSpec, h: Subgroup, n: int, mode: str) -> str:
     """The hypothesis item (G, H, n) satisfies: "trivial-H", "full-H",
-    "item1" to "item4", or "none".
+    "item1" to "item4", or "none"; main_pipeline asks only for n <= exp(G).
 
     The items see G/H only through q = |G/H| and exp(G/H), so no quotient is
     built.  The e with e*G <= H are the multiples of exp(G/H), and e*G <= H
@@ -640,7 +632,10 @@ def hypothesis_check(g: GroupSpec, h: Subgroup, n: int, mode: str) -> str:
 
 def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
                   mode: str = "standard") -> Certificate:
-    """Certificate for the strengthened partition conclusion, fully verified."""
+    """Certificate for the strengthened partition conclusion, fully verified.
+
+    Sigma_n(S) and its stabilizer H feed only the hypothesis check, run for n
+    <= exp(G): exp(G/H) divides exp(G), so a larger n is item 1 in any mode."""
     if mode not in MODES:
         raise PartitionError(f"unknown mode {mode!r}")
     if s.group is not g:
@@ -650,12 +645,14 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
         raise PartitionError(
             f"full-group mode needs |S'| >= n + |G| - 1 = {n + g.order - 1}, "
             f"got {s_prime.length}")
-    sigma_n = nterm_subsums(s, n)
-    h = stabilizer(sigma_n)
-    if hypothesis_check(g, h, n, mode) == "none":
-        raise HypothesesUnmetError(
-            f"no hypothesis item holds for H of order {h.order}, n={n}, "
-            f"G={g.spec_string()} (mode {mode})")
+    sigma_n = h = None
+    if n <= g.exponent:
+        sigma_n = nterm_subsums(s, n)
+        h = stabilizer(sigma_n)
+        if hypothesis_check(g, h, n, mode) == "none":
+            raise HypothesesUnmetError(
+                f"no hypothesis item holds for H of order {h.order}, n={n}, "
+                f"G={g.spec_string()} (mode {mode})")
     cert = _pipeline_cert(g, s, s_prime, n, mode, sigma_n, h)
     ok, violations = main_verify(cert, g, s, s_prime, n)
     if not ok:
@@ -668,9 +665,9 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
 
 
 def _pipeline_cert(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
-                   mode: str, sigma_n: GroupSubset, h: Subgroup) -> Certificate:
+                   mode: str, sigma_n: GroupSubset | None, h: Subgroup | None) -> Certificate:
     """The main argument on the caller's S, given sigma_n = Sigma_n(S) and
-    h = H(sigma_n): case I, else Step B.
+    h = H(sigma_n) when main_pipeline holds them: case I, else Step B.
 
     The solver's case-II partition has one high-multiplicity H-coset z =
     alpha + H (Step A would move it onto H; here it stays put) and splits into
@@ -700,7 +697,7 @@ def _pipeline_cert(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
     if sum_size >= case1_bound:
         return Certificate("I", SetPartition(g, parts), theorem="main", mode=mode,
                            bounds={"sum_size": sum_size, "case1_bound": case1_bound})
-    z = profile.Z_mask
+    h, z = profile.H, profile.Z_mask
     alpha = next(i for i in iter_bits(z) if s.mult[i])
     # the k parts inside z first, each in the solver's order
     parts.sort(key=lambda p: bool(p & ~z))

@@ -3,7 +3,7 @@
 import hashlib
 import json
 import time
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -426,11 +426,28 @@ def test_hunt_budget_counts_skipped_duplicates():
     assert full.exhaustive and full.tuples_examined < drawn
     assert hunt_unique_expression(g, 3, budget=drawn).tuples_examined == full.tuples_examined
     assert not hunt_unique_expression(g, 3, budget=drawn - 1).exhaustive
-    # each combination drawn on C_1024 costs phi(1024) = 512 sorted tuples
+    # the budget bounds the run on C_1024 too, where phi(1024) = 512 units
     t0 = time.perf_counter()
     rep = hunt_unique_expression(parse_group("1024"), 3, budget=200)
     assert time.perf_counter() - t0 < 1.0
     assert not rep.exhaustive and 0 < rep.tuples_examined <= 200
+
+
+def test_hunt_cyclic_canon_matches_full_unit_scan(monkeypatch):
+    # canonicalizing over the units that take some d to +-gcd(d, m) gives
+    # the reports that the scan over every unit mod m gives
+    def full_scan(m, combo):
+        return min(tuple(sorted(min(u * d % m, -u * d % m) for d in combo))
+                   for u in range(1, m) if gcd(u, m) == 1)
+
+    for m in range(2, 65):
+        g = parse_group(str(m))
+        for n in (1, 2, 3):
+            fast = hunt_unique_expression(g, n).to_dict()
+            with monkeypatch.context() as mp:
+                mp.setattr(search, "_cyclic_canon", full_scan)
+                slow = hunt_unique_expression(g, n).to_dict()
+            assert fast == slow, (m, n)
 
 
 def test_hunt_finds_no_aperiodic_sum_once_n_reaches_the_order():

@@ -301,7 +301,7 @@ def test_spread_outside_terms_matches_full_recompute_oracle(monkeypatch):
         pool = rng.sample(range(g.order), min(g.order, rng.randint(3, 8)))
         s = from_terms(g, [rng.choice(pool) for _ in range(rng.randint(4, 16))])
         n = rng.randint(max(2, s.max_multiplicity()), s.length)
-        parts, _ = setpartitions._hill_climb(s, s, n, s.length)
+        parts = _climb(s, n, s.length)
         z = GroupSubset.from_indices(g, rng.sample(pool, len(pool) // 2)).bits
         target = sum_of_masks(g, parts)
         got = real(g, parts[:], z, target)
@@ -312,6 +312,16 @@ def test_spread_outside_terms_matches_full_recompute_oracle(monkeypatch):
         elif got != parts:
             repaired += 1
     assert repaired > 40 and failed > 40, (repaired, failed)
+
+
+def _climb(s, n, target):
+    """The solver's climb from the round-robin parts of S toward target,
+    whatever the round-robin sum: the parts it stops at."""
+    parts = setpartitions._round_robin(s, n)
+    best = setpartitions._sum_size(s.group, parts, s.group.order)
+    while best < target and (lifted := setpartitions._improve(s, parts, best)):
+        best = lifted
+    return parts
 
 
 # case-II exits whose S misses 0: the certificate is in the caller's
@@ -442,6 +452,22 @@ def test_hypothesis_check_matches_quotient_spec_predicates():
                         calls += 1
     assert (pairs, calls) == (1030, 27300)
     assert hits == {"trivial-H", "full-H", "item1", "item2", "item3", "item4", "none"}
+
+
+def test_hypothesis_check_past_exponent_never_none():
+    """main_pipeline runs no hypothesis check for n > exp(G): every (G, H)
+    with |G| <= 64 and n = exp(G) + 1, exp(G) + 2 meets an item in both modes,
+    as exp(G/H) divides exp(G)."""
+    pairs = 0
+    for order in range(1, 65):
+        for g in abelian_groups_of_order(order):
+            for h in enumerate_subgroups(g):
+                pairs += 1
+                for mode in setpartitions.MODES:
+                    for n in (g.exponent + 1, g.exponent + 2):
+                        assert hypothesis_check(g, h, n, mode) != "none", \
+                            (g.spec_string(), h.carrier.format(), n, mode)
+    assert pairs == 6022
 
 
 def test_case_one_pipeline_builds_no_quotient(monkeypatch):
@@ -818,7 +844,7 @@ def test_pipeline_verifies_case1_certificate_once(monkeypatch):
     s = parse_sequence(g, "0;1;2;3")
     main_calls = _counting(monkeypatch, "main_verify")
     part_calls = _counting(monkeypatch, "partition_verify")
-    # the solver and its verifier share one Sigma_n DP through the memo
+    # n <= exp(G): the pipeline's hypothesis check runs the one Sigma_n DP
     dp_calls = _dp_calls(monkeypatch)
     cert = main_pipeline(g, s, s, 2)
     assert cert.case_tag == "I" and cert.verified
@@ -830,7 +856,8 @@ def test_pipeline_verifies_case1_certificate_once(monkeypatch):
     cert = partition_solve(s, s, 2)
     assert cert.case_tag == "I" and cert.verified
     assert len(part_calls) == 1 and len(main_calls) == 0
-    assert len(dp_calls) == 1
+    # the round-robin parts meet case I, and the verifier needs no Sigma_n
+    assert len(dp_calls) == 0
 
     # case II: the pipeline reuses the solver's profile and never runs
     # partition_verify; partition_solve still verifies exactly once.  H is
@@ -859,6 +886,30 @@ def test_pipeline_verifies_case1_certificate_once(monkeypatch):
     assert len(part_calls) == 1 and len(main_calls) == 0
     assert len(stab_calls) == 2
     assert len(dp_calls) == 1
+
+
+@pytest.mark.parametrize("spec, seq, n, call, case, dps", [
+    # n > exp(G) and the round-robin parts meet case I: no Sigma_n DP at all
+    ("3", "0;1;2;0", 4, "standard", "I", 0),
+    ("4", "0^5;1;2;3", 5, "standard", "I", 0),
+    # ... except full-group mode's check Sigma_n(S) = G in main_verify
+    ("4", "0^5;1;2;3", 5, "full-group", "I", 1),
+    # n > exp(G), the round-robin sum 2 misses the bound 3: the climb's DP
+    ("2x2", "(1,0)^2;(0,1);(1,1)^2", 3, "partition", "I", 1),
+    ("2x2", "(1,0)^2;(0,1);(1,1)^2", 3, "standard", "I", 1),
+    # n > exp(G) in case II: the solver's profile and main_verify share one DP
+    ("2x8", "(0,0)^16;(1,0);(0,1);(1,4)^22;(1,7)", 23, "standard", "II", 1),
+    # n <= exp(G): the hypothesis check's DP, shared with the solver
+    ("7", "0;1;2;3", 2, "standard", "I", 1),
+])
+def test_solvers_run_sigma_dp_only_when_read(monkeypatch, spec, seq, n, call, case, dps):
+    g = parse_group(spec)
+    s = parse_sequence(g, seq)
+    dp_calls = _dp_calls(monkeypatch)
+    cert = (partition_solve(s, s, n) if call == "partition"
+            else main_pipeline(g, s, s, n, call))
+    assert cert.case_tag == case and cert.verified
+    assert len(dp_calls) == dps
 
 
 def test_pipeline_dump_holds_inputs_before_step_a(monkeypatch):
@@ -903,12 +954,16 @@ def test_main_verify_misses_memo_of_other_sequence(monkeypatch):
 
 def _recording_solver(monkeypatch):
     """Wrap the pipeline's solver; record (S, n) and check the Sigma_n(S)
-    it is handed against a fresh DP."""
+    it is handed against a fresh DP.  It is handed none past n = exp(G),
+    where the pipeline runs no hypothesis check."""
     seen = []
     orig = setpartitions._solve
 
     def wrapper(s, s_prime, n, sigma_n, *rest):
-        assert sigma_n == nterm_subsums(s, n), (s, n)
+        if n > s.group.exponent:
+            assert sigma_n is None, (s, n)
+        else:
+            assert sigma_n == nterm_subsums(s, n), (s, n)
         seen.append((s, n))
         return orig(s, s_prime, n, sigma_n, *rest)
     monkeypatch.setattr(setpartitions, "_solve", wrapper)
