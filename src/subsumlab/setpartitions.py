@@ -22,8 +22,7 @@ supp(S)" and Step A translate.  It has two exits, case I from the solver and
 Step B (K = H); _pipeline_cert argues why the paper's trivial span and span
 reduction need none.  Steps C-E, past Step B, are not coded: no instance has
 been found that needs them, and main_verify checks the claims of Steps A and
-B on every certificate.  hypothesis_check reads |G/H| and exp(G/H) off H, so
-only the case-II profile maps S to G/H.
+B on every certificate.  Only the case-II profile maps S to G/H.
 
 The solver (_solve) returns parts; each public solver builds its certificate
 once and verifies it once, with its theorem's independent verifier
@@ -38,16 +37,17 @@ with its own H.
 Each clause is coded once, in a verifier.  Both verifiers share
 _common_violations (part count; S(A) | S and |S(A)| = |S'| from one count of
 S(A); unset fields; the recorded H).  Case I is checked by the size of the
-sum of parts alone, so it reads Sigma_n(S) only for a recorded H or in
-full-group mode.
+sum of parts alone, so it reads Sigma_n(S) only for a recorded H: in
+full-group mode a sum of parts equal to G puts G in Sigma_n(S), as S(A) | S.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import accumulate
+from functools import cache, partial
+from itertools import accumulate, product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .groups import (
@@ -415,7 +415,7 @@ def _first_move(g: GroupSpec, parts: list[int], moves: Iterable[tuple[int, int, 
 def partition_solve(s: GSequence, s_prime: GSequence, n: int) -> Certificate:
     """Find a setpartition witnessing one of the two partition-theorem cases."""
     _validate_instance(s, s_prime, n)
-    parts, sum_size, profile = _solve(s, s_prime, n)
+    parts, sum_size, profile = _solve(s, s_prime, n, s_prime.length - n + 1, None, None)
     partition = SetPartition(s.group, parts)
     if profile is None:
         cert = Certificate("I", partition, theorem="partition",
@@ -437,15 +437,15 @@ def partition_solve(s: GSequence, s_prime: GSequence, n: int) -> Certificate:
     return cert
 
 
-def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset | None = None,
-           h: Subgroup | None = None) -> tuple[list[int], int, SubsumProfile | None]:
-    """The partition solver on a valid instance, given sigma_n = Sigma_n(S)
-    and h = H(sigma_n) when the caller holds them.
+def _solve(s: GSequence, s_prime: GSequence, n: int, target1: int, sigma_n: GroupSubset | None,
+           h: Subgroup | None) -> tuple[list[int], int, SubsumProfile | None]:
+    """The partition solver on a valid instance with case-I bound target1,
+    given sigma_n = Sigma_n(S) and h = H(sigma_n) when the caller holds them.
 
-    The round-robin parts are case I when their sum reaches |S'| - n + 1.
-    Else a first-improvement climb (_improve) lifts the sum, by at least 1 a
-    move, toward min(|S'| - n + 1, |Sigma_n(S)|), which holds every sum of
-    parts.  n parts cost what n DP rows do: n past the row cap is refused.
+    The round-robin parts are case I when their sum reaches target1.  Else a
+    first-improvement climb (_improve) lifts the sum, by at least 1 a move,
+    toward min(target1, |Sigma_n(S)|), which holds every sum of parts.  n
+    parts cost what n DP rows do: n past the row cap is refused.
 
     Returns (parts, sum size, profile): the part bitmasks, unchecked, and in
     case I the size of their sum and profile None; in case II |Sigma_n(S)|,
@@ -454,7 +454,6 @@ def _solve(s: GSequence, s_prime: GSequence, n: int, sigma_n: GroupSubset | None
     """
     refuse_rows(n)
     g = s.group
-    target1 = s_prime.length - n + 1
     parts = _round_robin(s_prime, n)
     best = _sum_size(g, parts, g.order)
     if best < target1:
@@ -568,15 +567,18 @@ def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
 
 def hypothesis_check(g: GroupSpec, h: Subgroup, n: int, mode: str) -> str:
     """The hypothesis item (G, H, n) satisfies: "trivial-H", "full-H",
-    "item1" to "item4", or "none"; main_pipeline asks only for n <= exp(G).
+    "item1" to "item4", or "none"; main_pipeline asks only for n < n_all(G, mode).
 
-    The items see G/H only through q = |G/H| and exp(G/H), so no quotient is
-    built.  The e with e*G <= H are the multiples of exp(G/H), and e*G <= H
-    iff e*e_i, of index (e mod m_i) strides[i], lies in H for each standard
-    generator e_i; so dividing exp(G) by each of its prime factors in turn,
-    while that keeps every e*e_i in H, leaves exp(G/H).  The invariant
-    factors of G/H multiply to q and end in exp(G/H): G/H is cyclic iff
-    q = exp(G/H) (item 4), and C2 x C_exp iff q = 2 exp(G/H) (item 3).
+    Each item (_item) is n >= exp(G/H) - 1, exp(G/H) or exp(G/H) + 1 under a
+    condition on q = |G/H|, exp(G/H) and |H|, so no quotient is built.  The e
+    with e*G <= H are the multiples of exp(G/H), and e*G <= H iff e*e_i, of
+    index (e mod m_i) strides[i], lies in H for each standard generator e_i;
+    so dividing exp(G) by each of its prime factors in turn, while that keeps
+    every e*e_i in H, leaves exp(G/H).  The invariant factors of G/H multiply
+    to q and end in exp(G/H): G/H is cyclic iff q = exp(G/H) (item 4), and
+    C2 x C_exp iff q = 2 exp(G/H) (item 3).  The G/H are, up to isomorphism,
+    G's subgroups prod C_{d_i}, d_i | m_i, of order prod d_i and exponent
+    lcm(d_i), H proper and nontrivial iff 1 < q < |G|: n_all reads only these.
 
     Full-group mode answers item1 (n >= exp(G/H)) or none, which is the
     paper's answer for the H main_pipeline asks about: H = H(Sigma_n(S)) of
@@ -613,17 +615,32 @@ def hypothesis_check(g: GroupSpec, h: Subgroup, n: int, mode: str) -> str:
         rest //= p
         if all((bits >> (exp_q // p % m * s)) & 1 for m, s in zip(g.invariant_factors, g.strides)):
             exp_q //= p
+    return _item(q, exp_q, h.order, n, mode)
+
+
+def _item(q: int, exp_q: int, h_order: int, n: int, mode: str) -> str:
+    """hypothesis_check's answer for a proper nontrivial H of |G/H| = q."""
     if mode != "standard":      # full-group
         return "item1" if n >= exp_q else "none"
     if n >= exp_q + 1:
         return "item1"
-    if n >= exp_q > h.order:
+    if n >= exp_q > h_order:
         return "item2"
     if n >= exp_q and q == 2 * exp_q:
         return "item3"
     if q == exp_q and n >= exp_q - 1:
         return "item4"
     return "none"
+
+
+@cache
+def n_all(g: GroupSpec, mode: str) -> int:
+    """The least n from which hypothesis_check answers an item for every H <= G
+    (0 if every H is trivial or G), over divisor tuples (see hypothesis_check)."""
+    divisors = ([k for k in range(1, m + 1) if m % k == 0] for m in g.invariant_factors)
+    quotients = {(math.prod(d), math.lcm(*d)) for d in product(*divisors)}
+    return max((next(n for n in range(e - 1, e + 2) if _item(q, e, g.order // q, n, mode) != "none")
+                for q, e in quotients if 1 < q < g.order), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +651,8 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
                   mode: str = "standard") -> Certificate:
     """Certificate for the strengthened partition conclusion, fully verified.
 
-    Sigma_n(S) and its stabilizer H feed only the hypothesis check, run for n
-    <= exp(G): exp(G/H) divides exp(G), so a larger n is item 1 in any mode."""
+    Sigma_n(S) and its stabilizer H feed only the hypothesis check, run for
+    n < n_all(G, mode): from there every H <= G, of any S, meets an item."""
     if mode not in MODES:
         raise PartitionError(f"unknown mode {mode!r}")
     if s.group is not g:
@@ -646,7 +663,7 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
             f"full-group mode needs |S'| >= n + |G| - 1 = {n + g.order - 1}, "
             f"got {s_prime.length}")
     sigma_n = h = None
-    if n <= g.exponent:
+    if n < n_all(g, mode):
         sigma_n = nterm_subsums(s, n)
         h = stabilizer(sigma_n)
         if hypothesis_check(g, h, n, mode) == "none":
@@ -692,9 +709,9 @@ def _pipeline_cert(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
     k*alpha + H (Step B; open).  main_verify's clauses (c) and (d) check both,
     and main_pipeline raises InternalError with the caller's instance.
     """
-    parts, sum_size, profile = _solve(s, s_prime, n, sigma_n, h)
     case1_bound = min(g.order, s_prime.length - n + 1)
-    if sum_size >= case1_bound:
+    parts, sum_size, profile = _solve(s, s_prime, n, case1_bound, sigma_n, h)
+    if profile is None:
         return Certificate("I", SetPartition(g, parts), theorem="main", mode=mode,
                            bounds={"sum_size": sum_size, "case1_bound": case1_bound})
     h, z = profile.H, profile.Z_mask
@@ -737,8 +754,6 @@ def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
         size = _sum_size(g, partition.parts, g.order if full else bound)
         if size < bound:
             violations.append(f"case (i): |sum|={size} < min(|G|, |S'|-n+1)={bound}")
-        if full and nterm_subsums(s, n).bits != g.full_mask:
-            violations.append("full-group mode: Sigma_n(S) != G")
         if full and size < g.order:
             violations.append("full-group mode: sum of parts != G")
         return not violations, violations

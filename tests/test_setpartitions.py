@@ -3,6 +3,7 @@ items, and the main certificate pipeline."""
 
 import copy
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from subsumlab.setpartitions import (
     lemma31_complete,
     main_pipeline,
     main_verify,
+    n_all,
     partition_solve,
     partition_verify,
 )
@@ -454,20 +456,50 @@ def test_hypothesis_check_matches_quotient_spec_predicates():
     assert hits == {"trivial-H", "full-H", "item1", "item2", "item3", "item4", "none"}
 
 
-def test_hypothesis_check_past_exponent_never_none():
-    """main_pipeline runs no hypothesis check for n > exp(G): every (G, H)
-    with |G| <= 64 and n = exp(G) + 1, exp(G) + 2 meets an item in both modes,
-    as exp(G/H) divides exp(G)."""
-    pairs = 0
+def _least_accepted(g, h, mode):
+    """The least n >= 0 that hypothesis_check accepts for (G, H) in mode."""
+    return next(n for n in range(g.exponent + 2) if hypothesis_check(g, h, n, mode) != "none")
+
+
+def test_n_all_matches_subgroup_enumeration():
+    """main_pipeline runs no hypothesis check for n >= n_all(G, mode): for
+    every G with |G| <= 64 and both modes, n_all is the largest least n that
+    hypothesis_check accepts over all H <= G, found by enumerating them, and
+    at n_all - 1 some H meets no item."""
+    pairs = groups_seen = 0
     for order in range(1, 65):
         for g in abelian_groups_of_order(order):
-            for h in enumerate_subgroups(g):
-                pairs += 1
-                for mode in setpartitions.MODES:
-                    for n in (g.exponent + 1, g.exponent + 2):
-                        assert hypothesis_check(g, h, n, mode) != "none", \
-                            (g.spec_string(), h.carrier.format(), n, mode)
-    assert pairs == 6022
+            groups_seen += 1
+            subgroups = enumerate_subgroups(g)
+            pairs += len(subgroups)
+            for mode in setpartitions.MODES:
+                least = [_least_accepted(g, h, mode) for h in subgroups]
+                assert n_all(g, mode) == max(least), (g.spec_string(), mode)
+                for h in subgroups:
+                    n = n_all(g, mode)
+                    assert hypothesis_check(g, h, n, mode) != "none"
+                    assert hypothesis_check(g, h, n + 1, mode) != "none"
+                if n_all(g, mode) > 0:
+                    assert any(hypothesis_check(g, h, n_all(g, mode) - 1, mode) == "none"
+                               for h in subgroups), (g.spec_string(), mode)
+    assert (groups_seen, pairs) == (117, 6022)
+
+
+def test_n_all_values_without_enumeration():
+    """n_all from the divisor tuples alone: 243 of them on 4^5 and 4,096 on
+    2^12, where enumerating subgroups takes minutes."""
+    expected = {
+        "7": (0, 0), "8": (3, 4), "16": (7, 8), "1024": (511, 512),
+        "2x8": (7, 8), "4x4": (4, 4), "32x32": (32, 32), "64x64": (64, 64),
+        "4x4x4": (5, 4), "2x4x8x16": (17, 16),
+        "4x4x4x4x4": (5, 4), "2x2x2x2x2x2x2x2x2x2x2x2": (3, 2),
+    }
+    n_all.cache_clear()
+    t0 = time.perf_counter()
+    got = {spec: (n_all(parse_group(spec), "standard"), n_all(parse_group(spec), "full-group"))
+           for spec in expected}
+    assert time.perf_counter() - t0 < 1.0
+    assert got == expected
 
 
 def test_case_one_pipeline_builds_no_quotient(monkeypatch):
@@ -613,9 +645,11 @@ def test_certificate_dict_roundtrip():
     assert ok, violations
 
 
-def test_main_verify_reads_full_group_mode_from_certificate():
+def test_main_verify_reads_full_group_mode_from_certificate(monkeypatch):
     # Sigma_2(0;1;2) = {1,2,3} is not all of C4: re-labelled full-group, the
-    # case-I certificate claims clauses it breaks
+    # case-I certificate claims a sum of parts equal to G, which it breaks.
+    # The check runs no Sigma_n DP: a sum of parts equal to G would put G in
+    # Sigma_n(S), as S(A) | S
     g = parse_group("4")
     s = parse_sequence(g, "0;1;2")
     cert = main_pipeline(g, s, s, 2)
@@ -623,8 +657,10 @@ def test_main_verify_reads_full_group_mode_from_certificate():
     assert main_verify(cert, g, s, s, 2) == (True, [])
     relabelled = copy.copy(cert)
     relabelled.mode = "full-group"
+    dp_calls = _dp_calls(monkeypatch)
     assert main_verify(relabelled, g, s, s, 2) == (False, [
-        "full-group mode: Sigma_n(S) != G", "full-group mode: sum of parts != G"])
+        "full-group mode: sum of parts != G"])
+    assert dp_calls == []
     relabelled.mode = "bogus"
     assert main_verify(relabelled, g, s, s, 2) == (False, ["unknown mode 'bogus'"])
 
@@ -840,11 +876,12 @@ def _dp_calls(monkeypatch):
 
 
 def test_pipeline_verifies_case1_certificate_once(monkeypatch):
-    g = parse_group("7")
+    g = parse_group("8")
     s = parse_sequence(g, "0;1;2;3")
     main_calls = _counting(monkeypatch, "main_verify")
     part_calls = _counting(monkeypatch, "partition_verify")
-    # n <= exp(G): the pipeline's hypothesis check runs the one Sigma_n DP
+    # n < n_all(C8) = 3: the pipeline's hypothesis check runs the one Sigma_n DP
+    assert n_all(g, "standard") == 3
     dp_calls = _dp_calls(monkeypatch)
     cert = main_pipeline(g, s, s, 2)
     assert cert.case_tag == "I" and cert.verified
@@ -889,18 +926,24 @@ def test_pipeline_verifies_case1_certificate_once(monkeypatch):
 
 
 @pytest.mark.parametrize("spec, seq, n, call, case, dps", [
-    # n > exp(G) and the round-robin parts meet case I: no Sigma_n DP at all
+    # n >= n_all(G, mode) and the round-robin parts meet case I: no Sigma_n
+    # DP at all, in full-group mode too
     ("3", "0;1;2;0", 4, "standard", "I", 0),
     ("4", "0^5;1;2;3", 5, "standard", "I", 0),
-    # ... except full-group mode's check Sigma_n(S) = G in main_verify
-    ("4", "0^5;1;2;3", 5, "full-group", "I", 1),
-    # n > exp(G), the round-robin sum 2 misses the bound 3: the climb's DP
+    ("4", "0^5;1;2;3", 5, "full-group", "I", 0),
+    # n_all(C8) = 3 <= n <= exp(C8) = 8
+    ("8", "0;1;2;3", 3, "standard", "I", 0),
+    # the round-robin sum is G = C2, below |S'| - n + 1 = 4: partition_solve
+    # runs the DP, the pipeline's case-I bound min(|G|, 4) = 2 is met without
+    ("2", "0^3;1^3", 3, "partition", "II", 1),
+    ("2", "0^3;1^3", 3, "standard", "I", 0),
+    # n >= n_all(G), the round-robin sum 2 misses the bound 3: the climb's DP
     ("2x2", "(1,0)^2;(0,1);(1,1)^2", 3, "partition", "I", 1),
     ("2x2", "(1,0)^2;(0,1);(1,1)^2", 3, "standard", "I", 1),
-    # n > exp(G) in case II: the solver's profile and main_verify share one DP
+    # n >= n_all(G) in case II: the solver's profile and main_verify share one DP
     ("2x8", "(0,0)^16;(1,0);(0,1);(1,4)^22;(1,7)", 23, "standard", "II", 1),
-    # n <= exp(G): the hypothesis check's DP, shared with the solver
-    ("7", "0;1;2;3", 2, "standard", "I", 1),
+    # n < n_all(C8) = 3: the hypothesis check's DP, shared with the solver
+    ("8", "0;1;2;3", 2, "standard", "I", 1),
 ])
 def test_solvers_run_sigma_dp_only_when_read(monkeypatch, spec, seq, n, call, case, dps):
     g = parse_group(spec)
@@ -953,26 +996,27 @@ def test_main_verify_misses_memo_of_other_sequence(monkeypatch):
 
 
 def _recording_solver(monkeypatch):
-    """Wrap the pipeline's solver; record (S, n) and check the Sigma_n(S)
-    it is handed against a fresh DP.  It is handed none past n = exp(G),
-    where the pipeline runs no hypothesis check."""
+    """Wrap the standard-mode pipeline's solver; record (S, n) and check the
+    Sigma_n(S) it is handed against a fresh DP.  It is handed none from
+    n = n_all(G, "standard") on, where the pipeline runs no hypothesis check."""
     seen = []
     orig = setpartitions._solve
 
-    def wrapper(s, s_prime, n, sigma_n, *rest):
-        if n > s.group.exponent:
+    def wrapper(s, s_prime, n, target1, sigma_n, *rest):
+        if n >= n_all(s.group, "standard"):
             assert sigma_n is None, (s, n)
         else:
             assert sigma_n == nterm_subsums(s, n), (s, n)
         seen.append((s, n))
-        return orig(s, s_prime, n, sigma_n, *rest)
+        return orig(s, s_prime, n, target1, sigma_n, *rest)
     monkeypatch.setattr(setpartitions, "_solve", wrapper)
     return seen
 
 
 # 0 is not in supp(S) in any of them; the solver still gets the caller's S
 @pytest.mark.parametrize("spec, seq", [
-    ("7", "1;2;3;4"),
+    ("7", "1;2;3;4"),                # n_all(C7) = 0: no Sigma_n handed over
+    ("16", "1;2;3;4"),               # n = 2 < n_all(C16) = 7
     ("8", "2;4^2;6"),                # span <2> inside G
     ("2x4", "(0,1);(0,3)^2;(0,2)"),  # cyclic span inside G
 ])
