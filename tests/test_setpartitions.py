@@ -473,15 +473,13 @@ def test_n_all_matches_subgroup_enumeration():
             subgroups = enumerate_subgroups(g)
             pairs += len(subgroups)
             for mode in setpartitions.MODES:
-                least = [_least_accepted(g, h, mode) for h in subgroups]
-                assert n_all(g, mode) == max(least), (g.spec_string(), mode)
-                for h in subgroups:
-                    n = n_all(g, mode)
-                    assert hypothesis_check(g, h, n, mode) != "none"
-                    assert hypothesis_check(g, h, n + 1, mode) != "none"
-                if n_all(g, mode) > 0:
-                    assert any(hypothesis_check(g, h, n_all(g, mode) - 1, mode) == "none"
-                               for h in subgroups), (g.spec_string(), mode)
+                n = n_all(g, mode)
+                where = (g.spec_string(), mode)
+                assert n == max(_least_accepted(g, h, mode) for h in subgroups), where
+                assert all(hypothesis_check(g, h, m, mode) != "none"
+                           for h in subgroups for m in (n, n + 1)), where
+                assert n == 0 or any(hypothesis_check(g, h, n - 1, mode) == "none"
+                                     for h in subgroups), where
     assert (groups_seen, pairs) == (117, 6022)
 
 
