@@ -228,7 +228,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 class GroupSubset:
     """Dense subset of a GroupSpec, stored as a bitmask over element indices."""
 
-    __slots__ = ("group", "bits", "_size")
+    __slots__ = ("group", "bits", "_size", "_period")
 
     def __init__(self, group: GroupSpec, bits: int):
         if bits < 0 or bits >> group.order:
@@ -236,6 +236,7 @@ class GroupSubset:
         self.group = group
         self.bits = bits
         self._size = -1
+        self._period = None
 
     @classmethod
     def from_indices(cls, group: GroupSpec, indices) -> "GroupSubset":
@@ -497,7 +498,7 @@ def representation_min(summands: Sequence[GroupSubset]) -> tuple[int, int]:
 
 
 def stabilizer(a: GroupSubset) -> Subgroup:
-    """H(A) = {x : x + A = A}, the maximal period of A.
+    """H(A) = {x : x + A = A}, the maximal period of A, kept on A once computed.
 
     Intersects C = (W - w_1) & (W - w_2) & ... over W, the smaller of A and
     its complement (both have period H).  H <= W - w for every w in W, so
@@ -507,15 +508,15 @@ def stabilizer(a: GroupSubset) -> Subgroup:
     W that generate a subgroup containing C give C <= H.  Each C is tested
     at most once.
     """
+    if a._period is not None:
+        return a._period
     if a.bits == 0:
         raise GroupError("stabilizer of empty set")
     g = a.group
     w = a.bits
     if 2 * w.bit_count() > g.order:
         w ^= g.full_mask
-        if not w:
-            return Subgroup(GroupSubset(g, g.full_mask))
-    c = tested = -1
+    c = tested = -1     # stays -1, all of G, when A = G leaves W empty
     for x in iter_bits(w):
         nxt = c & g.translate_mask(w, g.neg(x))
         if nxt == c != tested:
@@ -525,7 +526,8 @@ def stabilizer(a: GroupSubset) -> Subgroup:
         c = nxt
         if c == 1:
             break
-    return Subgroup(GroupSubset(g, c))
+    a._period = Subgroup(GroupSubset(g, c & g.full_mask))
+    return a._period
 
 
 def _least_generators(g: GroupSpec, bits: int) -> Iterator[int]:

@@ -5,8 +5,8 @@ seeded random batch) through selected instance checkers and aggregates
 pass/fail counts.  The instance stream depends only on the config, never on
 the number of workers, so aggregates are byte-identical across job counts.
 With a bound checker on, the exhaustive walk carries the Sigma_j rows (_walk),
-and a worker call computes H once per distinct (G, Sigma_n), kept in an LRU
-cache; parallel workers share out whole subtrees of the walk.
+and parallel workers share out whole subtrees of it.  A worker call keeps one
+Sigma_n subset per G and bits in an LRU cache, for stabilizer to keep H on.
 """
 
 from __future__ import annotations
@@ -206,10 +206,16 @@ class AuditConfig:
 class AuditReport:
     config: AuditConfig
     instances: int = 0
-    checks_run: int = 0
-    skipped: int = 0
     counters: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
+
+    @property
+    def checks_run(self) -> int:
+        return sum(sum(c.values()) for c in self.counters.values())
+
+    @property
+    def skipped(self) -> int:
+        return sum(c["skip"] for c in self.counters.values())
 
     @property
     def holds(self) -> bool:
@@ -334,35 +340,32 @@ def _check_instance(name: str, g: GroupSpec, s: GSequence, n: int,
     return "pass", ""
 
 
-def _audit_worker(cfg: AuditConfig, worker: int, jobs: int) -> dict:
+def _audit_worker(cfg: AuditConfig, worker: int, jobs: int) -> tuple[int, dict, list]:
     counters: dict = {name: {"pass": 0, "fail": 0, "skip": 0}
                       for name in cfg.checkers}
     violations: list = []
-    instances = checks = skipped = 0
+    instances = 0
     needs_profile = bool({"subsum_kneser", "s_star", "lemma_extra"}
                          & set(cfg.checkers))
-    stabilizer_of = functools.lru_cache(maxsize=1 << 16)(stabilizer)  # this call only
+    subset_of = functools.lru_cache(maxsize=1 << 16)(GroupSubset)  # this call only
 
-    def handle(g: GroupSpec, s: GSequence, n: int, sigma=None) -> None:
-        nonlocal instances, checks, skipped
+    def handle(g: GroupSpec, s: GSequence, n: int, sigma_bits=None) -> None:
+        nonlocal instances
         instances += 1
         profile = None
         for name in cfg.checkers:
             try:
                 if profile is None and needs_profile:
-                    sigma = sigma if sigma is not None else nterm_subsums(s, n)
-                    profile = subsum_profile(s, n, s.length, sigma=sigma,
-                                             h=stabilizer_of(sigma))
+                    if sigma_bits is None:
+                        sigma_bits = nterm_subsums(s, n).bits
+                    profile = subsum_profile(s, n, s.length, sigma=subset_of(g, sigma_bits))
                 status, detail = _check_instance(name, g, s, n, profile)
             except (InternalError, SequenceError) as err:
                 # the corpus holds only valid instances, so either is a
                 # library inconsistency: record it, keep auditing
                 status, detail = "fail", f"internal error: {err}"
-            checks += 1
             counters[name][status] += 1
-            if status == "skip":
-                skipped += 1
-            elif status == "fail":
+            if status == "fail":
                 violations.append({
                     "checker": name,
                     "group": g.spec_string(),
@@ -375,13 +378,12 @@ def _audit_worker(cfg: AuditConfig, worker: int, jobs: int) -> dict:
 
     for g, s, rows in exhaustive_sequences(cfg, needs_profile, worker, jobs):
         for n in range(max(1, s.max_multiplicity()), s.length + 1):
-            handle(g, s, n, GroupSubset(g, rows[n]) if needs_profile else None)
+            handle(g, s, n, rows[n] if needs_profile else None)
     if cfg.random_samples:
         groups = [g for g in groups_up_to(cfg.max_group_order) if g.order >= 2]
         for i in range(worker, cfg.random_samples, jobs):
             handle(*random_instance(cfg, i, groups))
-    return {"instances": instances, "checks": checks, "skipped": skipped,
-            "counters": counters, "violations": violations}
+    return instances, counters, violations
 
 
 def run_audit(cfg: AuditConfig) -> AuditReport:
@@ -410,14 +412,12 @@ def run_audit(cfg: AuditConfig) -> AuditReport:
     report.counters = {name: {"pass": 0, "fail": 0, "skip": 0}
                        for name in cfg.checkers}
     merged: list = []
-    for res in results:
-        report.instances += res["instances"]
-        report.checks_run += res["checks"]
-        report.skipped += res["skipped"]
-        for name, c in res["counters"].items():
+    for instances, counters, violations in results:
+        report.instances += instances
+        for name, c in counters.items():
             for key in ("pass", "fail", "skip"):
                 report.counters[name][key] += c[key]
-        merged.extend(res["violations"])
+        merged.extend(violations)
     # order-independent merge
     report.violations = sorted(
         merged, key=lambda v: (v["checker"], v["group"], v["seq"], v["n"]))

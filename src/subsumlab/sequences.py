@@ -147,10 +147,11 @@ def subsum_table(s: GSequence, cap: int) -> list[int]:
     return _subsum_rows(s, cap, 0)
 
 
-# The last Sigma_n DP as one (key, bits) tuple, key = (invariant factors,
+# The last Sigma_n DP as one (key, subset) tuple, key = (invariant factors,
 # mult, n), which fixes the group law and the DP's whole input.  Only
 # nterm_subsums writes it, so a hit is what a fresh DP would return, and one
-# tuple (never two globals) means a race can only cost a recompute.
+# tuple (never two globals) means a race can only cost a recompute.  A hit
+# returns the same subset, on which stabilizer keeps H once computed.
 _last_nterm: tuple = (None, 0)
 
 
@@ -161,11 +162,11 @@ def nterm_subsums(s: GSequence, n: int) -> GroupSubset:
     if not 0 <= n <= s.length:
         raise SequenceError(f"n={n} outside [0, |S|={s.length}]")
     key = (s.group.invariant_factors, s.mult, n)
-    last_key, bits = _last_nterm
+    last_key, sigma = _last_nterm
     if last_key != key:
-        bits = _subsum_rows(s, n, n)[n]
-        _last_nterm = (key, bits)
-    return GroupSubset(s.group, bits)
+        sigma = GroupSubset(s.group, _subsum_rows(s, n, n)[n])
+        _last_nterm = (key, sigma)
+    return sigma
 
 
 def refuse_rows(cap: int) -> None:
@@ -254,15 +255,15 @@ def _dump(s: GSequence, n: int) -> dict:
 
 
 def subsum_profile(s: GSequence, n: int, ref_len: int,
-                   sigma: GroupSubset | None = None,
-                   h: Subgroup | None = None) -> SubsumProfile:
+                   sigma: GroupSubset | None = None) -> SubsumProfile:
     """H = H(Sigma_n(S)), X, e and rho = |X||H|n + e - ref_len.
 
     ref_len is |S| for the plain subsum bound and |S'| when profiling against
-    a distinguished subsequence.  sigma, when given, must equal Sigma_n(S),
-    and h, when given, must equal H(sigma): callers that already hold them
-    pass them to avoid recompute.  The capped form of the bound, (sum_x
-    min(n, v_x(phi(S))) - n + 1)|H|, is bound_primary: the sum is N*n + e.
+    a distinguished subsequence.  sigma, when given, must equal Sigma_n(S)
+    (the audit's walk holds it as a row of its own DP); else nterm_subsums
+    gives it.  H = stabilizer(sigma) is kept on that subset.  The capped form
+    of the bound, (sum_x min(n, v_x(phi(S))) - n + 1)|H|, is bound_primary:
+    the sum is N*n + e.
     H = {0} adds no relation to G's Smith form, so quotient_cached(G, {0}) is G
     with images[x] = x (test_trivial_quotient_is_the_identity): phi(S) = S,
     Z = X, and push_forward and preimage_mask are skipped.
@@ -270,7 +271,7 @@ def subsum_profile(s: GSequence, n: int, ref_len: int,
     if not 1 <= n <= s.length:
         raise SequenceError(f"n={n} outside [1, |S|={s.length}]")
     sig = sigma if sigma is not None else nterm_subsums(s, n)
-    h = h if h is not None else stabilizer(sig)
+    h = stabilizer(sig)
     q = quotient_cached(s.group, h)
     phi_s = s if h.is_trivial else push_forward(s, q)
     # one pass: X = {x : v_x >= n}, e = terms outside X

@@ -27,12 +27,11 @@ B on every certificate.  Only the case-II profile maps S to G/H.
 The solver (_solve) returns parts; each public solver builds its certificate
 once and verifies it once, with its theorem's independent verifier
 (partition_verify, main_verify), and raises InternalError with the instance
-when the check fails.  Nothing passes from solver to verifier, which calls
-nterm_subsums on its own arguments (its one-entry memo holds the DP's result
-for one (G, S, n), so a hit is what a fresh DP would return).  Sigma_n(S),
-then H and the case-II profile, are computed once each, and in the solver
-only when the round-robin start misses case I; partition_verify profiles
-with its own H.
+when the check fails.  Nothing passes from solver to verifier: each reads
+Sigma_n(S) and H = H(Sigma_n(S)) with nterm_subsums and stabilizer.  A hit of
+nterm_subsums' one-entry memo returns the same subset, on which stabilizer
+keeps H, so a request runs the DP and the scan for H once each, and the
+solver runs them only when the round-robin start misses case I.
 
 Each clause is coded once, in a verifier.  Both verifiers share
 _common_violations (part count; S(A) | S and |S(A)| = |S'| from one count of
@@ -44,7 +43,6 @@ full-group mode a sum of parts equal to G puts G in Sigma_n(S), as S(A) | S.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import accumulate, product
@@ -256,22 +254,6 @@ def _round_robin(s: GSequence, n: int) -> list[int]:
     return bits
 
 
-def _greedy_mult(s: GSequence, mult: Sequence[int], per_elem_cap: int, room: int
-                 ) -> tuple[tuple[int, ...], int]:
-    """Take min(mult[g], per_elem_cap) of each g in supp(S) ascending (mult is 0
-    off it), room terms at most; returns the multiplicities taken and their total."""
-    out = [0] * len(mult)
-    taken = 0
-    for g in s.support_indices():
-        if taken >= room:
-            break
-        take = min(mult[g], per_elem_cap, room - taken)
-        if take > 0:
-            out[g] = take
-            taken += take
-    return tuple(out), taken
-
-
 def lemma31_complete(s: GSequence, s_prime: GSequence, n: int, k: int
                      ) -> tuple[GSequence, GSequence]:
     """Split-off pair (T, T'): h(T) <= k <= |T|, h(T') <= n-k <= |T'|, |T|+|T'|=|S'|.
@@ -299,10 +281,18 @@ def lemma31_complete(s: GSequence, s_prime: GSequence, n: int, k: int
         raise PartitionError("need h(S') <= n <= |S'|")
     if not 1 <= k <= n:
         raise PartitionError("need 1 <= k <= n")
-    t = GSequence._derived(s.group, *_greedy_mult(s, s.mult, k, s_prime.length - (n - k)))
-    rem = list(map(operator.sub, s.mult, t.mult))
-    t_prime = GSequence._derived(s.group, *_greedy_mult(s, rem, n - k, s_prime.length - t.length))
-    return t, t_prime
+    mult, supp, room = s.mult, s.support_indices(), s_prime.length - (n - k)
+    t, t_prime = [0] * len(mult), [0] * len(mult)
+    for g in supp:
+        t[g] = take = min(mult[g], k, room)
+        room -= take
+    len_t = s_prime.length - (n - k) - room
+    room = s_prime.length - len_t
+    for g in supp:
+        t_prime[g] = take = min(mult[g] - t[g], n - k, room)
+        room -= take
+    return (GSequence._derived(s.group, tuple(t), len_t),
+            GSequence._derived(s.group, tuple(t_prime), s_prime.length - len_t - room))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +405,7 @@ def _first_move(g: GroupSpec, parts: list[int], moves: Iterable[tuple[int, int, 
 def partition_solve(s: GSequence, s_prime: GSequence, n: int) -> Certificate:
     """Find a setpartition witnessing one of the two partition-theorem cases."""
     _validate_instance(s, s_prime, n)
-    parts, sum_size, profile = _solve(s, s_prime, n, s_prime.length - n + 1, None, None)
+    parts, sum_size, profile = _solve(s, s_prime, n, s_prime.length - n + 1)
     partition = SetPartition(s.group, parts)
     if profile is None:
         cert = Certificate("I", partition, theorem="partition",
@@ -437,10 +427,9 @@ def partition_solve(s: GSequence, s_prime: GSequence, n: int) -> Certificate:
     return cert
 
 
-def _solve(s: GSequence, s_prime: GSequence, n: int, target1: int, sigma_n: GroupSubset | None,
-           h: Subgroup | None) -> tuple[list[int], int, SubsumProfile | None]:
-    """The partition solver on a valid instance with case-I bound target1,
-    given sigma_n = Sigma_n(S) and h = H(sigma_n) when the caller holds them.
+def _solve(s: GSequence, s_prime: GSequence, n: int,
+           target1: int) -> tuple[list[int], int, SubsumProfile | None]:
+    """The partition solver on a valid instance with case-I bound target1.
 
     The round-robin parts are case I when their sum reaches target1.  Else a
     first-improvement climb (_improve) lifts the sum, by at least 1 a move,
@@ -457,45 +446,42 @@ def _solve(s: GSequence, s_prime: GSequence, n: int, target1: int, sigma_n: Grou
     parts = _round_robin(s_prime, n)
     best = _sum_size(g, parts, g.order)
     if best < target1:
-        sigma_n = nterm_subsums(s, n) if sigma_n is None else sigma_n
-        while best < min(target1, sigma_n.size) and (lifted := _improve(s, parts, best)):
+        goal = min(target1, nterm_subsums(s, n).size)
+        while best < goal and (lifted := _improve(s, parts, best)):
             best = lifted
     if best >= target1:
         return parts, best, None
-    profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n, h=h)
-    if _spread_outside_terms(g, parts, profile.Z_mask, sigma_n.bits) is None:
+    profile = subsum_profile(s, n, s_prime.length)
+    if _spread_outside_terms(g, parts, profile.Z_mask, profile.sigma_n.bits) is None:
         raise InternalError(
             "partition theorem: neither case could be witnessed",
             {"group": g.spec_string(), "S": s.format(),
              "S_prime": s_prime.format(), "n": n})
-    return parts, sigma_n.size, profile
+    return parts, profile.sigma_n.size, profile
 
 
 # the unset value of each Certificate field that only some cases use
 _UNSET = {"K": None, "alpha": None, "e_H": 0, "e_K": 0, "k": 0}
 
 
-def _common_violations(cert: Certificate, g: GroupSpec, s: GSequence,
-                       s_prime: GSequence, n: int, theorem: str
-                       ) -> tuple[list[str], Optional[list[int]],
-                                  Optional[GroupSubset], Optional[Subgroup]]:
+def _common_violations(cert: Certificate, g: GroupSpec, s: GSequence, s_prime: GSequence,
+                       n: int, theorem: str) -> tuple[list[str], Optional[list[int]]]:
     """The clauses both verifiers check, recomputed from scratch.
 
     The part count, then S(A) | S and |S(A)| = |S'| from one count of S(A);
-    when one fails, nothing else is checked and the other values are None.
-    Then the fields cert's case leaves unused in the verifier's theorem must
-    be unset, and a recorded H (required in case II) must equal H(Sigma_n(S)).
-    Returns (violations, S(A)'s multiplicity vector, Sigma_n(S), H(Sigma_n(S))),
-    the last two None unless H or case II needs them.  No clause asks the sum
+    when one fails, nothing else is checked and the count is None.  Then the
+    fields cert's case leaves unused in the verifier's theorem must be unset,
+    and a recorded H (required in case II) must equal H(Sigma_n(S)).
+    Returns (violations, S(A)'s multiplicity vector).  No clause asks the sum
     of parts to lie in Sigma_n(S): an element of A_1 + ... + A_n sums one term
     of each of the n distinct parts, an n-term subsum of S(A), which S(A) | S
     puts in Sigma_n(S).
     """
     partition = cert.partition
     if partition.group is not g or s.group is not g:
-        return ["certificate/instance group mismatch"], None, None, None
+        return ["certificate/instance group mismatch"], None
     if len(partition.parts) != n:
-        return [f"expected {n} parts, found {len(partition.parts)}"], None, None, None
+        return [f"expected {n} parts, found {len(partition.parts)}"], None
     violations: list[str] = []
     used, length, fits = _counts(s, partition.parts)
     if not fits:
@@ -503,29 +489,26 @@ def _common_violations(cert: Certificate, g: GroupSpec, s: GSequence,
     if length != s_prime.length:
         violations.append(f"|S(A)|={length} != |S'|={s_prime.length}")
     if violations:
-        return violations, None, None, None
+        return violations, None
     unused = (("K", "alpha", "e_H", "e_K", "k") if cert.case_tag == "I"
               else ("K", "alpha", "e_K") if theorem == "partition" else ())
     for name in unused:
         if getattr(cert, name) != _UNSET[name]:
             violations.append(f"case {cert.case_tag} certificate must leave {name} unset")
-    sigma_n = h = None
     if cert.case_tag == "II" or cert.H is not None:
-        sigma_n = nterm_subsums(s, n)
-        h = stabilizer(sigma_n)
+        h = stabilizer(nterm_subsums(s, n))
         if cert.H is None:
             violations.append("case II certificate does not record H")
         elif cert.H.carrier.bits != h.carrier.bits:
             violations.append(f"recorded H={{{cert.H.carrier.format()}}} "
                               f"!= H(Sigma_n(S))={{{h.carrier.format()}}}")
-    return violations, used, sigma_n, h
+    return violations, used
 
 
 def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
                      n: int) -> tuple[bool, list[str]]:
     """Re-check a partition-theorem certificate from scratch."""
-    violations, used, sigma_n, h = _common_violations(cert, s.group, s, s_prime, n,
-                                                      "partition")
+    violations, used = _common_violations(cert, s.group, s, s_prime, n, "partition")
     if used is None:
         return False, violations
     if cert.case_tag == "I":
@@ -538,14 +521,14 @@ def partition_verify(cert: Certificate, s: GSequence, s_prime: GSequence,
         # + e(|H|-1) + rho is bound_primary, the |S'| terms cancelling in
         # rho = N|H|n + e - |S'|.  rho >= 0 holds: S(A) | S and |S(A)| = |S'|
         # hold here, and n parts that are sets give |S'| <= N|H|n + e.
-        profile = subsum_profile(s, n, s_prime.length, sigma=sigma_n, h=h)
-        z = profile.Z_mask
+        profile = subsum_profile(s, n, s_prime.length)
+        z, h = profile.Z_mask, profile.H
         if cert.e_H != profile.e:
             violations.append(f"recorded e_H={cert.e_H} != e={profile.e}")
         if cert.k != n - profile.e:
             violations.append(f"recorded k={cert.k} != n - e = {n - profile.e}")
         sum_a = sum_of_masks(s.group, cert.partition.parts)
-        if sum_a != sigma_n.bits:
+        if sum_a != profile.sigma_n.bits:
             violations.append("case 2 requires sum of parts == Sigma_n(S)")
         if sum_a.bit_count() < profile.bound_primary:
             violations.append(f"case 2 bound: |sum|={sum_a.bit_count()} < {profile.bound_primary}")
@@ -637,6 +620,8 @@ def _item(q: int, exp_q: int, h_order: int, n: int, mode: str) -> str:
 def n_all(g: GroupSpec, mode: str) -> int:
     """The least n from which hypothesis_check answers an item for every H <= G
     (0 if every H is trivial or G), over divisor tuples (see hypothesis_check)."""
+    if mode not in MODES:
+        raise PartitionError(f"unknown mode {mode!r}")
     divisors = ([k for k in range(1, m + 1) if m % k == 0] for m in g.invariant_factors)
     quotients = {(math.prod(d), math.lcm(*d)) for d in product(*divisors)}
     return max((next(n for n in range(e - 1, e + 2) if _item(q, e, g.order // q, n, mode) != "none")
@@ -651,8 +636,8 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
                   mode: str = "standard") -> Certificate:
     """Certificate for the strengthened partition conclusion, fully verified.
 
-    Sigma_n(S) and its stabilizer H feed only the hypothesis check, run for
-    n < n_all(G, mode): from there every H <= G, of any S, meets an item."""
+    The hypothesis check reads H = H(Sigma_n(S)) only for n < n_all(G, mode):
+    from there every H <= G, of any S, meets an item."""
     if mode not in MODES:
         raise PartitionError(f"unknown mode {mode!r}")
     if s.group is not g:
@@ -662,15 +647,13 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
         raise PartitionError(
             f"full-group mode needs |S'| >= n + |G| - 1 = {n + g.order - 1}, "
             f"got {s_prime.length}")
-    sigma_n = h = None
     if n < n_all(g, mode):
-        sigma_n = nterm_subsums(s, n)
-        h = stabilizer(sigma_n)
+        h = stabilizer(nterm_subsums(s, n))
         if hypothesis_check(g, h, n, mode) == "none":
             raise HypothesesUnmetError(
                 f"no hypothesis item holds for H of order {h.order}, n={n}, "
                 f"G={g.spec_string()} (mode {mode})")
-    cert = _pipeline_cert(g, s, s_prime, n, mode, sigma_n, h)
+    cert = _pipeline_cert(g, s, s_prime, n, mode)
     ok, violations = main_verify(cert, g, s, s_prime, n)
     if not ok:
         raise InternalError(
@@ -682,9 +665,8 @@ def main_pipeline(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
 
 
 def _pipeline_cert(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
-                   mode: str, sigma_n: GroupSubset | None, h: Subgroup | None) -> Certificate:
-    """The main argument on the caller's S, given sigma_n = Sigma_n(S) and
-    h = H(sigma_n) when main_pipeline holds them: case I, else Step B.
+                   mode: str) -> Certificate:
+    """The main argument on the caller's S: case I, else Step B.
 
     The solver's case-II partition has one high-multiplicity H-coset z =
     alpha + H (Step A would move it onto H; here it stays put) and splits into
@@ -710,7 +692,7 @@ def _pipeline_cert(g: GroupSpec, s: GSequence, s_prime: GSequence, n: int,
     and main_pipeline raises InternalError with the caller's instance.
     """
     case1_bound = min(g.order, s_prime.length - n + 1)
-    parts, sum_size, profile = _solve(s, s_prime, n, case1_bound, sigma_n, h)
+    parts, sum_size, profile = _solve(s, s_prime, n, case1_bound)
     if profile is None:
         return Certificate("I", SetPartition(g, parts), theorem="main", mode=mode,
                            bounds={"sum_size": sum_size, "case1_bound": case1_bound})
@@ -744,7 +726,7 @@ def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
     """Re-check every clause of a main-pipeline certificate, in cert.mode, from scratch."""
     if cert.mode not in MODES:
         return False, [f"unknown mode {cert.mode!r}"]
-    violations, used, sigma_n, h = _common_violations(cert, g, s, s_prime, n, "main")
+    violations, used = _common_violations(cert, g, s, s_prime, n, "main")
     if used is None:
         return False, violations
     partition = cert.partition
@@ -768,6 +750,8 @@ def main_verify(cert: Certificate, g: GroupSpec, s: GSequence,
         return False, [f"(ii): K is not a subgroup: {err}"]
     if cert.K.is_trivial:
         violations.append("(ii): K must be nontrivial")
+    sigma_n = nterm_subsums(s, n)
+    h = stabilizer(sigma_n)
     if not h.contains_subgroup(cert.K):
         violations.append("(ii): K not contained in H(Sigma_n(S))")
     if h.is_full:

@@ -16,7 +16,7 @@ verify_subgroup_scan is the subgroup check as a scan over every element.
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Optional
+from typing import Iterator, Optional
 
 from subsumlab.groups import GroupSpec, GroupSubset, Subgroup, iter_bits, sum_masks
 from subsumlab.sequences import GSequence, SequenceError
@@ -75,6 +75,28 @@ def nterm_subsums_oracle(s: GSequence, n: int) -> set[int]:
             total = g.add(total, terms[i])
         out.add(total)
     return out
+
+
+def setpartitions_oracle(s: GSequence, s_prime_len: int, n: int) -> Iterator[tuple[set[int], ...]]:
+    """Every n-setpartition A = (A_1, ..., A_n) with S(A) | S and |S(A)| =
+    s_prime_len, parts as sets of element indices.  Each support element of
+    multiplicity m goes into an at most m-subset of the n parts (exactly m
+    when s_prime_len = |S|), the subsets' sizes add up to s_prime_len, and
+    only the choices with no empty part are kept."""
+    supp = [x for x, m in enumerate(s.mult) if m]
+
+    def choose(k: int, parts: tuple[set[int], ...], left: int):
+        if k == len(supp):
+            if left == 0 and all(parts):
+                yield parts
+            return
+        x = supp[k]
+        for size in range(min(s.mult[x], n, left) + 1):
+            for chosen in combinations(range(n), size):
+                yield from choose(k + 1, tuple(p | {x} if j in chosen else p
+                                               for j, p in enumerate(parts)), left - size)
+
+    yield from choose(0, tuple(set() for _ in range(n)), s_prime_len)
 
 
 def subsum_rows_oracle(s: GSequence, cap: int, target: int) -> list[int]:

@@ -21,7 +21,6 @@ def pytest_runtest_logreport(report):
     if not num.isdigit():
         return
     if report.failed:
-        label = _ACCEPTANCE_RESULTS.get(num, ("", name))[1] or name
         _ACCEPTANCE_RESULTS[num] = ("FAIL", name)
     elif report.passed and num not in _ACCEPTANCE_RESULTS:
         _ACCEPTANCE_RESULTS[num] = ("PASS", name)

@@ -1,6 +1,7 @@
 """Source hygiene: no module under src/ or tests/ imports a name it never
-uses, src/ defines nothing that only the tests use, and no parameter
-default in src/ is one that only the tests rely on.
+uses, src/ defines nothing that only the tests use, no parameter default in
+src/ is one that only the tests rely on, and no function in src/, tests/ or
+scripts/ assigns a name it never reads.
 
 The project configures no linter, so these AST scans stand in for the
 rules it needs.  A package __init__.py is skipped by the import scan:
@@ -42,6 +43,64 @@ def test_no_unused_imports_in_src_and_tests():
     for top in ("src", "tests"):
         for path in sorted((ROOT / top).rglob("*.py")):
             if path.name != "__init__.py" and (names := unused_imports(path.read_text())):
+                found[str(path.relative_to(ROOT))] = names
+    assert found == {}
+
+
+def _own_scope(func: ast.AST):
+    """The nodes of func's body outside the functions, lambdas and classes
+    nested in it."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def dead_stores(source: str) -> list[str]:
+    """'name (line N)' for each name a function assigns alone (x = ...,
+    x: T = ..., x := ...) and never reads, in its body or in a function
+    nested in it; x += ... reads x.  A name bound by tuple unpacking, or
+    declared global or nonlocal, is exempt."""
+    out = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        for node in _own_scope(func):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            out += [f"{t.id} (line {t.lineno})" for t in targets
+                    if isinstance(t, ast.Name) and t.id not in read]
+    return sorted(out)
+
+
+def test_scan_finds_dead_stores():
+    source = ("def f(xs):\n    a = b = 0\n    c: int = 1\n    d, e = xs\n"
+              "    if (w := len(xs)):\n        pass\n    k = 0\n    k += 1\n"
+              "    def inner():\n        nonlocal m\n        m = 2\n        u = 3\n"
+              "        return a\n    m = 1\n    return inner\n"
+              "class C:\n    x = 1\n")
+    assert dead_stores(source) == ["b (line 2)", "c (line 3)", "u (line 12)", "w (line 5)"]
+
+
+def test_no_dead_stores_in_src_tests_and_scripts():
+    found = {}
+    for top in ("src", "tests", "scripts"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if names := dead_stores(path.read_text()):
                 found[str(path.relative_to(ROOT))] = names
     assert found == {}
 

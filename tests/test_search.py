@@ -16,7 +16,7 @@ from subsumlab.groups import (
     stabilizer,
     subgroup_generated,
 )
-from subsumlab import search, setpartitions
+from subsumlab import search, sequences, setpartitions
 from subsumlab.sequences import SequenceError, nterm_subsums, subsum_table
 from subsumlab.setpartitions import clause_iib_violations
 from subsumlab.search import (
@@ -197,25 +197,27 @@ def test_audit_worker_split_and_stabilizer_lookups(monkeypatch):
     # shares together are every sequence once; H is computed once per
     # distinct (G, Sigma_n) of one worker call
     profiled, stabilized = [], []
-    real_profile, real_stabilizer = search.subsum_profile, search.stabilizer
+    real_profile, real_stabilizer = search.subsum_profile, sequences.stabilizer
 
-    def profile_spy(s, n, ref_len, sigma=None, h=None):
-        profiled.append(((s.group.spec_string(), s.mult), (n, sigma.bits, h.carrier.bits)))
-        return real_profile(s, n, ref_len, sigma=sigma, h=h)
+    def profile_spy(s, n, ref_len, sigma=None):
+        p = real_profile(s, n, ref_len, sigma=sigma)
+        profiled.append(((s.group.spec_string(), s.mult), (n, p.sigma_n.bits, p.H.carrier.bits)))
+        return p
 
     def stabilizer_spy(sigma):
-        stabilized.append((sigma.group, sigma.bits))
+        if sigma._period is None:
+            stabilized.append((sigma.group, sigma.bits))
         return real_stabilizer(sigma)
 
     monkeypatch.setattr(search, "subsum_profile", profile_spy)
-    monkeypatch.setattr(search, "stabilizer", stabilizer_spy)
+    monkeypatch.setattr(sequences, "stabilizer", stabilizer_spy)
     cfg = _small_cfg(exhaustive_group_cap=6, exhaustive_len_cap=5, random_samples=200)
     runs = {}
     for jobs, worker in ((1, 0), (2, 0), (2, 1)):
         profiled.clear()
         stabilized.clear()
         search._audit_worker(cfg, worker, jobs)
-        assert len(stabilized) == len(set(stabilized))
+        assert 0 < len(stabilized) == len(set(stabilized))
         runs[jobs, worker] = profiled[:]
     exhaustive = len(list(search.exhaustive_instances(cfg)))
 

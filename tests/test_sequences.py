@@ -448,7 +448,7 @@ def test_s_star_derived_push_forward_exhaustive(monkeypatch):
         # the case-II bound |S'| - (n-1)|H| + e(|H|-1) + rho is bound_primary
         # for every |S'|, rho taken at ref_len = |S'|
         for s_prime_len in range(n, s.length + 1):
-            q = subsum_profile(s, n, s_prime_len, sigma=p.sigma_n, h=p.H)
+            q = subsum_profile(s, n, s_prime_len, sigma=p.sigma_n)
             oh = q.H.order
             assert s_prime_len - (n - 1) * oh + q.e * (oh - 1) + q.rho \
                 == q.bound_primary == p.bound_primary
